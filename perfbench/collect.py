@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -46,9 +45,7 @@ def summarise(values):
 
 
 def bench(binary, workload, seed, seconds, trace):
-    args = argparse.Namespace(seed=seed, seconds=seconds, trace=trace, reduced=False,
-                              spans=None)
-    code, lines, result = run.run_one(binary, args, workload)
+    code, lines, result = run.run_one(binary, workload, seed, seconds, trace)
     if result is None or code != 0 or not result["correct"]:
         sys.stderr.write("\n".join(lines) + "\n")
         raise SystemExit("%s seed %d failed (exit %d)" % (workload, seed, code))
@@ -92,7 +89,7 @@ def main():
             entry["end_to_end"][name] = s
             bound = bounds.get(name, {}).get("bound")
             flag = ""
-            if bound is not None and name != "setup_s" and s["spread"] > bound / 3:
+            if bound is not None and s["spread"] > bound / 3:
                 flag = "  <-- spread above bound/3"
                 flagged += 1
             print("  %-20s median %14.6f %-6s spread %.4f (bound %s)%s"

@@ -2,7 +2,7 @@
 """Build and run the sweep benchmark.
 
     python3 perfbench/run.py --workload catalogue|warmup|queue|all \
-        --seed N --seconds S --trace 0|1 [--reduced] [--spans FILE]
+        --seed N --seconds S --trace 0|1
 
 Run from the repository root.  The first call configures and builds
 perfbench/ (the simulator library from src/ plus the sweep_bench program)
@@ -45,14 +45,12 @@ def build():
     return os.path.join(out, "sweep_bench")
 
 
-def run_one(binary, args, workload):
-    cmd = [binary, "--workload", workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--root", ROOT, "--work-dir", os.path.join(build_dir(), "work")]
-    if args.reduced:
-        cmd.append("--reduced")
-    if args.spans:
-        cmd += ["--spans", args.spans]
+def run_one(binary, workload, seed, seconds, trace, extra=()):
+    """Run sweep_bench once; `extra` is appended to its command line.
+    Returns (exit status, stdout lines, parsed result line or None)."""
+    cmd = [binary, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace),
+           "--root", ROOT, "--work-dir", os.path.join(build_dir(), "work")] + list(extra)
     done = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=False)
     lines = done.stdout.rstrip("\n").split("\n")
     result = None
@@ -71,9 +69,6 @@ def main():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--reduced", action="store_true",
-                   help="small grids (the benchmark's own determinism test)")
-    p.add_argument("--spans", help="span file path (traced pass, single workload)")
     args = p.parse_args()
 
     binary = build()
@@ -81,7 +76,8 @@ def main():
         return 1
 
     if args.workload != "all":
-        code, lines, result = run_one(binary, args, args.workload)
+        code, lines, result = run_one(binary, args.workload, args.seed, args.seconds,
+                                      args.trace)
         print("\n".join(lines))
         if result is None:
             return code or 1
@@ -91,7 +87,7 @@ def main():
     merged = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     status = 0
     for workload in WORKLOADS:
-        code, lines, result = run_one(binary, args, workload)
+        code, lines, result = run_one(binary, workload, args.seed, args.seconds, args.trace)
         print("\n".join(lines[:-1] if result else lines))
         if result is None:
             return code or 1

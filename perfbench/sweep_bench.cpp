@@ -63,7 +63,8 @@ constexpr std::size_t kThreads = 4;          ///< worker threads: one per core o
 constexpr std::size_t kDaemons = 2;          ///< queue: in-process daemons
 constexpr std::size_t kDaemonThreads = 2;    ///< queue: BatchRunner threads each
 constexpr std::size_t kJobsPerTask = 2;      ///< queue: jobs per manifest
-constexpr std::size_t kSetupSamples = 8;     ///< set-ups timed before each sweep
+constexpr std::size_t kSetupSamples = 8;     ///< set-up samples timed before each sweep
+constexpr std::size_t kSetupRepeats = 32;    ///< back-to-back set-ups per sample
 
 struct Workload {
   const char* name;
@@ -561,14 +562,19 @@ bool time_left(std::int64_t start, const std::vector<double>& walls, double seco
   return elapsed + median(walls) <= seconds;
 }
 
-/// Time kSetupSamples set-ups into `setup_s`.  Called before every sweep,
-/// so the median spans the whole run rather than one instant of it.
+/// Add kSetupSamples samples to `setup_s`, each the mean of kSetupRepeats
+/// back-to-back set-ups: one set-up takes well under a millisecond, too
+/// short to time steadily on its own.  Called before every sweep, so the
+/// median spans the whole run rather than one instant of it.
 void time_setups(const Args& args, std::vector<double>& setup_s) {
   for (std::size_t k = 0; k < kSetupSamples; ++k) {
     const std::int64_t t0 = now_ns();
-    const Setup s = load_and_expand(args);
-    if (args.workload->queue) static_cast<void>(plan_queue(s, args.seed));
-    setup_s.push_back(static_cast<double>(now_ns() - t0) / 1e9);
+    for (std::size_t r = 0; r < kSetupRepeats; ++r) {
+      const Setup s = load_and_expand(args);
+      if (args.workload->queue) static_cast<void>(plan_queue(s, args.seed));
+    }
+    setup_s.push_back(static_cast<double>(now_ns() - t0) / 1e9 /
+                      static_cast<double>(kSetupRepeats));
   }
 }
 
@@ -664,10 +670,8 @@ Outcome untraced(const Args& args, const fs::path& scratch) {
     time_setups(args, setup_s);
     SweepRun run;
     if (args.workload->queue) {
-      const std::int64_t t0 = now_ns();
       const Setup s = load_and_expand(args);
       QueuePlan plan = plan_queue(s, args.seed);
-      setup_s.push_back(static_cast<double>(now_ns() - t0) / 1e9);
       write_queue(plan, scratch / ("queue-" + std::to_string(sweeps)));
       run = run_queue(plan, s.jobs, nullptr, 0);
       fs::remove_all(plan.dir);

@@ -11,18 +11,18 @@ asserts that
   * every deterministic counter (sim.events.*, the event-core structure
     counters, core.suspend*/blocked_by_*/wol_*, trace.cache_*, netsim.*,
     distrib.tasks) is identical across the two runs;
-  * the layer spans under each "job" span cover at least 95% of its wall.
+  * the layer-call spans under the "job" spans cover at least 95% of the
+    summed per-run wall (the thread-pool task around each run).
 """
 
 import json
 import os
-import subprocess
 import sys
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
-import run  # noqa: E402  (perfbench/run.py: build + paths)
+import run  # noqa: E402  (perfbench/run.py: build + run_one)
 
 DETERMINISTIC_PREFIXES = (
     "sim.events", "sim.far_", "sim.cascades", "sim.batches", "sim.slab_slots",
@@ -35,16 +35,13 @@ def traced_run(binary, workload, attempt):
     spans = os.path.join(run.build_dir(), "work", "test",
                          "%s-%d.trace.json" % (workload, attempt))
     os.makedirs(os.path.dirname(spans), exist_ok=True)
-    done = subprocess.run(
-        [binary, "--workload", workload, "--seed", "7", "--seconds", "1", "--trace", "1",
-         "--reduced", "--root", run.ROOT, "--work-dir", os.path.join(run.build_dir(), "work"),
-         "--spans", spans],
-        stdout=subprocess.PIPE, text=True, check=False)
-    result = json.loads(done.stdout.strip().split("\n")[-1])
-    return done.returncode, result, spans
+    code, _, result = run.run_one(binary, workload, 7, 1, 1, ["--reduced", "--spans", spans])
+    return code, result, spans
 
 
 def span_coverage(path):
+    """Summed layer-call spans over summed per-run wall.  A "job" span is
+    the thread-pool task around one run, timed apart from its children."""
     with open(path) as f:
         events = json.load(f)["traceEvents"]
     jobs = {e["args"]["id"]: e["dur"] for e in events if e["name"] == "job"}
