@@ -1,6 +1,7 @@
 #include "distrib/daemon.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <map>
@@ -9,6 +10,7 @@
 #include <thread>
 
 #include "distrib/fault.hpp"
+#include "distrib/lease.hpp"
 #include "distrib/reaper.hpp"
 #include "distrib/shard_runner.hpp"
 #include "expctl/spec_io.hpp"
@@ -56,10 +58,9 @@ struct Queue {
   std::mutex snap_mutex;
 
   // Leases this worker currently holds, keyed by lease-file path.  ALL
-  // of them are renewed on every heartbeat flush — a leftover claim
-  // queued behind a long task must not expire while its owner is alive
-  // and merely busy.  Guarded by snap_mutex (renewal happens inside
-  // flush_metrics_locked).
+  // of them are renewed at every checkpoint — a leftover claim queued
+  // behind a long task must not expire while its owner is alive and
+  // merely busy.  Guarded by snap_mutex.
   std::map<std::string, Lease> leases;
 
   explicit Queue(const DaemonOptions& opts) : options(opts), root(opts.queue_dir) {
@@ -84,11 +85,14 @@ struct Queue {
     snap.worker_id = options.worker_id;
   }
 
-  /// Rewrite the metrics snapshot (atomic tmp+rename).  Advisory only:
-  /// an unwritable metrics/ directory must never wedge the queue, so
-  /// failures are logged and swallowed.  Caller must hold snap_mutex
-  /// (or be the daemon thread with no task in flight).
-  void flush_metrics_locked() {
+  /// Renew every held lease and rewrite the metrics snapshot (both
+  /// atomic tmp+rename).  The lease file's mtime is the renewal instant
+  /// the reaper compares against; the snapshot is for observers only.
+  /// Both are advisory: a transiently unwritable directory must not kill
+  /// the daemon (at worst the claim gets reaped and re-converges via the
+  /// journal), so failures are logged and swallowed.  Caller must hold
+  /// snap_mutex (or be the daemon thread with no task in flight).
+  void checkpoint_locked() {
     snap.updated_unix_ms = obs::wall_clock_unix_ms();
     try {
       obs::write_snapshot_file(metrics_file.string(), snap);
@@ -96,11 +100,6 @@ struct Queue {
       DROWSY_LOG_WARN("daemon", "cannot write metrics snapshot %s: %s",
                       metrics_file.string().c_str(), e.what());
     }
-    // Renew every held lease alongside the heartbeat: the lease file's
-    // mtime is the renewal instant the reaper compares against.  Like
-    // the snapshot, renewal is advisory — a transiently unwritable
-    // claimed/ directory must not kill the daemon (at worst the claim
-    // gets reaped and re-converges via the journal).
     for (auto& [path, lease] : leases) {
       lease.renewed_unix_ms = snap.updated_unix_ms;
       try {
@@ -112,13 +111,15 @@ struct Queue {
     }
   }
 
-  void flush_metrics() {
+  void checkpoint() {
     const std::lock_guard<std::mutex> lock(snap_mutex);
-    flush_metrics_locked();
+    checkpoint_locked();
   }
 
-  /// Grant (or re-grant, on crash resume) the lease for a claimed
-  /// manifest and start renewing it with every heartbeat.
+  /// Grant (or re-grant, on crash resume) the lease for a manifest at
+  /// `manifest_path` in our claimed/ directory and start renewing it at
+  /// every checkpoint.  Granted before the claim rename, so no claim is
+  /// ever visible without its lease.
   void grant_lease(const fs::path& manifest_path) {
     Lease lease;
     lease.worker_id = options.worker_id;
@@ -136,7 +137,8 @@ struct Queue {
     leases.emplace(path, std::move(lease));
   }
 
-  /// Drop the lease of a manifest leaving claimed/ (archived or failed).
+  /// Drop the lease of a manifest leaving claimed/ (archived, failed, or
+  /// never claimed because another daemon won the rename).
   void release_lease(const fs::path& manifest_path) {
     const std::string path = lease_path_for(manifest_path.string());
     {
@@ -239,8 +241,8 @@ struct Queue {
       validate_manifest(manifest, sweep_bytes, grid.size());
       adopt_reaped_journal(manifest_path, journal, manifest, grid);
       // The profile probe folds each run's event-core profile into the
-      // snapshot; the on_row hook flushes it after every journal append,
-      // so the heartbeat keeps beating through a single long task.
+      // snapshot; the on_row hook checkpoints after every journal append,
+      // so the leases stay renewed through a single long task.
       const sc::RunProbe probe = sc::profile_probe([this](const obs::EventProfile& p) {
         const std::lock_guard<std::mutex> lock(snap_mutex);
         snap.profile.merge(p);
@@ -251,7 +253,7 @@ struct Queue {
             const std::lock_guard<std::mutex> lock(snap_mutex);
             ++snap.jobs_done;
             ++snap.journal_rows;
-            flush_metrics_locked();
+            checkpoint_locked();
           });
       DROWSY_CRASH_POINT("daemon.before_archive");
       move_into(journal, done);
@@ -263,7 +265,7 @@ struct Queue {
         ++snap.tasks_done;
         snap.trace_cache_hits += outcome.trace_hits;
         snap.trace_cache_misses += outcome.trace_misses;
-        flush_metrics_locked();
+        checkpoint_locked();
       }
       emit(options, "done " + manifest_path.filename().string() + " (resumed " +
                         std::to_string(outcome.resumed) + ", executed " +
@@ -282,7 +284,7 @@ struct Queue {
       {
         const std::lock_guard<std::mutex> lock(snap_mutex);
         ++snap.tasks_failed;
-        flush_metrics_locked();
+        checkpoint_locked();
       }
       emit(options, "failed " + manifest_path.filename().string() + ": " + e.what());
       return false;
@@ -295,26 +297,41 @@ struct Queue {
 DaemonOutcome run_daemon(const DaemonOptions& options) {
   Queue queue(options);
   DaemonOutcome outcome;
-  queue.flush_metrics();  // heartbeat exists from the first moment on duty
+  queue.checkpoint();  // the snapshot exists from the first moment on duty
 
   // Crash recovery: a previous daemon with this worker id may have died
   // owning tasks.  Finish them (the journal resume makes this converge)
   // before competing for new work.  Content-checked like pending(): the
   // claimed/ directory also holds journals and lease files, which must
-  // never be mistaken for tasks (and quarantined to failed/).
+  // never be mistaken for tasks (and quarantined to failed/).  A lease
+  // without its manifest is the trace of a death between grant and
+  // claim rename; the task is still pending, so the lease just goes.
   std::set<fs::path> leftovers;
+  std::vector<fs::path> orphan_leases;
   for (const fs::directory_entry& entry : fs::directory_iterator(queue.claimed)) {
     if (!entry.is_regular_file() || entry.path().extension() != ".json") continue;
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".lease.json")) {
+      const std::string stem = name.substr(0, name.size() - std::strlen(".lease.json"));
+      if (!fs::exists(queue.claimed / (stem + ".json"))) orphan_leases.push_back(entry.path());
+      continue;
+    }
     try {
       static_cast<void>(manifest_from_json(
           ec::Json::parse(ec::read_file(entry.path().string()))));
     } catch (const std::exception&) {
-      continue;  // a lease file, journal, or stray file — not a claim
+      continue;  // a journal or stray file — not a claim
     }
     leftovers.insert(entry.path());
   }
+  for (const fs::path& lease : orphan_leases) {
+    std::error_code ignored;
+    fs::remove(lease, ignored);
+  }
+  // Re-grant every leftover lease up front (the crash left them aging),
+  // so the ones queued behind the first stay renewed while it runs.
+  for (const fs::path& manifest : leftovers) queue.grant_lease(manifest);
   for (const fs::path& manifest : leftovers) {
-    queue.grant_lease(manifest);  // re-grant: the crash left a stale lease
     emit(options, "resuming claimed " + manifest.filename().string());
     queue.execute(manifest) ? ++outcome.completed : ++outcome.failed;
   }
@@ -329,12 +346,15 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
     bool worked = false;
     for (const fs::path& candidate : queue.pending()) {
       const fs::path mine = queue.claimed / candidate.filename();
-      std::error_code race;
-      fs::rename(candidate, mine, race);
-      if (race) continue;  // another daemon claimed it first
-      DROWSY_CRASH_POINT("daemon.after_claim");
       queue.grant_lease(mine);
       DROWSY_CRASH_POINT("daemon.after_lease");
+      std::error_code race;
+      fs::rename(candidate, mine, race);
+      if (race) {  // another daemon claimed it first
+        queue.release_lease(mine);
+        continue;
+      }
+      DROWSY_CRASH_POINT("daemon.after_claim");
       emit(options, "claimed " + candidate.filename().string());
       queue.execute(mine) ? ++outcome.completed : ++outcome.failed;
       worked = true;
@@ -347,7 +367,6 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
     if (!worked && options.reap) {
       ReapOptions reap_options;
       reap_options.queue_dir = options.queue_dir;
-      reap_options.stale_after_s = options.reap_stale_after_s;
       reap_options.reaper_id = options.worker_id;
       reap_options.skip_worker = options.worker_id;
       if (options.on_event) {
@@ -376,7 +395,7 @@ DaemonOutcome run_daemon(const DaemonOptions& options) {
       outcome.exit = DaemonExit::Idle;
       return outcome;
     }
-    queue.flush_metrics();  // idle heartbeat: the claim reaper reads this mtime
+    queue.checkpoint();
     std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
   }
 }

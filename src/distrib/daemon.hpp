@@ -19,8 +19,7 @@
 //   <queue>/metrics/<worker>.json  the worker's metrics snapshot (see
 //                                  obs/snapshot.hpp), rewritten atomically
 //                                  every poll cycle and after every
-//                                  finished run — its mtime is the
-//                                  worker's heartbeat
+//                                  finished run; observability only
 //   <queue>/STOP                   sentinel: daemons exit at next poll
 //
 // A pending file is recognized by *content*, not name: anything that
@@ -42,8 +41,8 @@
 // error text beside it; the daemon keeps serving.
 //
 // Liveness: every claim carries a lease (lease.hpp) —
-// claimed/<worker>/<name>.lease.json, granted at claim time and renewed
-// with every heartbeat flush — and idle daemons opportunistically reap
+// claimed/<worker>/<name>.lease.json, granted just before the claim
+// rename and renewed after every journal row — and idle daemons reap
 // other workers' expired claims back into the queue (reaper.hpp), so a
 // fleet survives any member's death without outside intervention.  A
 // re-enqueued manifest may arrive with a journal snapshot beside it
@@ -57,7 +56,6 @@
 #include <string>
 #include <vector>
 
-#include "distrib/lease.hpp"
 #include "distrib/shard.hpp"
 
 namespace drowsy::distrib {
@@ -72,17 +70,13 @@ struct DaemonOptions {
   double max_idle_s = 60.0;  ///< exit after this long with no work; <= 0 waits
                              ///< for STOP alone
   unsigned poll_ms = 500;    ///< sleep between empty scans
-  /// TTL written into this worker's claim leases.  Renewed with every
-  /// heartbeat flush (each poll cycle and each journal row), so it only
-  /// needs to outlast the longest single simulation run plus scheduling
-  /// jitter — not the whole task.
+  /// TTL written into this worker's claim leases.  Renewed after every
+  /// journal row, so it only needs to outlast the longest single
+  /// simulation run plus scheduling jitter — not the whole task.
   double lease_ttl_s = 900.0;
   /// Opportunistically reap other workers' expired claims while idle
   /// (own claims are never reaped — they are this worker's backlog).
   bool reap = true;
-  /// Reap threshold for lease-less claims (pre-lease daemons, hand-parked
-  /// manifests); leased claims expire strictly by their own TTL.
-  double reap_stale_after_s = 900.0;
   /// Optional progress sink (one line per claim/finish/failure); the
   /// daemon itself never writes to stdout.  Called from the daemon's
   /// thread only.
@@ -101,11 +95,6 @@ struct DaemonOutcome {
   std::size_t reaped = 0;     ///< other workers' claims this daemon re-enqueued
   DaemonExit exit = DaemonExit::Idle;
 };
-
-/// Historical name for a claim surfaced by find_stale_claims()
-/// (lease.hpp), kept for existing callers: the lease subsystem's
-/// ClaimInfo is a strict superset of the old StaleClaim shape.
-using StaleClaim = ClaimInfo;
 
 /// Serve the queue until STOP or idle timeout; see the file comment for
 /// the protocol.  Throws DistribError only for an unusable queue (missing

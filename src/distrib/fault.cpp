@@ -18,8 +18,8 @@ namespace {
 // fires and the chaos suite's coverage loop will not visit it, so keep
 // the two in sync.
 constexpr const char* kPoints[] = {
-    "daemon.after_claim",    // claim renamed into claimed/<worker>/, no lease yet
-    "daemon.after_lease",    // lease granted, execution not started
+    "daemon.after_claim",    // lease granted and claim renamed, execution not started
+    "daemon.after_lease",    // lease granted, claim rename not yet attempted
     "daemon.after_adopt",    // reaped journal adopted, before resume
     "journal.after_append",  // one journal row fully written and flushed
     "journal.torn_append",   // half a journal row written, then death (torn tail)

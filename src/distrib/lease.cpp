@@ -101,20 +101,10 @@ std::vector<ClaimInfo> list_claims(const std::string& queue_dir) {
   const auto now = fs::file_time_type::clock::now();
   for (const fs::directory_entry& worker : fs::directory_iterator(claimed)) {
     if (!worker.is_directory()) continue;
-    const std::string worker_id = worker.path().filename().string();
-    // The worker's heartbeat: its metrics snapshot, rewritten every poll
-    // and every finished run.  A claim manifest's own mtime dates from
-    // `shard plan` (rename preserves it) and keeps aging even while the
-    // owner is healthily grinding, so it is only the last-resort
-    // evidence.
-    std::error_code ec_beat;
-    const auto heartbeat =
-        fs::last_write_time(root / "metrics" / (worker_id + ".json"), ec_beat);
-    const bool has_heartbeat = !ec_beat;
     for (const fs::directory_entry& entry : fs::directory_iterator(worker.path())) {
       if (!entry.is_regular_file() || entry.path().extension() != ".json") continue;
       const std::string name = entry.path().filename().string();
-      if (name.size() > 11 && name.ends_with(".lease.json")) continue;
+      if (name.ends_with(".lease.json")) continue;
       try {
         static_cast<void>(
             manifest_from_json(ec::Json::parse(ec::read_file(entry.path().string()))));
@@ -123,43 +113,25 @@ std::vector<ClaimInfo> list_claims(const std::string& queue_dir) {
       }
       ClaimInfo claim;
       claim.manifest_path = entry.path().string();
-      claim.worker_id = worker_id;
+      claim.worker_id = worker.path().filename().string();
 
       // The lease beside the manifest: its mtime is the renewal instant.
-      // Unreadable (torn, foreign, wrong schema) degrades to absent — a
-      // broken lease must surface the claim, never hide it.
+      // Unreadable (torn, foreign, wrong schema) counts as absent, which
+      // makes the claim reapable — a broken lease must surface the
+      // claim, never hide it.
       const std::string lease_path = lease_path_for(claim.manifest_path);
       std::error_code ec_lease;
-      const auto lease_mtime = fs::last_write_time(lease_path, ec_lease);
-      bool has_lease_mtime = !ec_lease;
-      if (has_lease_mtime) {
+      const auto renewed = fs::last_write_time(lease_path, ec_lease);
+      if (!ec_lease) {
         try {
           claim.lease_ttl_s = read_lease_file(lease_path).ttl_s;
           claim.has_lease = true;
+          claim.age_s = std::chrono::duration<double>(now - renewed).count();
         } catch (const std::exception& e) {
           DROWSY_LOG_WARN("lease", "ignoring unreadable lease %s: %s",
                           lease_path.c_str(), e.what());
-          has_lease_mtime = false;
         }
       }
-
-      // Last seen = the freshest evidence available.
-      if (has_heartbeat || has_lease_mtime) {
-        auto last_seen = has_heartbeat ? heartbeat : lease_mtime;
-        claim.from_snapshot = has_heartbeat;
-        if (has_lease_mtime && lease_mtime > last_seen) {
-          last_seen = lease_mtime;
-          claim.from_snapshot = false;
-        }
-        claim.age_s = std::chrono::duration<double>(now - last_seen).count();
-      } else {
-        std::error_code ec_time;
-        const auto written = fs::last_write_time(entry.path(), ec_time);
-        if (ec_time) continue;  // raced with the owner archiving it
-        claim.age_s = std::chrono::duration<double>(now - written).count();
-        claim.from_snapshot = false;
-      }
-      if (claim.has_lease) claim.lease_remaining_s = claim.lease_ttl_s - claim.age_s;
       claims.push_back(std::move(claim));
     }
   }
@@ -168,17 +140,6 @@ std::vector<ClaimInfo> list_claims(const std::string& queue_dir) {
               return a.manifest_path < b.manifest_path;
             });
   return claims;
-}
-
-std::vector<ClaimInfo> find_stale_claims(const std::string& queue_dir,
-                                         double stale_after_s) {
-  std::vector<ClaimInfo> stale = list_claims(queue_dir);
-  stale.erase(std::remove_if(stale.begin(), stale.end(),
-                             [stale_after_s](const ClaimInfo& claim) {
-                               return !claim.expired(stale_after_s);
-                             }),
-              stale.end());
-  return stale;
 }
 
 }  // namespace drowsy::distrib

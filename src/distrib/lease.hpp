@@ -4,29 +4,25 @@
 // claimed/<worker>/ — exclusive forever, which is exactly the problem
 // when the worker dies: nothing in the filesystem says how long
 // "forever" was supposed to be.  A lease makes the contract explicit.
-// Next to every claimed manifest the owner writes a small lease file
+// Next to every claimed manifest the owner keeps a small lease file
 //
 //   claimed/<worker>/<name>.lease.json
 //   {"schema": "drowsy-claim-lease-v1", "worker_id": ..., "manifest":
 //    ..., "granted_unix_ms": ..., "renewed_unix_ms": ..., "ttl_s": ...}
 //
-// and rewrites it (atomic tmp+rename) alongside every heartbeat metrics
-// flush — each poll cycle and each finished journal row.  The lease
-// file's *mtime* is the renewal instant (the same clock the heartbeat
-// snapshot already uses, so cross-machine wall-clock skew never enters
-// the comparison); `ttl_s` is how long the owner may go silent before
-// any reaper may re-enqueue the claim.  The embedded timestamps are for
-// humans reading the file.
+// written *before* the claim rename (so no claim is ever visible without
+// one) and rewritten (atomic tmp+rename) after every finished journal
+// row.  The lease file's *mtime* is the renewal instant; `ttl_s` is how
+// long the owner may go silent before any reaper may re-enqueue the
+// claim.  The embedded timestamps are for humans reading the file.
+//
+// The lease is the only liveness evidence.  A claim whose lease is
+// missing or unreadable has no owner vouching for it and is reapable at
+// once; the worker's metrics snapshot and the manifest's own mtime say
+// nothing about liveness.
 //
 // list_claims() is the one scanner everything liveness-related shares:
-// `shard status` renders it, find_stale_claims() filters it, and the
-// reaper (reaper.hpp) acts on it.  A claim's "last seen" instant is the
-// freshest of its lease renewal and its worker's metrics-snapshot
-// heartbeat; a claim with neither (written by a pre-lease daemon, or
-// parked by hand) falls back to the manifest file's own mtime — which
-// dates from `shard plan` and therefore ages even while the owner
-// works, so it is only trusted against the caller's generous threshold,
-// never a lease TTL.
+// `shard status` renders it and the reaper (reaper.hpp) acts on it.
 #pragma once
 
 #include <cstdint>
@@ -65,45 +61,29 @@ void write_lease_file(const std::string& path, const Lease& lease);
 [[nodiscard]] Lease read_lease_file(const std::string& path);
 
 /// One manifest sitting in some worker's claimed/ directory, with its
-/// liveness evidence resolved.  This is also the legacy `StaleClaim`
-/// shape (daemon.hpp aliases it): `age_s`/`from_snapshot` keep their
-/// pre-lease meaning for existing consumers.
+/// lease resolved.
 struct ClaimInfo {
   std::string manifest_path;  ///< <queue>/claimed/<worker>/<name>.json
   std::string worker_id;
-  /// Seconds since the owner was last seen: the freshest of the lease
-  /// file's mtime and the worker's metrics-snapshot mtime; the manifest
-  /// file's own mtime when neither exists.
-  double age_s = 0.0;
-  /// true when the metrics snapshot provided the freshest evidence.
-  bool from_snapshot = false;
-  bool has_lease = false;
-  double lease_ttl_s = 0.0;        ///< 0 without a lease
-  /// ttl - age: seconds of silence still allowed.  Negative once the
-  /// lease has expired; 0 without a lease.
-  double lease_remaining_s = 0.0;
+  bool has_lease = false;     ///< false when the lease is missing or unreadable
+  double age_s = 0.0;         ///< seconds since the lease was renewed; 0 without one
+  double lease_ttl_s = 0.0;   ///< 0 without a lease
 
-  /// Reapable?  A leased claim expires strictly by its own TTL; a
-  /// lease-less claim only by the caller's threshold.
-  [[nodiscard]] bool expired(double stale_after_s) const {
-    return has_lease ? age_s > lease_ttl_s : age_s >= stale_after_s;
+  /// Seconds of silence still allowed: negative once the lease has
+  /// expired, 0 without a lease.
+  [[nodiscard]] double lease_remaining_s() const {
+    return has_lease ? lease_ttl_s - age_s : 0.0;
   }
+  /// Reapable: the lease has run out, or there is none.
+  [[nodiscard]] bool expired() const { return !has_lease || age_s > lease_ttl_s; }
 };
 
 /// Scan <queue>/claimed/*/ for every claimed manifest, in path order.
 /// Only files that parse as shard manifests count (journals, lease
 /// files and stray files are ignored).  An unreadable lease file is
-/// treated as absent (and logged) — a half-broken lease must degrade to
-/// the heartbeat/mtime fallback, not hide the claim.  A queue without a
-/// claimed/ directory has no claims; a missing queue root throws
-/// DistribError.
+/// treated as absent (and logged), which makes its claim reapable.  A
+/// queue without a claimed/ directory has no claims; a missing queue
+/// root throws DistribError.
 [[nodiscard]] std::vector<ClaimInfo> list_claims(const std::string& queue_dir);
-
-/// list_claims() filtered to the reapable: leased claims past their own
-/// TTL plus lease-less claims not seen for `stale_after_s` seconds.
-/// Read-only — surfacing parked work is safe anywhere; re-enqueueing it
-/// is the reaper's job (reaper.hpp).
-[[nodiscard]] std::vector<ClaimInfo> find_stale_claims(const std::string& queue_dir,
-                                                       double stale_after_s);
 
 }  // namespace drowsy::distrib

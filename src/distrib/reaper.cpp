@@ -27,6 +27,11 @@ void emit(const ReapOptions& options, const std::string& line) {
   if (options.on_event) options.on_event(line);
 }
 
+/// Why a claim is reapable, for progress lines.
+std::string why_expired(const ClaimInfo& claim) {
+  return claim.has_lease ? "silent " + std::to_string(claim.age_s) + " s" : "no lease";
+}
+
 /// "<stem>.journal.jsonl" for ".../<stem>.json".
 std::string journal_name(const fs::path& manifest) {
   return manifest.stem().string() + ".journal.jsonl";
@@ -99,7 +104,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
   ReapOutcome outcome;
   for (const ClaimInfo& claim : list_claims(options.queue_dir)) {
     ++outcome.examined;
-    if (!claim.expired(options.stale_after_s)) continue;
+    if (!claim.expired()) continue;
     if (!options.skip_worker.empty() && claim.worker_id == options.skip_worker) {
       emit(options, "skipping own claim " +
                         fs::path(claim.manifest_path).filename().string());
@@ -111,8 +116,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     if (options.dry_run) {
       ++outcome.reaped;
       emit(options, "would reap " + manifest.filename().string() + " from " +
-                        claim.worker_id + " (silent " + std::to_string(claim.age_s) +
-                        " s)");
+                        claim.worker_id + " (" + why_expired(claim) + ")");
       continue;
     }
 
@@ -192,9 +196,9 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     append_reap_row(reaped_dir / "reap.journal.jsonl", record);
     ++outcome.reaped;
     outcome.rows_preserved += rows_preserved;
-    emit(options, "reaped " + record.manifest + " from " + record.worker_id +
-                      " (silent " + std::to_string(record.age_s) + " s, " +
-                      std::to_string(rows_preserved) + " rows preserved)");
+    emit(options, "reaped " + record.manifest + " from " + record.worker_id + " (" +
+                      why_expired(claim) + ", " + std::to_string(rows_preserved) +
+                      " rows preserved)");
   }
   return outcome;
 }

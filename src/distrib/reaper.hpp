@@ -4,9 +4,8 @@
 // exclusive until the owner archives it.  When the owner dies the claim
 // parks its shard forever; leases (lease.hpp) make the death observable,
 // and reap_queue() is the recovery arm: every claim whose lease has
-// expired (or, lease-less, whose owner has not been seen for the
-// caller's threshold) is atomically re-enqueued so any live daemon can
-// pick it up.
+// expired, or that has no readable lease at all, is atomically
+// re-enqueued so any live daemon can pick it up.
 //
 // Reaping one claim:
 //
@@ -36,8 +35,8 @@
 // journal snapshot merely costs re-execution, not correctness.
 // Re-enqueueing an alive-after-all worker's claim is *also* safe — the
 // merge's duplicate detection plus journal dedupe keep the final CSV
-// canonical — just wasteful, which is why expiry thresholds should be
-// generous multiples of the heartbeat period.
+// canonical — just wasteful, which is why lease TTLs should be generous
+// multiples of the longest single run (the renewal period).
 #pragma once
 
 #include <cstddef>
@@ -52,9 +51,6 @@ namespace drowsy::distrib {
 
 struct ReapOptions {
   std::string queue_dir;  ///< queue root; must already exist
-  /// Lease-less claims are reaped only after this many seconds of owner
-  /// silence (leased claims expire strictly by their own TTL).
-  double stale_after_s = 900.0;
   std::string reaper_id = "reaper";  ///< recorded in the reap journal
   /// Never reap this worker's claims (a daemon reaping opportunistically
   /// passes its own id: its claims are its legitimate backlog).
@@ -69,7 +65,7 @@ struct ReapRecord {
   std::string manifest;   ///< basename of the re-enqueued manifest
   std::string worker_id;  ///< the dead owner
   std::string reaper_id;
-  double age_s = 0.0;  ///< owner silence at reap time
+  double age_s = 0.0;  ///< lease silence at reap time (0 without a lease)
   std::size_t rows_preserved = 0;  ///< journal rows carried back to the queue
   std::uint64_t reaped_unix_ms = 0;
 };
@@ -79,7 +75,7 @@ struct ReapRecord {
 
 struct ReapOutcome {
   std::size_t examined = 0;  ///< claims scanned
-  std::size_t expired = 0;   ///< claims past their lease TTL / threshold
+  std::size_t expired = 0;   ///< claims past their lease TTL, or lease-less
   std::size_t reaped = 0;    ///< claims actually re-enqueued (= expired on a
                              ///< dry run: what *would* have been reaped)
   std::size_t rows_preserved = 0;  ///< journal rows carried back, total

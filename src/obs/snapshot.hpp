@@ -1,14 +1,12 @@
-// Worker metrics snapshots: the liveness + progress signal for the fleet.
+// Worker metrics snapshots: the progress signal for the fleet.
 //
 // Each worker (a `shard daemon`, or `drowsy_sweep run --metrics-json`)
 // periodically flushes one small JSON file describing what it has done
 // so far — jobs finished, trace-cache hit rate, journal rows written,
 // and its aggregated event-core profile.  `shard status --json` merges
-// every worker's snapshot into one fleet view, and the snapshot file's
-// mtime doubles as the worker's heartbeat: a claim whose worker keeps
-// flushing is alive no matter how old the claim's manifest is
-// (distrib::find_stale_claims prefers this signal — the groundwork for
-// the ROADMAP item-3 reaper).
+// every worker's snapshot into one fleet view.  A snapshot says nothing
+// about whether a claim is alive: that is the claim lease's job
+// (distrib/lease.hpp).
 //
 // Snapshots are observability artifacts, NOT deterministic outputs:
 // `updated_unix_ms` is wall clock and the event profile carries dispatch

@@ -16,6 +16,7 @@
 #include "distrib/daemon.hpp"
 #include "distrib/fault.hpp"
 #include "distrib/journal.hpp"
+#include "distrib/lease.hpp"
 #include "distrib/merge.hpp"
 #include "distrib/reaper.hpp"
 #include "distrib/shard_runner.hpp"
@@ -114,8 +115,6 @@ struct ChaosFixture : ::testing::Test {
     fs::create_directories(claimed);
     const fs::path manifest = claimed / "shard_0.json";
     fs::rename(root / "shard_0.json", manifest);
-    fs::last_write_time(manifest,
-                        fs::file_time_type::clock::now() - std::chrono::hours(2));
     if (with_journal) {
       const dt::ShardManifest m =
           dt::manifest_from_json(ec::Json::parse(ec::read_file(manifest.string())));
@@ -138,7 +137,6 @@ struct ChaosFixture : ::testing::Test {
   static dt::ReapOptions reap_options(const fs::path& root) {
     dt::ReapOptions opts;
     opts.queue_dir = root.string();
-    opts.stale_after_s = 3600.0;
     opts.reaper_id = "chaos-reaper";
     return opts;
   }
@@ -168,15 +166,21 @@ TEST_F(ChaosFixture, EveryDaemonCrashPointRecoversByResume) {
 
     // The kill really happened mid-protocol: the task is not archived
     // as complete-and-pending simultaneously, and a torn append left a
-    // genuinely torn tail for resume to drop.
-    EXPECT_TRUE(fs::exists(root / "claimed" / "w1" / "shard_0.json"))
-        << "victim died owning its claim";
+    // genuinely torn tail for resume to drop.  The lease precedes the
+    // claim, so a death between the two leaves the task pending beside
+    // an orphan lease that the restart clears.
+    const fs::path lease = root / "claimed" / "w1" / "shard_0.lease.json";
+    EXPECT_TRUE(fs::exists(lease)) << "lease granted before the claim";
+    EXPECT_EQ(fs::exists(root / "claimed" / "w1" / "shard_0.json"),
+              point != "daemon.after_lease")
+        << "victim died owning its claim, unless it died before the rename";
     if (point == "journal.torn_append") {
       const dt::JournalContents torn = dt::read_journal(
           (root / "claimed" / "w1" / "shard_0.journal.jsonl").string());
       EXPECT_TRUE(torn.truncated_tail) << "half-written row must be on disk";
     }
     assert_converges(root, "w1");
+    EXPECT_FALSE(fs::exists(lease)) << "released or cleared, never left behind";
   }
 }
 

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "distrib/lease.hpp"
 #include "distrib/merge.hpp"
 #include "distrib/reaper.hpp"
 #include "expctl/runs_io.hpp"
@@ -165,41 +166,49 @@ TEST_F(DaemonFixture, RestartResumesOwnClaimedTasks) {
   const fs::path claimed = root / "claimed" / "w1";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
+  // An earlier life also died between granting a lease and the claim
+  // rename: the orphan lease names no manifest and must be cleared.
+  dt::Lease orphan;
+  orphan.worker_id = "w1";
+  orphan.manifest = "shard_9.json";
+  orphan.ttl_s = 900.0;
+  dt::write_lease_file((claimed / "shard_9.lease.json").string(), orphan);
 
   const dt::DaemonOutcome outcome = dt::run_daemon(options(root, "w1"));
   EXPECT_EQ(outcome.completed, 1u);
+  EXPECT_EQ(outcome.failed, 0u);
   EXPECT_TRUE(fs::exists(root / "done" / "shard_0.json"));
   EXPECT_TRUE(fs::exists(root / "done" / "shard_0.journal.jsonl"));
   EXPECT_TRUE(fs::is_empty(claimed));
 }
 
-TEST_F(DaemonFixture, StaleClaimsAreFoundByAgeAndWorker) {
-  const fs::path root = make_queue("stale", 2);
-  // No claimed/ directory yet: nothing is stale, and that is not an error.
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 0.0).empty());
+TEST_F(DaemonFixture, ALeaselessClaimIsExpiredAtOnce) {
+  const fs::path root = make_queue("leaseless", 2);
+  // No claimed/ directory yet: there are no claims, and that is not an
+  // error.
+  EXPECT_TRUE(dt::list_claims(root.string()).empty());
 
-  // A worker claims shard 0 and dies; back-date the claim two hours.
+  // A manifest parked by hand, with no lease beside it: nobody vouches
+  // for it, so it is reapable immediately, however fresh its mtime.
   const fs::path claimed = root / "claimed" / "deadworker";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
   // Its journal (not a manifest) must not count as a claim.
   ASSERT_TRUE_OR_THROW(
       sc::write_file((claimed / "shard_0.journal.jsonl").string(), "{}\n"));
 
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].worker_id, "deadworker");
-  EXPECT_EQ(stale[0].manifest_path, (claimed / "shard_0.json").string());
-  EXPECT_GE(stale[0].age_s, 3600.0);
-
-  // A generous threshold keeps a live worker's claim off the list.
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 3 * 3600.0).empty());
+  const auto claims = dt::list_claims(root.string());
+  ASSERT_EQ(claims.size(), 1u);
+  EXPECT_EQ(claims[0].worker_id, "deadworker");
+  EXPECT_EQ(claims[0].manifest_path, (claimed / "shard_0.json").string());
+  EXPECT_FALSE(claims[0].has_lease);
+  EXPECT_EQ(claims[0].age_s, 0.0);
+  EXPECT_EQ(claims[0].lease_remaining_s(), 0.0);
+  EXPECT_TRUE(claims[0].expired());
 
   // A missing queue root stays a hard error, matching run_daemon.
-  EXPECT_THROW(static_cast<void>(dt::find_stale_claims(
-                   (fs::path(::testing::TempDir()) / "drowsy_q_missing").string(), 1.0)),
+  EXPECT_THROW(static_cast<void>(dt::list_claims(
+                   (fs::path(::testing::TempDir()) / "drowsy_q_missing").string())),
                dt::DistribError);
 }
 
@@ -216,51 +225,34 @@ TEST_F(DaemonFixture, UnusableQueueThrows) {
   EXPECT_THROW(static_cast<void>(dt::run_daemon(empty_worker)), dt::DistribError);
 }
 
-TEST_F(DaemonFixture, StaleClaimsPreferTheMetricsHeartbeat) {
+TEST_F(DaemonFixture, TheMetricsSnapshotIsNotLivenessEvidence) {
   namespace obs = drowsy::obs;
-  const fs::path root = make_queue("heartbeat", 2);
-  // Manifest mtimes date from `shard plan` (rename preserves them), so a
-  // two-hour-old manifest alone says nothing about worker liveness.
+  const fs::path root = make_queue("snapshot", 1);
   const fs::path claimed = root / "claimed" / "slowworker";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
+  dt::Lease lease;
+  lease.worker_id = "slowworker";
+  lease.manifest = "shard_0.json";
+  lease.granted_unix_ms = 1;
+  lease.renewed_unix_ms = 1;
+  lease.ttl_s = 60.0;
+  const std::string lease_path = dt::lease_path_for((claimed / "shard_0.json").string());
+  dt::write_lease_file(lease_path, lease);
+  fs::last_write_time(lease_path, fs::file_time_type::clock::now() - std::chrono::hours(2));
 
-  // A fresh metrics snapshot is a heartbeat: the claim is not stale even
-  // though the manifest is ancient.
+  // A fresh metrics snapshot from the same worker changes nothing: the
+  // lease alone decides, and this one ran out long ago.
   obs::WorkerSnapshot snap;
   snap.worker_id = "slowworker";
   snap.updated_unix_ms = obs::wall_clock_unix_ms();
   obs::write_snapshot_file((root / "metrics" / "slowworker.json").string(), snap);
-  EXPECT_TRUE(dt::find_stale_claims(root.string(), 3600.0).empty());
-
-  // Once the heartbeat itself goes silent, the claim is stale again —
-  // and flagged as judged by the snapshot, not the manifest.
-  fs::last_write_time(root / "metrics" / "slowworker.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].worker_id, "slowworker");
-  EXPECT_TRUE(stale[0].from_snapshot);
-  EXPECT_GE(stale[0].age_s, 3600.0);
-
-  // A worker without a snapshot still falls back to the manifest mtime.
-  const fs::path claimed2 = root / "claimed" / "quietworker";
-  fs::create_directories(claimed2);
-  fs::rename(root / "shard_1.json", claimed2 / "shard_1.json");
-  fs::last_write_time(claimed2 / "shard_1.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto both = dt::find_stale_claims(root.string(), 3600.0);
-  ASSERT_EQ(both.size(), 2u);
-  for (const dt::StaleClaim& claim : both) {
-    if (claim.worker_id == "quietworker") {
-      EXPECT_FALSE(claim.from_snapshot);
-    }
-    if (claim.worker_id == "slowworker") {
-      EXPECT_TRUE(claim.from_snapshot);
-    }
-  }
+  const auto claims = dt::list_claims(root.string());
+  ASSERT_EQ(claims.size(), 1u);
+  EXPECT_TRUE(claims[0].has_lease);
+  EXPECT_GE(claims[0].age_s, 3600.0);
+  EXPECT_LT(claims[0].lease_remaining_s(), 0.0);
+  EXPECT_TRUE(claims[0].expired());
 }
 
 TEST_F(DaemonFixture, DaemonPublishesAMetricsSnapshot) {
@@ -316,7 +308,7 @@ TEST_F(DaemonFixture, DaemonGrantsRenewsAndReleasesLeases) {
 }
 
 TEST_F(DaemonFixture, LeaseFilesAreNotMistakenForTasks) {
-  // Regression: the leftover scan and the stale scan both walk
+  // Regression: the leftover scan and list_claims both walk
   // claimed/<worker>/*.json — a lease file must never be executed as (or
   // quarantined as) a task.
   const fs::path root = make_queue("leasefile", 1);
@@ -337,37 +329,32 @@ TEST_F(DaemonFixture, LeaseFilesAreNotMistakenForTasks) {
   EXPECT_EQ(outcome.failed, 0u) << "lease file must not be quarantined";
   EXPECT_TRUE(fs::exists(root / "done" / "shard_0.json"));
   EXPECT_FALSE(fs::exists(root / "failed" / "shard_0.lease.json"));
-  // And find_stale_claims reports exactly one claim for the pair, not two.
+  // And list_claims reports exactly one claim for the pair, not two.
   fs::create_directories(root / "claimed" / "w2");
   fs::copy_file(root / "done" / "shard_0.json",
                 root / "claimed" / "w2" / "shard_0.json");
-  fs::last_write_time(root / "claimed" / "w2" / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
   lease.worker_id = "w2";
   dt::write_lease_file(
       dt::lease_path_for((root / "claimed" / "w2" / "shard_0.json").string()),
       lease);
   fs::last_write_time(root / "claimed" / "w2" / "shard_0.lease.json",
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
-  const auto stale = dt::find_stale_claims(root.string(), 3600.0);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_TRUE(stale[0].has_lease);
+  const auto claims = dt::list_claims(root.string());
+  ASSERT_EQ(claims.size(), 1u);
+  EXPECT_TRUE(claims[0].has_lease);
+  EXPECT_TRUE(claims[0].expired());
 }
 
 TEST_F(DaemonFixture, IdleDaemonReapsAJournallessClaimAndReExecutesIt) {
-  // A worker that died between claim and first journal row: the reap
-  // preserves zero rows and the re-execution runs the shard from
-  // scratch — still exactly once, still byte-identical.
+  // A lease-less claim with no journal rows: the reap preserves zero
+  // rows and the re-execution runs the shard from scratch — still
+  // exactly once, still byte-identical.
   const fs::path root = make_queue("idlereap", 1);
   const fs::path claimed = root / "claimed" / "deadworker";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
 
-  dt::DaemonOptions opts = options(root, "w2");
-  opts.reap_stale_after_s = 3600.0;
-  const dt::DaemonOutcome outcome = dt::run_daemon(opts);
+  const dt::DaemonOutcome outcome = dt::run_daemon(options(root, "w2"));
   EXPECT_EQ(outcome.reaped, 1u);
   EXPECT_EQ(outcome.completed, 1u);
   EXPECT_EQ(outcome.failed, 0u);
@@ -389,12 +376,9 @@ TEST_F(DaemonFixture, ReapingCanBeDisabled) {
   const fs::path claimed = root / "claimed" / "deadworker";
   fs::create_directories(claimed);
   fs::rename(root / "shard_0.json", claimed / "shard_0.json");
-  fs::last_write_time(claimed / "shard_0.json",
-                      fs::file_time_type::clock::now() - std::chrono::hours(2));
 
   dt::DaemonOptions opts = options(root, "w2");
   opts.reap = false;
-  opts.reap_stale_after_s = 3600.0;
   const dt::DaemonOutcome outcome = dt::run_daemon(opts);
   EXPECT_EQ(outcome.reaped, 0u);
   EXPECT_EQ(outcome.completed, 0u);

@@ -74,16 +74,14 @@ struct ReaperFixture : ::testing::Test {
     return root;
   }
 
-  /// Move a pending manifest into claimed/<worker>/ with a 2-hour-old
-  /// mtime: a worker that claimed and vanished.
+  /// Move a pending manifest into claimed/<worker>/, without a lease:
+  /// a claim parked by hand.
   static fs::path park_claim(const fs::path& root, const std::string& worker,
                              const std::string& shard_name) {
     const fs::path claimed = root / "claimed" / worker;
     fs::create_directories(claimed);
     const fs::path manifest = claimed / (shard_name + ".json");
     fs::rename(root / (shard_name + ".json"), manifest);
-    fs::last_write_time(manifest,
-                        fs::file_time_type::clock::now() - std::chrono::hours(2));
     return manifest;
   }
 
@@ -115,7 +113,6 @@ struct ReaperFixture : ::testing::Test {
   static dt::ReapOptions reap_options(const fs::path& root) {
     dt::ReapOptions opts;
     opts.queue_dir = root.string();
-    opts.stale_after_s = 3600.0;
     opts.reaper_id = "test-reaper";
     return opts;
   }
@@ -175,13 +172,12 @@ TEST_F(ReaperFixture, LeaseFileWritesAtomicallyAndReadsBack) {
                dt::DistribError);
 }
 
-TEST_F(ReaperFixture, ListClaimsResolvesLeaseHeartbeatAndMtimeEvidence) {
+TEST_F(ReaperFixture, ListClaimsJudgesByTheLeaseAlone) {
   const fs::path root = make_queue("evidence", 2);
   const fs::path leased = park_claim(root, "leased", "shard_0");
   const fs::path bare = park_claim(root, "bare", "shard_1");
 
-  // A fresh lease: the claim reports headroom and is not expired even
-  // though the manifest mtime is ancient.
+  // A fresh lease: the claim reports headroom and is not expired.
   dt::Lease lease;
   lease.worker_id = "leased";
   lease.manifest = "shard_0.json";
@@ -194,32 +190,43 @@ TEST_F(ReaperFixture, ListClaimsResolvesLeaseHeartbeatAndMtimeEvidence) {
   ASSERT_EQ(claims.size(), 2u);  // path order: bare < leased
   EXPECT_EQ(claims[0].worker_id, "bare");
   EXPECT_FALSE(claims[0].has_lease);
-  EXPECT_FALSE(claims[0].from_snapshot);
-  EXPECT_GE(claims[0].age_s, 3600.0);  // manifest-mtime fallback
+  EXPECT_TRUE(claims[0].expired()) << "no lease, nobody vouches for the claim";
   EXPECT_EQ(claims[1].worker_id, "leased");
   EXPECT_TRUE(claims[1].has_lease);
   EXPECT_DOUBLE_EQ(claims[1].lease_ttl_s, 3600.0);
   EXPECT_LT(claims[1].age_s, 60.0);  // lease file just written
-  EXPECT_GT(claims[1].lease_remaining_s, 3500.0);
-  EXPECT_FALSE(claims[1].expired(1.0)) << "live lease beats any threshold";
-  EXPECT_TRUE(claims[0].expired(3600.0));
+  EXPECT_GT(claims[1].lease_remaining_s(), 3500.0);
+  EXPECT_FALSE(claims[1].expired());
 
-  // Expire the lease by back-dating its renewal: now the claim is stale
-  // under its own TTL, regardless of the caller's threshold.
+  // Expire the lease by back-dating its renewal: now the claim is
+  // reapable under its own TTL.
   fs::last_write_time(dt::lease_path_for(leased.string()),
                       fs::file_time_type::clock::now() - std::chrono::hours(2));
   claims = dt::list_claims(root.string());
-  EXPECT_TRUE(claims[1].expired(1e9));
-  EXPECT_LT(claims[1].lease_remaining_s, 0.0);
+  EXPECT_TRUE(claims[1].expired());
+  EXPECT_LT(claims[1].lease_remaining_s(), 0.0);
 
-  // An unreadable lease degrades to the mtime fallback instead of hiding
-  // the claim.
+  // An unreadable lease counts as none: the claim surfaces as expired
+  // instead of hiding.
   ASSERT_TRUE(sc::write_file(dt::lease_path_for(leased.string()), "not json"));
-  fs::last_write_time(leased, fs::file_time_type::clock::now() - std::chrono::hours(2));
   claims = dt::list_claims(root.string());
   ASSERT_EQ(claims.size(), 2u);
   EXPECT_FALSE(claims[1].has_lease);
-  EXPECT_GE(claims[1].age_s, 3600.0);
+  EXPECT_TRUE(claims[1].expired());
+}
+
+TEST_F(ReaperFixture, LeaselessClaimIsReapedAtOnce) {
+  const fs::path root = make_queue("leaseless", 1);
+  const fs::path manifest = park_claim(root, "deadworker", "shard_0");
+
+  const dt::ReapOutcome outcome = dt::reap_queue(reap_options(root));
+  EXPECT_EQ(outcome.expired, 1u);
+  EXPECT_EQ(outcome.reaped, 1u);
+  EXPECT_TRUE(fs::exists(root / "shard_0.json"));
+  EXPECT_FALSE(fs::exists(manifest));
+  const auto reaps = dt::read_reap_journal(root.string());
+  ASSERT_EQ(reaps.size(), 1u);
+  EXPECT_EQ(reaps[0].age_s, 0.0);
 }
 
 // The ISSUE's acceptance test: kill a worker, advance past the lease
@@ -288,7 +295,7 @@ TEST_F(ReaperFixture, LiveLeasesAndOwnClaimsAreNeverReaped) {
   const fs::path alive = park_claim(root, "alive", "shard_0");
   const fs::path mine = park_claim(root, "me", "shard_1");
 
-  // A live lease protects shard_0 despite the ancient manifest mtime.
+  // A live lease protects shard_0.
   dt::Lease lease;
   lease.worker_id = "alive";
   lease.manifest = "shard_0.json";

@@ -42,16 +42,15 @@
 //       canonical job order, and emit the same tables/artifacts as `run`
 //       — byte-identical to a single-process execution of the sweep.
 //   drowsy_sweep shard status <sweep.json> --journal F [--journal F ...]
-//                    [--queue-dir D] [--stale-after-s S] [--json]
+//                    [--queue-dir D] [--json]
 //       Coverage report: completed/missing/duplicate/foreign counts plus
 //       per-journal measured wall-clock totals.  With --queue-dir, also
 //       merge every worker's metrics snapshot (<queue>/metrics/*.json)
-//       into the fleet view and warn about manifests parked in
-//       claimed/<worker>/ whose worker has not been seen for longer than
-//       the threshold (default 900 s) — staleness prefers the worker's
-//       snapshot heartbeat over the manifest's mtime.  --json emits the
-//       same report as one JSON document (stale claims and workers
-//       included) for reapers and dashboards; exit codes are unchanged.
+//       into the fleet view, list every claim with its lease headroom,
+//       and warn about claims whose lease has expired or is missing.
+//       --json emits the same report as one JSON document (claims and
+//       workers included) for reapers and dashboards; exit codes are
+//       unchanged.
 //   drowsy_sweep shard daemon <queue-dir> [--worker-id W] [--threads N]
 //                    [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S]
 //                    [--no-reap]
@@ -59,15 +58,14 @@
 //       (atomic rename; safe with many daemons on a shared filesystem),
 //       execute each through the crash-safe journal path, archive to
 //       done/ or failed/, and poll until a STOP sentinel or idleness.
-//       Every claim carries a lease renewed with the heartbeat; while
-//       idle the daemon reaps other workers' expired claims back into
-//       the queue (disable with --no-reap).
-//   drowsy_sweep shard reap <queue-dir> [--stale-after-s S] [--dry-run]
-//                    [--reaper-id R]
+//       Every claim carries a lease renewed after every journal row;
+//       while idle the daemon reaps other workers' expired claims back
+//       into the queue (disable with --no-reap).
+//   drowsy_sweep shard reap <queue-dir> [--dry-run] [--reaper-id R]
 //       Return dead workers' claims to the queue: every claim whose
-//       lease has expired (or, lease-less, whose owner has been silent
-//       for --stale-after-s) is atomically re-enqueued, its journal's
-//       valid prefix published beside it for the next owner to resume.
+//       lease has expired or is missing is atomically re-enqueued, its
+//       journal's valid prefix published beside it for the next owner
+//       to resume.
 //       Each reap is appended to <queue>/reaped/reap.journal.jsonl.
 //
 // Fault injection (chaos testing; see docs/sweeps.md):
@@ -150,11 +148,10 @@ void print_usage(std::FILE* out, const char* argv0) {
                "       %s shard merge <sweep.json> --journal F... [--alpha A] [--csv F]"
                " [--runs-csv F] [--json F] [--verdicts-csv F]\n"
                "       %s shard status <sweep.json> --journal F... [--queue-dir D]"
-               " [--stale-after-s S] [--json]\n"
+               " [--json]\n"
                "       %s shard daemon <queue-dir> [--worker-id W] [--threads N]"
                " [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S] [--no-reap]\n"
-               "       %s shard reap <queue-dir> [--stale-after-s S] [--dry-run]"
-               " [--reaper-id R]\n"
+               "       %s shard reap <queue-dir> [--dry-run] [--reaper-id R]\n"
                "       %s fault list\n"
                "       %s study list\n"
                "       %s study run <study> [--set k=v ...] [--threads N] [--out F]"
@@ -541,9 +538,8 @@ struct JournalSetOptions {
   std::string sweep_path;
   std::vector<std::string> journals;
   EmitOptions emit;
-  std::string queue_dir;        ///< status only: scan claimed/ for stale tasks
-  double stale_after_s = 900.0; ///< status only: stale-claim threshold
-  bool json = false;            ///< status only: machine-readable report
+  std::string queue_dir;  ///< status only: scan claimed/ for leases
+  bool json = false;      ///< status only: machine-readable report
 };
 
 int parse_journal_set(int argc, char** argv, JournalSetOptions& opts, bool allow_emit,
@@ -560,15 +556,6 @@ int parse_journal_set(int argc, char** argv, JournalSetOptions& opts, bool allow
       // Valueless here, unlike merge's `--json F` emit flag: status has
       // exactly one report, which goes to stdout.
       opts.json = true;
-    } else if (allow_queue && std::strcmp(argv[i], "--stale-after-s") == 0) {
-      const char* text = value("--stale-after-s");
-      char* end = nullptr;
-      opts.stale_after_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.stale_after_s < 0.0) {
-        std::fprintf(stderr, "--stale-after-s: \"%s\" is not a non-negative number\n",
-                     text);
-        return 2;
-      }
     } else if (opts.sweep_path.empty() && argv[i][0] != '-') {
       opts.sweep_path = argv[i];
     } else {
@@ -654,13 +641,8 @@ int cmd_shard_status(int argc, char** argv) {
         totals.push_back(std::move(t));
       });
   const dt::Coverage cov = dt::cover_grid(jobs, entries);
-  // Stale claims park their shard until a daemon with the same worker
-  // id returns; surface them so the operator can restart or re-enqueue
-  // (the first step toward an automatic reaper).
-  std::vector<dt::StaleClaim> stale;
-  // Every claim in flight, with its lease evidence — the stale list is
-  // this filtered by expiry, but dashboards want the healthy ones too
-  // (how much lease headroom does the fleet have?).
+  // Every claim in flight with its lease: expired ones park their shard
+  // until a reaper runs, healthy ones show the fleet's lease headroom.
   std::vector<dt::ClaimInfo> claims;
   // The reap history: how many times this queue recovered a dead
   // worker's claim (reaped/reap.journal.jsonl).
@@ -672,7 +654,6 @@ int cmd_shard_status(int argc, char** argv) {
   std::vector<drowsy::obs::WorkerSnapshot> workers;
   if (!opts.queue_dir.empty()) {
     claims = dt::list_claims(opts.queue_dir);
-    stale = dt::find_stale_claims(opts.queue_dir, opts.stale_after_s);
     try {
       reaps = dt::read_reap_journal(opts.queue_dir);
     } catch (const std::exception& e) {
@@ -721,27 +702,22 @@ int cmd_shard_status(int argc, char** argv) {
       journals.push_back(std::move(row));
     }
     j.set("journals", std::move(journals));
-    // One serializer for both claim lists: the lease fields are always
-    // present (zeroed without a lease) so consumers can grep/parse a
-    // stable schema.
-    const auto claim_row = [&](const dt::ClaimInfo& claim) {
+    // The lease fields are always present (zeroed without a lease) so
+    // consumers can grep/parse a stable schema.
+    ec::Json all_claims = ec::Json::array();
+    for (const dt::ClaimInfo& claim : claims) {
       ec::Json row = ec::Json::object();
       row.set("manifest", claim.manifest_path);
       row.set("worker_id", claim.worker_id);
-      row.set("age_s", claim.age_s);
-      row.set("from_snapshot", claim.from_snapshot);
       row.set("has_lease", claim.has_lease);
+      row.set("age_s", claim.age_s);
       row.set("lease_ttl_s", claim.lease_ttl_s);
-      row.set("lease_remaining_s", claim.lease_remaining_s);
+      row.set("lease_remaining_s", claim.lease_remaining_s());
+      row.set("expired", claim.expired());
       row.set("queue_dir", opts.queue_dir);
-      return row;
-    };
-    ec::Json all_claims = ec::Json::array();
-    for (const dt::ClaimInfo& claim : claims) all_claims.push_back(claim_row(claim));
+      all_claims.push_back(std::move(row));
+    }
     j.set("claims", std::move(all_claims));
-    ec::Json stale_rows = ec::Json::array();
-    for (const dt::StaleClaim& claim : stale) stale_rows.push_back(claim_row(claim));
-    j.set("stale_claims", std::move(stale_rows));
     j.set("reap_count", static_cast<std::uint64_t>(reaps.size()));
     ec::Json fleet = ec::Json::array();
     for (const drowsy::obs::WorkerSnapshot& w : workers) {
@@ -774,20 +750,20 @@ int cmd_shard_status(int argc, char** argv) {
                 static_cast<unsigned long long>(w.profile.total_events()));
   }
   for (const dt::ClaimInfo& claim : claims) {
-    if (claim.expired(opts.stale_after_s)) continue;  // warned about below
-    if (claim.has_lease) {
+    if (!claim.expired()) {
       std::printf("  claim %s (worker %s): lease %.0f s remaining\n",
                   claim.manifest_path.c_str(), claim.worker_id.c_str(),
-                  claim.lease_remaining_s);
+                  claim.lease_remaining_s());
+      continue;
     }
-  }
-  for (const dt::StaleClaim& claim : stale) {
-    std::printf(
-        "  warning: stale claim %s (worker %s, %s %.0f s%s) — run `shard reap`, "
-        "or restart a daemon with --worker-id %s\n",
-        claim.manifest_path.c_str(), claim.worker_id.c_str(),
-        claim.from_snapshot ? "heartbeat-silent-for" : "unclaimed-for", claim.age_s,
-        claim.has_lease ? ", lease expired" : "", claim.worker_id.c_str());
+    char why[64] = "no lease";
+    if (claim.has_lease) {
+      std::snprintf(why, sizeof(why), "lease expired %.0f s ago", -claim.lease_remaining_s());
+    }
+    std::printf("  warning: expired claim %s (worker %s, %s) — run `shard reap`, "
+                "or restart a daemon with --worker-id %s\n",
+                claim.manifest_path.c_str(), claim.worker_id.c_str(), why,
+                claim.worker_id.c_str());
   }
   if (!opts.queue_dir.empty() && !reaps.empty()) {
     std::printf("  reaped claims: %zu (last: %s from %s by %s)\n", reaps.size(),
@@ -871,16 +847,7 @@ int cmd_shard_reap(int argc, char** argv) {
       std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
   for (int i = 3; i < argc; ++i) {
     const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--stale-after-s") == 0) {
-      const char* text = value("--stale-after-s");
-      char* end = nullptr;
-      opts.stale_after_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.stale_after_s < 0.0) {
-        std::fprintf(stderr, "--stale-after-s: \"%s\" is not a non-negative number\n",
-                     text);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--dry-run") == 0) {
+    if (std::strcmp(argv[i], "--dry-run") == 0) {
       opts.dry_run = true;
     } else if (std::strcmp(argv[i], "--reaper-id") == 0) {
       opts.reaper_id = value("--reaper-id");
