@@ -1,0 +1,50 @@
+# Result goldens: regenerate whole-sweep CSVs with drowsy_sweep and
+# byte-compare them against the checked-in copies next to this script.
+#
+#   cmake -DDROWSY_SWEEP=<binary> -DOUT_DIR=<dir> -P goldens/goldens.cmake
+#   cmake -DDROWSY_SWEEP=<binary> -DUPDATE=ON -P goldens/goldens.cmake
+#
+# The first form is the `goldens` ctest; the second rewrites the goldens
+# in place (goldens/update.sh wraps it).
+set(golden_dir ${CMAKE_CURRENT_LIST_DIR})
+get_filename_component(source_dir ${golden_dir} DIRECTORY)
+if(UPDATE)
+  set(OUT_DIR ${golden_dir})
+endif()
+if(NOT DROWSY_SWEEP OR NOT OUT_DIR)
+  message(FATAL_ERROR "usage: cmake -DDROWSY_SWEEP=<binary> (-DOUT_DIR=<dir> | -DUPDATE=ON) -P ${CMAKE_CURRENT_LIST_FILE}")
+endif()
+file(MAKE_DIRECTORY ${OUT_DIR})
+
+set(mismatched "")
+foreach(sweep ci_smoke netsim_storm)
+  execute_process(
+    COMMAND ${DROWSY_SWEEP} run ${source_dir}/sweeps/${sweep}.json --threads 2
+            --csv ${OUT_DIR}/${sweep}.stats.csv
+            --runs-csv ${OUT_DIR}/${sweep}.runs.csv
+            --verdicts-csv ${OUT_DIR}/${sweep}.verdicts.csv
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "drowsy_sweep run sweeps/${sweep}.json failed: ${rc}")
+  endif()
+  if(UPDATE)
+    continue()
+  endif()
+  foreach(kind stats runs verdicts)
+    set(name ${sweep}.${kind}.csv)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files ${golden_dir}/${name} ${OUT_DIR}/${name}
+      RESULT_VARIABLE differs)
+    if(differs)
+      list(APPEND mismatched ${name})
+    endif()
+  endforeach()
+endforeach()
+
+if(mismatched)
+  list(JOIN mismatched "\n  " listing)
+  message(FATAL_ERROR
+    "regenerated results differ from goldens/ (compare against ${OUT_DIR}):\n  ${listing}\n"
+    "If the change is intended, run goldens/update.sh and explain the diff in the commit.")
+endif()

@@ -1,0 +1,11 @@
+#!/bin/sh
+# Rewrite goldens/*.csv from the current tree.  Every golden diff must be
+# explained in the commit that makes it.
+#
+#   goldens/update.sh [build-dir]     (default: build)
+set -e
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=${1:-$root/build}
+cmake --build "$build" --target drowsy_sweep
+cmake -DDROWSY_SWEEP="$build/drowsy_sweep" -DUPDATE=ON -P "$root/goldens/goldens.cmake"
+git -C "$root" status --short -- goldens

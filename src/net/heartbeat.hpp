@@ -5,10 +5,12 @@
 // this way, when a waking module is defective, it is replaced with an
 // identical version." (paper §V)
 //
-// A MirroredPair couples a primary and a standby: the standby expects a
-// beat every `interval`; after `miss_threshold` consecutive misses it
-// declares the primary dead and invokes the failover action (the standby
-// promotes itself using the mirrored state).
+// A HeartbeatMonitor expects a beat every `interval`; after
+// `miss_threshold` consecutive misses it declares the peer dead and invokes
+// the failover action.  The netsim wake fabric runs one per host on real
+// switch frames.  A MirroredPair couples a primary waking module and its
+// standby with the same timing contract, computed in closed form instead
+// of simulated beat by beat.
 #pragma once
 
 #include <cstdint>
@@ -56,31 +58,48 @@ class HeartbeatMonitor {
   std::uint64_t generation_ = 0;  ///< invalidates stale scheduled checks
 };
 
-/// A primary/standby pair.  The primary emits beats while alive; kill()
-/// silences it, after which the monitor on the standby side fires failover.
+/// A primary/standby pair, event-free while the primary lives.
+///
+/// It models a primary beating at every tick t0 + k·interval (t0 = the
+/// start() instant) and a HeartbeatMonitor on the standby checking on the
+/// same grid, without simulating either: kill_primary() schedules the one
+/// promotion event at the instant the fatal check would fire,
+/// L + (miss_threshold + 1)·interval, with L the last tick at or before the
+/// kill.  A primary killed before start() never beats and is replaced at
+/// t0 + miss_threshold·interval.
+///
+/// Where the beat-chain model's (time, seq) order would differ: a kill
+/// from an event queued before the previous tick's beat ran before that
+/// tick's beat there, so failover came one interval earlier; and an event
+/// at the promotion instant F queued after the kill but before the check
+/// at F − interval ran before promotion there, after it here.  Every other
+/// case, including a kill after run_until(tick), matches exactly
+/// (tests/net/test_heartbeat_eventqueue.cpp).
 class MirroredPair {
  public:
   MirroredPair(Dispatcher& dispatcher, HeartbeatConfig config,
                std::function<void()> on_promote_standby);
 
-  /// Begin emitting and monitoring heartbeats.
+  /// Arm the pair at the current instant (the beat grid's origin).
   void start();
 
-  /// Simulate a crash of the primary: it stops emitting beats.
+  /// Simulate a crash of the primary: it stops emitting beats, and the
+  /// standby's promotion is scheduled.  Repeated calls are no-ops.
   void kill_primary();
 
   [[nodiscard]] bool primary_alive() const { return primary_alive_; }
-  [[nodiscard]] bool standby_promoted() const { return monitor_.failed_over(); }
-  [[nodiscard]] HeartbeatMonitor& monitor() { return monitor_; }
+  [[nodiscard]] bool standby_promoted() const { return promoted_; }
 
  private:
-  void emit_beat();
+  void schedule_promotion(util::SimTime at);
 
   Dispatcher& dispatcher_;
   HeartbeatConfig config_;
-  HeartbeatMonitor monitor_;
+  std::function<void()> on_promote_standby_;
+  util::SimTime t0_ = 0;
   bool primary_alive_ = true;
   bool started_ = false;
+  bool promoted_ = false;
 };
 
 }  // namespace drowsy::net

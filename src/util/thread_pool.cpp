@@ -84,10 +84,10 @@ void parallel_for(ThreadPool& pool, std::size_t n,
         if (!first_error) first_error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
-      {
-        std::lock_guard lock(m);
-        ++done;
-      }
+      // Notify under the lock: once `m` is released the caller may see the
+      // final count, return, and destroy its stack-local `cv`.
+      std::lock_guard lock(m);
+      ++done;
       cv.notify_one();
     });
   }

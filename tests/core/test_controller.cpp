@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/event_profile.hpp"
 #include "trace/generators.hpp"
 
 namespace c = drowsy::core;
@@ -42,6 +43,31 @@ TEST_F(ControllerFixture, IdleClusterSuspendsEverything) {
   EXPECT_EQ(h1.state(), s::PowerState::S3);
   EXPECT_EQ(h2.state(), s::PowerState::S3);
   EXPECT_GT(h1.suspended_fraction(0), 0.9);
+}
+
+TEST_F(ControllerFixture, HealthyWakingPairSchedulesNoHeartbeats) {
+  // The mirrored standby is deployed by default, yet while its primary
+  // lives it costs no events: outside netsim nothing else beats, so a
+  // one-day run dispatches no heartbeat-tagged event at all.
+  auto& h1 = add_host();
+  std::vector<double> pattern(100 * 24, 0.0);
+  for (std::size_t h = 3; h < pattern.size(); h += 4) pattern[h] = 0.4;
+  auto& vm = add_vm(t::ActivityTrace(std::move(pattern)));
+  cluster.place(vm.id(), h1.id());
+
+  drowsy::obs::EventProfile profile;
+  q.set_profile(&profile);
+  c::ControllerOptions opts;
+  opts.requests.base_rate_per_hour = 60;
+  ASSERT_TRUE(opts.waking_standby);
+  c::Controller controller(cluster, sw, opts);
+  controller.install();
+  controller.run_hours(24);
+  q.set_profile(nullptr);
+
+  EXPECT_GT(profile.total_events(), 0u);
+  EXPECT_EQ(profile.events(drowsy::obs::EventTag::Heartbeat), 0u);
+  EXPECT_FALSE(controller.waking_standby()->active());
 }
 
 TEST_F(ControllerFixture, BusyVmKeepsHostAwake) {

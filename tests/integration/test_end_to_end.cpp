@@ -189,10 +189,11 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
   c::Controller controller(cluster, sw, opts);
   controller.install();
 
-  // Run 12 h healthy, then crash the primary and run 12 h more.
+  // Run 12 h healthy, then crash the primary and run 12 h more.  The
+  // exact counts below were recorded with the per-second beat chain the
+  // pair used to simulate; the closed-form failover must reproduce them.
   controller.run_hours(12);
-  const auto wakes_before = controller.waking_primary().stats().packet_wakes;
-  EXPECT_GT(wakes_before, 0u);
+  EXPECT_EQ(controller.waking_primary().stats().packet_wakes, 2u);
   controller.waking_primary().deactivate();   // the crash
   controller.waking_pair_kill_primary();      // stop its heartbeats
   controller.run_hours(12);
@@ -200,11 +201,20 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
   ASSERT_NE(controller.waking_standby(), nullptr);
   EXPECT_TRUE(controller.waking_standby()->active())
       << "heartbeat failover must promote the standby";
-  EXPECT_GT(controller.waking_standby()->stats().packet_wakes, 0u)
-      << "the promoted standby must keep waking hosts";
+  const auto& primary = controller.waking_primary().stats();
+  EXPECT_EQ(primary.packet_wakes, 2u);
+  EXPECT_EQ(primary.scheduled_wakes, 0u);
+  EXPECT_EQ(primary.analyzed_packets, 184u);
+  const auto& standby = controller.waking_standby()->stats();
+  EXPECT_EQ(standby.packet_wakes, 2u) << "the promoted standby must keep waking hosts";
+  EXPECT_EQ(standby.scheduled_wakes, 0u);
+  EXPECT_EQ(standby.analyzed_packets, 184u);
   // Requests kept completing after the failover.
-  EXPECT_GT(controller.fabric().stats().total, 0u);
-  EXPECT_GT(controller.fabric().stats().sla_attainment(5000.0), 0.99)
+  const auto& requests = controller.fabric().stats();
+  EXPECT_EQ(requests.total, 180u);
+  EXPECT_EQ(requests.woke_host, 4u);
+  EXPECT_EQ(requests.lost, 0u);
+  EXPECT_EQ(requests.sla_attainment(5000.0), 1.0)
       << "no request may hang waiting for a dead waking module";
 }
 
