@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf(
-      "== Figure 3 [reconstructed]: suspending-module evaluation (see DESIGN.md) ==\n\n");
+      "== Figure 3 [reconstructed]: suspending-module evaluation (see docs/studies.md) ==\n\n");
   effectiveness_detection();
   effectiveness_oscillation(figure_csv);
   effectiveness_wake_date();

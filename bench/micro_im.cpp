@@ -3,8 +3,11 @@
 // not incur any overhead in the consolidation system").
 #include <benchmark/benchmark.h>
 
+#include "core/controller.hpp"
 #include "core/idleness_model.hpp"
 #include "core/model_builder.hpp"
+#include "net/sdn_switch.hpp"
+#include "sim/cluster.hpp"
 #include "trace/generators.hpp"
 #include "util/sim_time.hpp"
 
@@ -58,6 +61,28 @@ void BM_ObserveHourWithDescentSteps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObserveHourWithDescentSteps)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+
+// One VM-year through the production pretraining path
+// (Controller::pretrain_models), from fresh models each iteration.  The
+// per_vm_hour counter is the wall time per observed VM-hour.
+void BM_PretrainVmYear(benchmark::State& state) {
+  constexpr std::int64_t kHours = 365 * 24;
+  drowsy::sim::EventQueue queue;
+  drowsy::sim::Cluster cluster(queue);
+  drowsy::net::SdnSwitch sw(queue);
+  cluster.add_host(drowsy::sim::HostSpec{"P1", 16, 65536, 2});
+  trace::GenOptions o;
+  o.years = 1;
+  cluster.add_vm(drowsy::sim::VmSpec{"V1", 2, 4096}, trace::nutanix_like(0, o));
+  for (auto _ : state) {
+    core::Controller controller(cluster, sw);
+    controller.pretrain_models(kHours);
+    benchmark::DoNotOptimize(controller.models().find(0)->weights()[0]);
+  }
+  state.counters["per_vm_hour"] = benchmark::Counter(
+      kHours, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PretrainVmYear)->Unit(benchmark::kMillisecond);
 
 void BM_ModelMemoryFootprintBuild(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,6 @@
-# Result goldens: regenerate whole-sweep CSVs with drowsy_sweep and
-# byte-compare them against the checked-in copies next to this script.
+# Result goldens: regenerate whole-sweep and study-figure CSVs with
+# drowsy_sweep and byte-compare them against the checked-in copies next
+# to this script.
 #
 #   cmake -DDROWSY_SWEEP=<binary> -DOUT_DIR=<dir> -P goldens/goldens.cmake
 #   cmake -DDROWSY_SWEEP=<binary> -DUPDATE=ON -P goldens/goldens.cmake
@@ -16,30 +17,48 @@ if(NOT DROWSY_SWEEP OR NOT OUT_DIR)
 endif()
 file(MAKE_DIRECTORY ${OUT_DIR})
 
-set(mismatched "")
-foreach(sweep ci_smoke netsim_storm)
+set(sweeps ci_smoke netsim_storm paper_catalogue replay_smoke ablation_grace)
+set(studies fig1-workload-profiles fig3-grace-ablation fig4-im-efficiency
+            table1-suspend-fraction)
+
+set(expected "")
+foreach(sweep ${sweeps})
   execute_process(
     COMMAND ${DROWSY_SWEEP} run ${source_dir}/sweeps/${sweep}.json --threads 2
             --csv ${OUT_DIR}/${sweep}.stats.csv
             --runs-csv ${OUT_DIR}/${sweep}.runs.csv
             --verdicts-csv ${OUT_DIR}/${sweep}.verdicts.csv
+    WORKING_DIRECTORY ${source_dir}
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "drowsy_sweep run sweeps/${sweep}.json failed: ${rc}")
   endif()
-  if(UPDATE)
-    continue()
+  list(APPEND expected ${sweep}.stats.csv ${sweep}.runs.csv ${sweep}.verdicts.csv)
+endforeach()
+foreach(study ${studies})
+  execute_process(
+    COMMAND ${DROWSY_SWEEP} study run ${study} --threads 2 --out ${OUT_DIR}/${study}.csv
+    WORKING_DIRECTORY ${source_dir}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "drowsy_sweep study run ${study} failed: ${rc}")
   endif()
-  foreach(kind stats runs verdicts)
-    set(name ${sweep}.${kind}.csv)
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files ${golden_dir}/${name} ${OUT_DIR}/${name}
-      RESULT_VARIABLE differs)
-    if(differs)
-      list(APPEND mismatched ${name})
-    endif()
-  endforeach()
+  list(APPEND expected ${study}.csv)
+endforeach()
+if(UPDATE)
+  return()
+endif()
+
+set(mismatched "")
+foreach(name ${expected})
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${golden_dir}/${name} ${OUT_DIR}/${name}
+    RESULT_VARIABLE differs)
+  if(differs)
+    list(APPEND mismatched ${name})
+  endif()
 endforeach()
 
 if(mismatched)

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Rewrite goldens/*.csv from the current tree.  Every golden diff must be
-# explained in the commit that makes it.
+# Rewrite goldens/*.csv (every sweeps/*.json and the four study figures)
+# from the current tree.  Every golden diff must be explained in the
+# commit that makes it.
 #
 #   goldens/update.sh [build-dir]     (default: build)
 set -e

@@ -17,9 +17,6 @@ Controller::Controller(sim::Cluster& cluster, net::SdnSwitch& sw,
       policy_(drowsy_policy_.get()),
       fabric_(cluster, sw, options.requests) {
   drowsy_policy_->set_relocate_all_mode(options.relocate_all);
-  if (options.parallel_model_updates) {
-    pool_ = std::make_unique<util::ThreadPool>();
-  }
 }
 
 void Controller::set_policy(ConsolidationPolicy* policy) {
@@ -84,12 +81,25 @@ void Controller::place_all_unplaced() {
 }
 
 void Controller::pretrain_models(std::int64_t hours) {
+  if (hours <= 0) return;  // nothing to observe: create no models
   const double floor = cluster_.config().noise_floor;
+  std::vector<util::CalendarTime> calendar;
+  calendar.reserve(static_cast<std::size_t>(hours));
   for (std::int64_t h = 0; h < hours; ++h) {
-    const util::CalendarTime c = util::calendar_of(h * util::kMsPerHour);
-    for (const auto& vm : cluster_.vms()) {
-      const double raw = vm->activity_at_hour(h);
-      models_.model(vm->id()).observe_hour(c, raw > floor ? raw : 0.0);
+    calendar.push_back(util::calendar_of(h * util::kMsPerHour));
+  }
+  // VM-major: every model is independent, so feeding each VM its whole
+  // history in turn leaves the same state as the hour-major order.
+  for (const auto& vm : cluster_.vms()) {
+    IdlenessModel& model = models_.model(vm->id());
+    // The trace read of Vm::activity_at_hour, wrapping past the end.
+    const std::vector<double>& trace = vm->workload().hours();
+    assert(!trace.empty());
+    std::size_t i = 0;
+    for (const util::CalendarTime& c : calendar) {
+      const double raw = trace[i];
+      model.observe_hour(c, raw > floor ? raw : 0.0);
+      if (++i == trace.size()) i = 0;
     }
   }
 }
@@ -137,7 +147,7 @@ void Controller::run_hours(std::int64_t hours,
     for (const auto& host : cluster_.hosts()) pump_guest_timers(host->id(), h);
     q.run_until((h + 1) * util::kMsPerHour);
     cluster_.account_hour(h);
-    models_.observe_hour(cluster_, h, pool_.get());
+    models_.observe_hour(cluster_, h);
     if ((h + 1 - start) % options_.consolidation_period_hours == 0) {
       policy_->run_hour(h + 1);
     }

@@ -27,7 +27,6 @@
 #include "net/heartbeat.hpp"
 #include "sim/cluster.hpp"
 #include "sim/requests.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drowsy::core {
 
@@ -39,7 +38,6 @@ struct ControllerOptions {
   bool relocate_all = false;      ///< §VI-A-1 evaluation mode
   int consolidation_period_hours = 1;
   bool waking_standby = true;     ///< deploy the mirrored standby module
-  bool parallel_model_updates = false;
 };
 
 /// The deployment.
@@ -100,7 +98,6 @@ class Controller {
   std::unique_ptr<WakingModule> waking_standby_;
   std::unique_ptr<net::MirroredPair> waking_pair_;
   std::vector<std::unique_ptr<SuspendModule>> suspend_modules_;
-  std::unique_ptr<util::ThreadPool> pool_;
   bool installed_ = false;
 };
 

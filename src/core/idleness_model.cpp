@@ -6,6 +6,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/math.hpp"
 
@@ -96,14 +97,26 @@ void write_block(std::ostream& out, const std::vector<double>& values) {
   out << '\n';
 }
 
+/// An unsigned count.  Stream extraction would wrap a leading '-' to a
+/// huge value, so it is refused up front.
+std::uint64_t read_count(std::istream& in, const char* what) {
+  std::uint64_t n = 0;
+  if (!(in >> std::ws) || in.peek() == '-' || !(in >> n)) {
+    throw std::runtime_error(std::string("idleness model: bad ") + what);
+  }
+  return n;
+}
+
 std::vector<double> read_block(std::istream& in, std::size_t expected) {
-  std::size_t n = 0;
-  if (!(in >> n) || n != expected) {
+  if (read_count(in, "score block size") != expected) {
     throw std::runtime_error("idleness model: bad score block size");
   }
-  std::vector<double> values(n);
+  std::vector<double> values(expected);
   for (double& v : values) {
     if (!(in >> v)) throw std::runtime_error("idleness model: truncated score block");
+    if (!(v >= -1.0 && v <= 1.0)) {
+      throw std::runtime_error("idleness model: SI score outside [-1, 1]");
+    }
   }
   return values;
 }
@@ -134,11 +147,28 @@ IdlenessModel IdlenessModel::load(std::istream& in, IdlenessModelConfig config) 
                              std::to_string(version));
   }
   IdlenessModel model(config);
-  if (!(in >> model.active_level_sum_ >> model.active_hours_ >> model.observed_hours_)) {
+  if (!(in >> model.active_level_sum_)) {
     throw std::runtime_error("idleness model: truncated header");
   }
+  model.active_hours_ = read_count(in, "active hour count");
+  model.observed_hours_ = read_count(in, "observed hour count");
+  if (model.active_hours_ > model.observed_hours_) {
+    throw std::runtime_error("idleness model: more active than observed hours");
+  }
+  if (!(model.active_level_sum_ >= 0.0 &&
+        model.active_level_sum_ <= static_cast<double>(model.active_hours_))) {
+    throw std::runtime_error("idleness model: active level sum outside [0, active hours]");
+  }
+  double weight_sum = 0.0;
   for (double& w : model.weights_) {
     if (!(in >> w)) throw std::runtime_error("idleness model: truncated weights");
+    if (!std::isfinite(w) || w < 0.0) {
+      throw std::runtime_error("idleness model: negative or non-finite weight");
+    }
+    weight_sum += w;
+  }
+  if (std::abs(weight_sum - 1.0) > 1e-9) {
+    throw std::runtime_error("idleness model: weights do not sum to 1");
   }
   model.si_day_ = read_block(in, u::kHoursPerDay);
   model.si_week_ = read_block(in, u::kHoursPerDay * u::kDaysPerWeek);
@@ -158,10 +188,14 @@ void IdlenessModel::learn_weights(const std::array<double, kScaleCount>& si_befo
   // so the optimally-stepped descent direction has the closed form
   // Δw = e·SI / |SI|² with e = IP' − wᵀ·SI; a fixed learning rate would
   // either stall (SI magnitudes are ~σ = 1/8760) or diverge, whereas the
-  // line-searched step is scale-free (see DESIGN.md §2).  The damping
-  // factor and iteration count set the "precision" knob the paper says
-  // "can be set to not incur any overhead"; each step is followed by the
-  // simplex projection that keeps IP a convex combination of SI scores.
+  // line-searched step is scale-free.  The damping factor and iteration
+  // count set the "precision" knob the paper says "can be set to not
+  // incur any overhead"; each step is followed by the simplex projection
+  // that keeps IP a convex combination of SI scores.
+  //
+  // Every operation below is bit-for-bit the reference order (see
+  // docs/architecture.md): the step divides by denom, never multiplies by
+  // its reciprocal, and each sum runs left to right from +0.
   const double denom = u::dot(si_before, si_before);
   if (denom < 1e-30) return;  // fresh model: no signal to assign credit on
   for (std::size_t step = 0; step < config_.weight_descent_steps; ++step) {

@@ -79,8 +79,12 @@ class IdlenessModel {
   void save(std::ostream& out) const;
 
   /// Restore a model saved with save().  Throws std::runtime_error on a
-  /// malformed or version-incompatible stream.  The model's config stays
-  /// as constructed (tunables are deployment policy, not learned state).
+  /// malformed or version-incompatible stream, or on state save() cannot
+  /// produce: an SI score outside [-1, 1], a negative or non-finite weight,
+  /// weights not summing to 1 (within 1e-9), a negative count, more active
+  /// than observed hours, or an active-level sum outside [0, active hours].
+  /// The model's config stays as constructed (tunables are deployment
+  /// policy, not learned state).
   static IdlenessModel load(std::istream& in, IdlenessModelConfig config = {});
 
  private:

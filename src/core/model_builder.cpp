@@ -16,24 +16,11 @@ const IdlenessModel* ModelBuilder::find(sim::VmId vm) const {
   return vm < models_.size() && models_[vm] ? models_[vm].get() : nullptr;
 }
 
-void ModelBuilder::observe_hour(const sim::Cluster& cluster, std::int64_t h,
-                                util::ThreadPool* pool) {
+void ModelBuilder::observe_hour(const sim::Cluster& cluster, std::int64_t h) {
   const util::CalendarTime c = util::calendar_of(h * util::kMsPerHour);
-  const auto& vms = cluster.vms();
-  // Materialize every model first: creation mutates the registry and must
-  // not race with the parallel update below.
-  for (const auto& vm : vms) {
-    if (cluster.host_of(vm->id()) != nullptr) static_cast<void>(model(vm->id()));
-  }
-  auto update_one = [&](std::size_t i) {
-    const sim::Vm& vm = *vms[i];
-    if (cluster.host_of(vm.id()) == nullptr) return;
-    models_[vm.id()]->observe_hour(c, vm.guest().last_hour_activity());
-  };
-  if (pool != nullptr && vms.size() > 1) {
-    util::parallel_for(*pool, vms.size(), update_one);
-  } else {
-    for (std::size_t i = 0; i < vms.size(); ++i) update_one(i);
+  for (const auto& vm : cluster.vms()) {
+    if (cluster.host_of(vm->id()) == nullptr) continue;
+    model(vm->id()).observe_hour(c, vm->guest().last_hour_activity());
   }
 }
 

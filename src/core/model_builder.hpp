@@ -5,8 +5,7 @@
 // The paper runs one builder per server; models conceptually travel with
 // their VM on migration.  We keep a single registry keyed by VM id, which
 // is equivalent and simpler to reason about (the per-server sharding is a
-// deployment detail, not an algorithmic one).  Updates of distinct VMs are
-// independent and fan out across a thread pool.
+// deployment detail, not an algorithmic one).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 
 #include "core/idleness_model.hpp"
 #include "sim/cluster.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drowsy::core {
 
@@ -30,9 +28,8 @@ class ModelBuilder {
 
   /// Feed the fully elapsed hour `h` of every placed VM into its model.
   /// Requires Cluster::account_hour(h) to have run (the quanta ledgers
-  /// must describe hour `h`).  Uses `pool` when given.
-  void observe_hour(const sim::Cluster& cluster, std::int64_t h,
-                    util::ThreadPool* pool = nullptr);
+  /// must describe hour `h`).
+  void observe_hour(const sim::Cluster& cluster, std::int64_t h);
 
   /// IP of a VM for the hour addressed by `c` (raw 0 for unknown VMs —
   /// "undetermined behaviour").

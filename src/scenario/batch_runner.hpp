@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drowsy::scenario {
 

@@ -11,10 +11,10 @@
 //  * Google-trace-like LLMU series and SLMU bursts for the simulation
 //    study (§VI-B).
 //
-// The authors' Nutanix production traces are proprietary; per the
-// substitution policy (DESIGN.md §3) we synthesize traces with the same
-// periodic structure at the four scales the paper identifies (hour-of-day,
-// day-of-week, day-of-month, month-of-year).
+// The authors' Nutanix production traces are proprietary, so we
+// synthesize traces with the same periodic structure at the four scales
+// the paper identifies (hour-of-day, day-of-week, day-of-month,
+// month-of-year).
 #pragma once
 
 #include <cstddef>

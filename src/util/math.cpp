@@ -93,56 +93,6 @@ double logistic_damping(double x, double alpha, double beta) {
   return 1.0 / (1.0 + std::exp(alpha * (x - beta)));
 }
 
-double dot(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 double l2_norm(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
-void project_to_simplex(std::span<double> v) {
-  // Sort a copy descending, find the largest k such that
-  // u_k + (1 - sum_{i<=k} u_i)/k > 0, then shift and clip.
-  std::vector<double> u(v.begin(), v.end());
-  std::sort(u.begin(), u.end(), std::greater<>());
-  double cumsum = 0.0;
-  double theta = 0.0;
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < u.size(); ++i) {
-    cumsum += u[i];
-    const double candidate = (cumsum - 1.0) / static_cast<double>(i + 1);
-    if (u[i] - candidate > 0.0) {
-      theta = candidate;
-      k = i + 1;
-    }
-  }
-  (void)k;
-  for (auto& x : v) x = std::max(x - theta, 0.0);
-}
-
-DescentResult steepest_descent(
-    std::span<const double> x0,
-    const std::function<double(std::span<const double>)>& f,
-    const std::function<void(std::span<const double>, std::span<double>)>& grad,
-    const DescentOptions& opts) {
-  DescentResult result;
-  result.x.assign(x0.begin(), x0.end());
-  std::vector<double> g(x0.size(), 0.0);
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    grad(result.x, g);
-    const double gnorm = l2_norm(g);
-    result.iterations = it;
-    if (gnorm < opts.gradient_tolerance) {
-      result.converged = true;
-      break;
-    }
-    for (std::size_t i = 0; i < g.size(); ++i) result.x[i] -= opts.learning_rate * g[i];
-    if (opts.project) opts.project(result.x);
-  }
-  result.value = f(result.x);
-  return result;
-}
 
 }  // namespace drowsy::util

@@ -1,9 +1,11 @@
 // Small numeric helpers shared across the library: the logistic damping
 // used by the idleness-model update (paper eq. 4), simplex projection for
-// the learned time-scale weights, and a generic steepest-descent optimizer
-// (paper §III-C uses steepest descent to learn the weights).
+// the learned time-scale weights (paper §III-C), and Student-t statistics.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -20,15 +22,72 @@ namespace drowsy::util {
 /// the "extreme value" threshold.
 [[nodiscard]] double logistic_damping(double x, double alpha, double beta);
 
-/// Dot product of two equally-sized vectors.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
+/// Dot product of two equally-sized vectors, summed left to right from
+/// +0.  Inline so the idleness model's 4-element products unroll.
+[[nodiscard]] inline double dot(std::span<const double> a, std::span<const double> b) {
+  assert(a.size() == b.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
+  return acc;
+}
 
 /// Euclidean (L2) norm.
 [[nodiscard]] double l2_norm(std::span<const double> v);
 
+namespace detail {
+
+/// Sort four values descending with the optimal 5-comparator network.
+/// Ties may land in another order than std::sort's, which cannot change
+/// the projection: equal doubles are the same value except ±0, and a
+/// signed zero cannot change a cumsum that starts at +0.
+inline void sort4_descending(std::array<double, 4>& u) {
+  const auto order = [&u](std::size_t i, std::size_t j) {
+    const double a = u[i];
+    const double b = u[j];
+    u[i] = b > a ? b : a;
+    u[j] = a < b ? a : b;
+  };
+  order(0, 1);
+  order(2, 3);
+  order(0, 2);
+  order(1, 3);
+  order(1, 2);
+}
+
+/// θ of the projection for `u` sorted descending: the candidate
+/// (sum_{i<=k} u_i - 1)/k at the largest k with u_k - candidate > 0.
+inline double simplex_threshold(std::span<const double> u) {
+  double cumsum = 0.0;
+  double theta = 0.0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    cumsum += u[i];
+    const double candidate = (cumsum - 1.0) / static_cast<double>(i + 1);
+    theta = u[i] - candidate > 0.0 ? candidate : theta;
+  }
+  return theta;
+}
+
+}  // namespace detail
+
 /// Project v in place onto the probability simplex
 /// { w : w_i >= 0, sum w_i = 1 } (Duchi et al. 2008, O(n log n)).
-void project_to_simplex(std::span<double> v);
+/// Inline, like dot(), so the idleness model's weight step keeps its four
+/// weights in registers.
+inline void project_to_simplex(std::span<double> v) {
+  // Sort a copy descending, find θ, then shift and clip.  Four weights
+  // take an allocation-free sorting network.
+  double theta = 0.0;
+  if (v.size() == 4) {
+    std::array<double, 4> u{v[0], v[1], v[2], v[3]};
+    detail::sort4_descending(u);
+    theta = detail::simplex_threshold(u);
+  } else {
+    std::vector<double> u(v.begin(), v.end());
+    std::sort(u.begin(), u.end(), std::greater<>());
+    theta = detail::simplex_threshold(u);
+  }
+  for (auto& x : v) x = std::max(x - theta, 0.0);
+}
 
 /// Regularized incomplete beta function I_x(a, b) for a, b > 0 and
 /// x in [0, 1], by the standard continued-fraction expansion (Lentz's
@@ -43,32 +102,5 @@ void project_to_simplex(std::span<double> v);
 /// (e.g. p = 0.05 gives the 97.5th percentile).  Solved by bisection;
 /// plenty for confidence intervals over replicate counts.
 [[nodiscard]] double students_t_critical(double p, double df);
-
-/// Result of a gradient-descent run.
-struct DescentResult {
-  std::vector<double> x;    ///< final iterate
-  double value = 0.0;       ///< objective at the final iterate
-  std::size_t iterations = 0;
-  bool converged = false;   ///< gradient norm fell below tolerance
-};
-
-/// Options for steepest_descent.
-struct DescentOptions {
-  double learning_rate = 0.05;
-  std::size_t max_iterations = 32;
-  double gradient_tolerance = 1e-12;
-  /// Optional projection applied after every step (e.g. simplex).
-  std::function<void(std::span<double>)> project;
-};
-
-/// Minimize `f` by steepest descent from `x0`.  `grad(x, g)` must write the
-/// gradient of f at x into g.  Deliberately simple and allocation-light:
-/// the idleness model runs one of these per VM per hour (paper §III-C),
-/// so "its precision can be set to not incur any overhead".
-[[nodiscard]] DescentResult steepest_descent(
-    std::span<const double> x0,
-    const std::function<double(std::span<const double>)>& f,
-    const std::function<void(std::span<const double>, std::span<double>)>& grad,
-    const DescentOptions& opts = {});
 
 }  // namespace drowsy::util

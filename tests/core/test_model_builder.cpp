@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace c = drowsy::core;
 namespace s = drowsy::sim;
@@ -104,23 +103,4 @@ TEST_F(BuilderFixture, HostIpRange) {
   const double lo = builder.vm_ip(busy.id(), cal(48)).raw;
   const double hi = builder.vm_ip(sleepy.id(), cal(48)).raw;
   EXPECT_NEAR(range, std::abs(hi - lo), 1e-15);
-}
-
-TEST_F(BuilderFixture, ParallelObservationMatchesSerial) {
-  auto& host = add_host();
-  for (int i = 0; i < 4; ++i) {
-    auto& vm = add_vm({0.1 * (i + 1), 0.0, 0.3, 0.0});
-    cluster.place(vm.id(), host.id());
-  }
-  c::ModelBuilder serial, parallel;
-  u::ThreadPool pool(4);
-  for (std::int64_t h = 0; h < 200; ++h) {
-    cluster.account_hour(h);
-    serial.observe_hour(cluster, h);
-    parallel.observe_hour(cluster, h, &pool);
-  }
-  for (const auto& vm : cluster.vms()) {
-    EXPECT_DOUBLE_EQ(serial.vm_ip(vm->id(), cal(200)).raw,
-                     parallel.vm_ip(vm->id(), cal(200)).raw);
-  }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/idleness_model.hpp"
 #include "trace/generators.hpp"
@@ -90,4 +91,81 @@ TEST(ModelSerialization, TruncatedStreamThrows) {
 TEST(ModelSerialization, EmptyStreamThrows) {
   std::stringstream ss;
   EXPECT_THROW((void)c::IdlenessModel::load(ss), std::runtime_error);
+}
+
+namespace {
+
+/// A saved, trained model split into its lines: magic, header, weights,
+/// then a size line and a score line per block.
+std::vector<std::string> saved_lines() {
+  std::stringstream ss;
+  trained(24 * 7).save(ss);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(ss, line);) lines.push_back(line);
+  return lines;
+}
+
+void expect_load_throws(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + '\n';
+  std::stringstream ss(text);
+  EXPECT_THROW((void)c::IdlenessModel::load(ss), std::runtime_error) << text.substr(0, 200);
+}
+
+constexpr std::size_t kHeader = 1;
+constexpr std::size_t kWeights = 2;
+constexpr std::size_t kDaySize = 3;
+constexpr std::size_t kDayScores = 4;
+
+}  // namespace
+
+TEST(ModelSerialization, SavedLinesRoundTrip) {
+  // The corruption tests below edit these lines; unedited they load.
+  std::string text;
+  for (const auto& line : saved_lines()) text += line + '\n';
+  std::stringstream ss(text);
+  EXPECT_NO_THROW((void)c::IdlenessModel::load(ss));
+}
+
+TEST(ModelSerialization, ScoreOutsideUnitIntervalThrows) {
+  for (const char* score : {"9", "-1.0000001", "nan", "inf"}) {
+    auto lines = saved_lines();
+    lines[kDayScores] = std::string(score) + lines[kDayScores].substr(lines[kDayScores].find(' '));
+    expect_load_throws(lines);
+  }
+}
+
+TEST(ModelSerialization, BadWeightsThrow) {
+  for (const char* weights : {"-7 4 2 2", "0.5 0.5 0.5 -0.5", "nan 0.25 0.25 0.25",
+                              "inf 0 0 0", "0.25 0.25 0.25 0.2", "0.3 0.3 0.3 0.3"}) {
+    auto lines = saved_lines();
+    lines[kWeights] = weights;
+    expect_load_throws(lines);
+  }
+}
+
+TEST(ModelSerialization, NegativeCountsThrow) {
+  auto lines = saved_lines();
+  lines[kHeader] = "-3 -4 0";
+  expect_load_throws(lines);
+  lines = saved_lines();
+  lines[kHeader] = "0 0 -1";
+  expect_load_throws(lines);
+  lines = saved_lines();
+  lines[kDaySize] = "-24";
+  expect_load_throws(lines);
+}
+
+TEST(ModelSerialization, MoreActiveThanObservedHoursThrows) {
+  auto lines = saved_lines();
+  lines[kHeader] = "1 5 4";
+  expect_load_throws(lines);
+}
+
+TEST(ModelSerialization, ActiveLevelSumOutOfRangeThrows) {
+  for (const char* header : {"-0.5 2 4", "2.5 2 4", "nan 2 4"}) {
+    auto lines = saved_lines();
+    lines[kHeader] = header;
+    expect_load_throws(lines);
+  }
 }

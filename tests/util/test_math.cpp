@@ -86,60 +86,6 @@ TEST_P(SimplexProperty, ProjectionIsIdempotent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
-TEST(Math, SteepestDescentQuadraticBowl) {
-  // f(x) = (x0-3)^2 + (x1+1)^2 has its minimum at (3, -1).
-  const std::array<double, 2> x0{0.0, 0.0};
-  u::DescentOptions opts;
-  opts.learning_rate = 0.2;
-  opts.max_iterations = 200;
-  const auto result = u::steepest_descent(
-      x0,
-      [](std::span<const double> x) {
-        return (x[0] - 3) * (x[0] - 3) + (x[1] + 1) * (x[1] + 1);
-      },
-      [](std::span<const double> x, std::span<double> g) {
-        g[0] = 2 * (x[0] - 3);
-        g[1] = 2 * (x[1] + 1);
-      },
-      opts);
-  EXPECT_NEAR(result.x[0], 3.0, 1e-3);
-  EXPECT_NEAR(result.x[1], -1.0, 1e-3);
-  EXPECT_LT(result.value, 1e-5);
-}
-
-TEST(Math, SteepestDescentRespectsProjection) {
-  // Minimize (w . si - target)^2 constrained to the simplex.
-  const std::array<double, 2> x0{0.5, 0.5};
-  const std::array<double, 2> si{1.0, -1.0};
-  const double target = 1.0;  // only reachable at w = (1, 0)
-  u::DescentOptions opts;
-  opts.learning_rate = 0.1;
-  opts.max_iterations = 500;
-  opts.project = [](std::span<double> w) { u::project_to_simplex(w); };
-  const auto result = u::steepest_descent(
-      x0,
-      [&](std::span<const double> w) {
-        const double e = u::dot(w, si) - target;
-        return e * e;
-      },
-      [&](std::span<const double> w, std::span<double> g) {
-        const double e = u::dot(w, si) - target;
-        for (std::size_t i = 0; i < 2; ++i) g[i] = 2 * e * si[i];
-      },
-      opts);
-  EXPECT_NEAR(result.x[0], 1.0, 1e-2);
-  EXPECT_NEAR(result.x[1], 0.0, 1e-2);
-}
-
-TEST(Math, SteepestDescentConvergesFlagOnZeroGradient) {
-  const std::array<double, 1> x0{4.0};
-  const auto result = u::steepest_descent(
-      x0, [](std::span<const double>) { return 0.0; },
-      [](std::span<const double>, std::span<double> g) { g[0] = 0.0; });
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.x[0], 4.0);
-}
-
 TEST(Math, IncompleteBetaKnownValues) {
   // I_x(1, 1) is the identity; I_x(a, b) + I_{1-x}(b, a) = 1.
   EXPECT_NEAR(u::incomplete_beta(1.0, 1.0, 0.3), 0.3, 1e-12);
