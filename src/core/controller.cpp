@@ -34,22 +34,19 @@ void Controller::install() {
     switch_.bind_ip(vm.ip(), host.mac());
   });
 
-  // Waking modules: primary plus (optionally) a heartbeat-mirrored standby.
+  // Waking modules: primary plus a heartbeat-mirrored standby.
   waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_,
                                                    options_.drowsy.waking,
                                                    "waking-primary", /*active=*/true);
   waking_primary_->install_analyzer();
-  if (options_.waking_standby) {
-    waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_,
-                                                     options_.drowsy.waking,
-                                                     "waking-standby", /*active=*/false);
-    waking_standby_->install_analyzer();
-    waking_primary_->set_mirror(waking_standby_.get());
-    waking_pair_ = std::make_unique<net::MirroredPair>(
-        cluster_.queue(), net::HeartbeatConfig{},
-        [standby = waking_standby_.get()] { standby->activate(); });
-    waking_pair_->start();
-  }
+  waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_, options_.drowsy.waking,
+                                                   "waking-standby", /*active=*/false);
+  waking_standby_->install_analyzer();
+  waking_primary_->set_mirror(waking_standby_.get());
+  waking_pair_ = std::make_unique<net::MirroredPair>(
+      cluster_.queue(), net::HeartbeatConfig{},
+      [standby = waking_standby_.get()] { standby->activate(); });
+  waking_pair_->start();
 
   // One suspending module per host, hooked into the host's wake path.
   for (const auto& host : cluster_.hosts()) {

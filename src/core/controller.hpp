@@ -37,7 +37,6 @@ struct ControllerOptions {
   bool quick_resume = true;       ///< the paper's optimized ≈800 ms resume
   bool relocate_all = false;      ///< §VI-A-1 evaluation mode
   int consolidation_period_hours = 1;
-  bool waking_standby = true;     ///< deploy the mirrored standby module
 };
 
 /// The deployment.
@@ -53,16 +52,16 @@ class Controller {
   [[nodiscard]] IdlenessConsolidator& drowsy_policy() { return *drowsy_policy_; }
   [[nodiscard]] sim::RequestFabric& fabric() { return fabric_; }
   [[nodiscard]] WakingModule& waking_primary() { return *waking_primary_; }
+  /// The mirrored standby install() always deploys (nullptr before it).
   [[nodiscard]] WakingModule* waking_standby() { return waking_standby_.get(); }
   [[nodiscard]] SuspendModule& suspend_module(sim::HostId id) {
     return *suspend_modules_[id];
   }
 
   /// Crash simulation: stop the primary waking module's heartbeats so the
-  /// standby's monitor detects the failure and promotes itself.
-  void waking_pair_kill_primary() {
-    if (waking_pair_) waking_pair_->kill_primary();
-  }
+  /// standby's monitor detects the failure and promotes itself.  Call
+  /// after install().
+  void waking_pair_kill_primary() { waking_pair_->kill_primary(); }
   [[nodiscard]] const ControllerOptions& options() const { return options_; }
 
   /// Wire ports, hooks, analyzers and suspend daemons.  Call once, after

@@ -21,7 +21,6 @@ std::string scenario_key(const std::string& scenario, const std::string& policy)
 }  // namespace
 
 void CostModel::observe(const JournalEntry& entry) {
-  if (!entry.has_wall_ms()) return;
   Mean& exact = exact_[exact_key(entry.key)];
   exact.total_ms += entry.wall_ms;
   ++exact.n;

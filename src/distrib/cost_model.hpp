@@ -39,9 +39,7 @@ namespace drowsy::distrib {
 
 class CostModel {
  public:
-  /// Fold one journal row into the model.  Rows without a measured
-  /// `wall_ms` (old-schema journals) are ignored — they carry identity
-  /// but no cost signal.
+  /// Fold one journal row's measured `wall_ms` into the model.
   void observe(const JournalEntry& entry);
 
   /// observe() every row of a journal's recovered contents.

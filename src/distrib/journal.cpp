@@ -20,9 +20,7 @@ ec::Json to_json(const JournalEntry& entry) {
   j.set("policy", entry.key.policy);
   j.set("seed", entry.key.seed);
   j.set("result", ec::to_json(entry.result));
-  // Unmeasured rows (old-journal round-trips, hand-built entries) keep
-  // the old schema so re-serializing an old journal is byte-stable.
-  if (entry.has_wall_ms()) j.set("wall_ms", entry.wall_ms);
+  j.set("wall_ms", entry.wall_ms);
   return j;
 }
 
@@ -41,13 +39,9 @@ JournalEntry journal_entry_from_json(const ec::Json& j) {
     entry.key.policy = j.at("policy").as_string();
     entry.key.seed = j.at("seed").as_uint();
     entry.result = ec::run_result_from_json(j.at("result"));
-    // wall_ms arrived in a later schema revision; absent means an old
-    // journal, which must keep parsing (and merging) unchanged.
-    if (const ec::Json* wall = j.find("wall_ms"); wall != nullptr) {
-      entry.wall_ms = wall->as_double();
-      if (entry.wall_ms < 0.0) {
-        throw DistribError("journal row: wall_ms must be non-negative");
-      }
+    entry.wall_ms = j.at("wall_ms").as_double();
+    if (entry.wall_ms < 0.0) {
+      throw DistribError("journal row: wall_ms must be non-negative");
     }
     // The row's own (policy, seed) must agree with the embedded result —
     // a mismatch means the journal was hand-edited or mis-assembled.

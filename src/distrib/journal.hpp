@@ -36,24 +36,18 @@ struct JournalEntry {
   std::size_t index = 0;  ///< job-grid index at write time
   JobKey key;
   scenario::RunResult result;
-  /// Measured wall-clock for the run, in milliseconds; negative when the
-  /// row predates measurement (journals written before the `wall_ms`
-  /// schema field existed).  Kept *outside* RunResult on purpose: wall
-  /// time is machine-dependent, and RunResult must stay bit-identical
-  /// across shards for merged CSVs to match single-process output.
-  double wall_ms = -1.0;
-
-  /// True when this row carries a measured duration.
-  [[nodiscard]] bool has_wall_ms() const { return wall_ms >= 0.0; }
+  /// Measured wall-clock for the run, in milliseconds (>= 0).  Kept
+  /// *outside* RunResult on purpose: wall time is machine-dependent, and
+  /// RunResult must stay bit-identical across shards for merged CSVs to
+  /// match single-process output.
+  double wall_ms = 0.0;
 };
 
-/// Serialize one row.  `wall_ms` is emitted only when measured, so rows
-/// read from an old-schema journal round-trip to their original bytes.
+/// Serialize one row, `wall_ms` included.
 [[nodiscard]] expctl::Json to_json(const JournalEntry& entry);
-/// Strict parse of one row.  Every identity/result field is required and
-/// unknown keys are rejected; `wall_ms` alone is optional (old journals
-/// predate it) and defaults to "unmeasured".  Throws DistribError on any
-/// structural or consistency problem.
+/// Strict parse of one row.  Every field, `wall_ms` included, is required
+/// and unknown keys are rejected.  Throws DistribError on any structural
+/// or consistency problem.
 [[nodiscard]] JournalEntry journal_entry_from_json(const expctl::Json& j);
 
 /// What read_journal() recovered.
@@ -65,8 +59,7 @@ struct JournalContents {
 
 /// Read a journal.  A missing file is an empty journal (fresh shard); a
 /// torn final line is discarded; any other malformed content throws
-/// DistribError with the line number.  Old-schema rows (no `wall_ms`)
-/// and new rows may be mixed freely in one file.
+/// DistribError with the line number.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
 /// Append-only writer.  Each append() writes one JSONL row and flushes.

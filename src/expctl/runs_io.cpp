@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "expctl/spec_io.hpp"
 
@@ -114,29 +115,16 @@ scenario::RunResult run_result_from_json(const Json& j) {
   r.wakes = field(j, "wakes", [](const Json& v) { return v.as_uint(); });
   r.migrations = field(j, "migrations", int_range_checked);
   r.suspends = field(j, "suspends", int_range_checked);
-  // Optional: rows journaled before the field existed parse with it
-  // empty (the wall_ms precedent — old journals must keep merging).
-  if (const Json* hosts = j.find("host_suspend_fraction")) {
-    try {
-      for (const Json& v : hosts->elements()) {
-        r.host_suspend_fraction.push_back(v.as_double());
-      }
-    } catch (const JsonError& e) {
-      throw SpecError(std::string("run result host_suspend_fraction: ") + e.what());
-    }
-  }
-  // Optional wake-fabric metrics (PR 7): same back-compat rule.
-  try {
-    if (const Json* v = j.find("switch_queue_delay_p99_ms")) {
-      r.switch_queue_delay_p99_ms = v->as_double();
-    }
-    if (const Json* v = j.find("wol_frames")) r.wol_frames = v->as_uint();
-    if (const Json* v = j.find("host_unreachable_s")) {
-      r.host_unreachable_s = v->as_double();
-    }
-  } catch (const JsonError& e) {
-    throw SpecError(std::string("run result wake-fabric metrics: ") + e.what());
-  }
+  r.host_suspend_fraction = field(j, "host_suspend_fraction", [](const Json& v) {
+    std::vector<double> fractions;
+    for (const Json& f : v.elements()) fractions.push_back(f.as_double());
+    return fractions;
+  });
+  r.switch_queue_delay_p99_ms =
+      field(j, "switch_queue_delay_p99_ms", [](const Json& v) { return v.as_double(); });
+  r.wol_frames = field(j, "wol_frames", [](const Json& v) { return v.as_uint(); });
+  r.host_unreachable_s =
+      field(j, "host_unreachable_s", [](const Json& v) { return v.as_double(); });
   return r;
 }
 

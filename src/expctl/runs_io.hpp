@@ -47,9 +47,7 @@ namespace drowsy::expctl {
 
 /// Strict inverse of to_json: every field required, unknown keys rejected
 /// (a journal row from a different schema version is an error, not a
-/// silently zero-filled result).  One exception: `host_suspend_fraction`
-/// is optional and defaults to empty, so journals written before that
-/// field existed keep parsing.  Throws SpecError with the field name.
+/// silently zero-filled result).  Throws SpecError with the field name.
 [[nodiscard]] scenario::RunResult run_result_from_json(const Json& j);
 
 }  // namespace drowsy::expctl

@@ -412,10 +412,8 @@ RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {
   // fabric's own (planner pre-wakes, recovery retransmits).
   r.switch_queue_delay_p99_ms = run.dispatcher.queue_delay_p99_ms();
   const core::WakingStats& wp = run.controller->waking_primary().stats();
-  r.wol_frames = wp.packet_wakes + wp.scheduled_wakes;
-  if (const core::WakingModule* standby = run.controller->waking_standby()) {
-    r.wol_frames += standby->stats().packet_wakes + standby->stats().scheduled_wakes;
-  }
+  const core::WakingStats& ws = run.controller->waking_standby()->stats();
+  r.wol_frames = wp.packet_wakes + wp.scheduled_wakes + ws.packet_wakes + ws.scheduled_wakes;
   if (run.net) {
     r.wol_frames += run.net->wol_frames();
     r.host_unreachable_s = run.net->host_unreachable_s();

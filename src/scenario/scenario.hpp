@@ -235,11 +235,9 @@ struct RunResult {
   int migrations = 0;
   int suspends = 0;  ///< total S0→S3 transitions across hosts
   /// Per-host fraction of host-time in S3, in host-id order (Table I's
-  /// per-host rows).  Journal rows written before this field existed
-  /// parse with it empty.
+  /// per-host rows).
   std::vector<double> host_suspend_fraction;
-  // Wake-fabric metrics (PR 7).  Zero for fiat-wake runs; journal rows
-  // written before these fields existed parse with them zero.
+  // Wake-fabric metrics.  Zero for fiat-wake runs.
   double switch_queue_delay_p99_ms = 0.0;  ///< p99 frame wait at the switch
   std::uint64_t wol_frames = 0;            ///< WoL magic packets injected
   double host_unreachable_s = 0.0;         ///< host-seconds lost to partitions

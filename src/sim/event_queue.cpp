@@ -1,68 +1,10 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "obs/event_profile.hpp"
 
 namespace drowsy::sim {
-
-namespace {
-
-/// Shared dispatch instrumentation: run `fn`, attributing wall time to
-/// `tag` when a profile is attached.  Identical between engines so the
-/// profiled tag counts (asserted equal by the differential oracle) come
-/// from one code path.
-void invoke_profiled(util::InlineFn& fn, obs::EventTag tag, obs::EventProfile* profile) {
-  if (profile != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    profile->record(tag, static_cast<std::uint64_t>(ns));
-  } else {
-    fn();
-  }
-}
-
-}  // namespace
-
-#ifdef DROWSY_REFERENCE_EVENT_CORE
-
-// ---- legacy binary-heap engine (differential baseline) ----------------------
-// The PR1–8 queue, verbatim up to the std::function -> InlineFn payload
-// swap (which cannot affect ordering).  Selected by
-// -DDROWSY_REFERENCE_EVENT_CORE=ON; CI diffs whole-sweep CSVs between
-// this engine and the slab/wheel engine byte for byte.
-
-bool EventQueue::step() {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), &EventQueue::later);
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = ev.at;
-  ++executed_;
-  invoke_profiled(ev.fn, ev.tag, profile_);
-  return true;
-}
-
-void EventQueue::run_until(util::SimTime until) {
-  assert(until >= now_);
-  while (!heap_.empty() && heap_.front().at <= until) step();
-  now_ = until;
-}
-
-void EventQueue::run_all(std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step()) ++n;
-}
-
-EventQueue::CoreStats EventQueue::core_stats() const { return CoreStats{}; }
-
-#else
-
-// ---- slab + timing-wheel engine ---------------------------------------------
 
 std::uint32_t EventQueue::pop_next(util::SimTime bound) {
   if (ready_head_ == kNoEvent) {
@@ -90,7 +32,16 @@ void EventQueue::dispatch(std::uint32_t idx) {
   slab_.free(idx);
   --pending_;
   ++executed_;
-  invoke_profiled(fn, tag, profile_);
+  if (profile_ != nullptr) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    profile_->record(tag, static_cast<std::uint64_t>(ns));
+  } else {
+    fn();
+  }
 }
 
 bool EventQueue::step() {
@@ -114,12 +65,7 @@ void EventQueue::run_until(util::SimTime until) {
 
 void EventQueue::run_all(std::size_t max_events) {
   std::size_t n = 0;
-  while (n < max_events) {
-    const std::uint32_t idx = pop_next(util::kNever);
-    if (idx == kNoEvent) break;
-    dispatch(idx);
-    ++n;
-  }
+  while (n < max_events && step()) ++n;
 }
 
 EventQueue::CoreStats EventQueue::core_stats() const {
@@ -134,7 +80,5 @@ EventQueue::CoreStats EventQueue::core_stats() const {
   s.slab_chunks = slab_.chunk_count();
   return s;
 }
-
-#endif  // DROWSY_REFERENCE_EVENT_CORE
 
 }  // namespace drowsy::sim

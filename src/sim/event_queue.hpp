@@ -4,7 +4,7 @@
 // number) executed in order.  Implements net::Dispatcher so the network
 // layer schedules frame deliveries on the same timeline.
 //
-// Engine (default): tagged slab events on a hierarchical timing wheel.
+// Engine: tagged slab events on a hierarchical timing wheel.
 // Each scheduled event becomes an EventRecord — small enum tag + a
 // payload union (util::InlineFn: inline capture buffer or heap pointer
 // for the rare oversized callback) — in chunked slab storage, filed into
@@ -16,11 +16,10 @@
 // queue: strict (time, seq) order, FIFO within a timestamp, including
 // events scheduled during dispatch.
 //
-// Reference engine: building with -DDROWSY_REFERENCE_EVENT_CORE swaps in
-// the legacy binary-heap engine behind the same API.  CI runs whole
-// sweeps under both engines and diffs the run CSVs byte for byte; the
-// frozen original additionally lives in tests/sim/reference_queue.hpp as
-// the differential oracle for randomized schedules.
+// The original binary-heap queue survives once, frozen, as the test-only
+// differential oracle for randomized schedules
+// (tests/sim/reference_queue.hpp); the checked-in goldens pin whole
+// sweeps' outputs byte for byte.
 //
 // Observability: every event carries an obs::EventTag (defaulting to
 // Other) and the queue accepts an optional obs::EventProfile.  While a
@@ -30,21 +29,17 @@
 // profiled and unprofiled runs produce identical simulation output.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "net/sdn_switch.hpp"
 #include "obs/event_tag.hpp"
 #include "util/inline_fn.hpp"
 #include "util/sim_time.hpp"
 
-#ifndef DROWSY_REFERENCE_EVENT_CORE
 #include "sim/event_slab.hpp"
 #include "sim/timer_wheel.hpp"
-#endif
 
 namespace drowsy::obs {
 class EventProfile;
@@ -56,13 +51,7 @@ namespace drowsy::sim {
 class EventQueue final : public net::Dispatcher {
  public:
   explicit EventQueue(util::SimTime start = 0)
-      : now_(start)
-#ifndef DROWSY_REFERENCE_EVENT_CORE
-        ,
-        wheel_(slab_, start)
-#endif
-  {
-  }
+      : now_(start), wheel_(slab_, start) {}
 
   /// Current simulated instant.
   [[nodiscard]] util::SimTime now() const override { return now_; }
@@ -75,10 +64,6 @@ class EventQueue final : public net::Dispatcher {
   void schedule_at(util::SimTime at, F&& fn,
                    obs::EventTag tag = obs::EventTag::Other) {
     assert(at >= now_ && "cannot schedule in the past");
-#ifdef DROWSY_REFERENCE_EVENT_CORE
-    heap_.push_back(Event{at, next_seq_++, tag, util::InlineFn(std::forward<F>(fn))});
-    std::push_heap(heap_.begin(), heap_.end(), &EventQueue::later);
-#else
     const std::uint32_t idx = slab_.alloc();
     EventRecord& rec = slab_[idx];
     rec.at = at;
@@ -87,7 +72,6 @@ class EventQueue final : public net::Dispatcher {
     rec.fn.emplace(std::forward<F>(fn));
     wheel_.insert(idx);
     ++pending_;
-#endif
   }
 
   /// Schedule `fn` after `delay` of simulated time.
@@ -120,24 +104,17 @@ class EventQueue final : public net::Dispatcher {
   /// Run every event with time <= `until`, then advance the clock to
   /// `until` (even if no event lands exactly there).  An event a handler
   /// schedules at exactly `until` during the final step still dispatches
-  /// before the clock pins (regression-tested both engines).
+  /// before the clock pins (regression-tested).
   void run_until(util::SimTime until);
 
   /// Drain the whole queue (bounded by `max_events` as a runaway guard).
   void run_all(std::size_t max_events = SIZE_MAX);
 
-  [[nodiscard]] std::size_t pending() const {
-#ifdef DROWSY_REFERENCE_EVENT_CORE
-    return heap_.size();
-#else
-    return pending_;
-#endif
-  }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Deterministic structural counters of the slab/wheel engine (zeros
-  /// under the reference engine).  Bench surfaces these; they never feed
-  /// back into simulation state.
+  /// Deterministic structural counters of the slab/wheel engine.  Bench
+  /// surfaces these; they never feed back into simulation state.
   struct CoreStats {
     std::uint64_t cascades = 0;
     std::uint64_t re_anchors = 0;
@@ -150,39 +127,22 @@ class EventQueue final : public net::Dispatcher {
   [[nodiscard]] CoreStats core_stats() const;
 
  private:
-#ifdef DROWSY_REFERENCE_EVENT_CORE
-  struct Event {
-    util::SimTime at;
-    std::uint64_t seq;
-    obs::EventTag tag;
-    util::InlineFn fn;
-  };
-  static bool later(const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-#else
   /// Pop the next event index with deadline <= bound (kNoEvent if none),
   /// pulling a fresh same-timestamp chain from the wheel when the current
   /// one is drained.
   [[nodiscard]] std::uint32_t pop_next(util::SimTime bound);
   void dispatch(std::uint32_t idx);
-#endif
 
   util::SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   obs::EventProfile* profile_ = nullptr;
 
-#ifdef DROWSY_REFERENCE_EVENT_CORE
-  std::vector<Event> heap_;  ///< std::push_heap/pop_heap on (at, seq)
-#else
   EventSlab slab_;
   TimerWheel wheel_;
   std::uint32_t ready_head_ = kNoEvent;  ///< detached chain at one timestamp
   std::size_t pending_ = 0;
   std::uint64_t batches_ = 0;
-#endif
 };
 
 }  // namespace drowsy::sim

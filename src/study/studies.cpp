@@ -342,8 +342,7 @@ std::string table1_reduce(const std::string& header, const StudyParams& params,
       throw StudyError(
           "table1-suspend-fraction: result for " + r.policy + " carries " +
           std::to_string(r.host_suspend_fraction.size()) +
-          " per-host fractions, expected " + std::to_string(spec.hosts) +
-          " (journals written before the host_suspend_fraction field?)");
+          " per-host fractions, expected " + std::to_string(spec.hosts));
     }
     out += r.policy;
     for (const double f : r.host_suspend_fraction) out += "," + num(100.0 * f);

@@ -46,7 +46,7 @@ TEST_F(ControllerFixture, IdleClusterSuspendsEverything) {
 }
 
 TEST_F(ControllerFixture, HealthyWakingPairSchedulesNoHeartbeats) {
-  // The mirrored standby is deployed by default, yet while its primary
+  // The mirrored standby is always deployed, yet while its primary
   // lives it costs no events: outside netsim nothing else beats, so a
   // one-day run dispatches no heartbeat-tagged event at all.
   auto& h1 = add_host();
@@ -59,7 +59,6 @@ TEST_F(ControllerFixture, HealthyWakingPairSchedulesNoHeartbeats) {
   q.set_profile(&profile);
   c::ControllerOptions opts;
   opts.requests.base_rate_per_hour = 60;
-  ASSERT_TRUE(opts.waking_standby);
   c::Controller controller(cluster, sw, opts);
   controller.install();
   controller.run_hours(24);

@@ -78,11 +78,7 @@ TEST(CostModel, ExactScenarioAndHeuristicFallbacks) {
 TEST(CostModel, NoMeasurementsDegeneratesToStaticHeuristic) {
   const std::vector<sc::BatchJob> grid = {make_job("a", 2, 1, 1), make_job("b", 3, 2, 2)};
 
-  dt::CostModel model;
-  // Old-schema rows carry no wall_ms and must contribute nothing.
-  dt::JournalEntry old_row = measured_entry(grid[0], 0.0);
-  old_row.wall_ms = -1.0;
-  model.observe(old_row);
+  const dt::CostModel model;
   EXPECT_EQ(model.measurements(), 0u);
 
   const dt::CostModel::JobCosts priced = model.price(grid);

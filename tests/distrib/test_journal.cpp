@@ -43,6 +43,15 @@ std::string slurp(const std::string& path) {
   return text;
 }
 
+/// `row` with `key` removed.
+ec::Json without(const ec::Json& row, const std::string& key) {
+  ec::Json out = ec::Json::object();
+  for (const auto& [k, v] : row.items()) {
+    if (k != key) out.set(k, v);
+  }
+  return out;
+}
+
 void spit(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -62,22 +71,42 @@ TEST(Journal, EntryRoundTrip) {
   EXPECT_EQ(dt::to_json(back).dump(), j.dump());
 }
 
-TEST(Journal, WallMsRoundTripsAndOldSchemaRowsParse) {
+TEST(Journal, WallMsRoundTripsAndRowsWithoutItAreRejected) {
   dt::JournalEntry e = entry(3, 9);
   e.wall_ms = 123.5;
-  ASSERT_TRUE(e.has_wall_ms());
   const ec::Json j = dt::to_json(e);
-  const dt::JournalEntry back = dt::journal_entry_from_json(j);
-  EXPECT_TRUE(back.has_wall_ms());
-  EXPECT_EQ(back.wall_ms, 123.5);
+  EXPECT_EQ(dt::journal_entry_from_json(j).wall_ms, 123.5);
+  // Every row carries wall_ms, a zero one included.
+  const ec::Json zero = dt::to_json(entry(3, 9));
+  ASSERT_NE(zero.find("wall_ms"), nullptr);
+  EXPECT_EQ(dt::journal_entry_from_json(zero).wall_ms, 0.0);
 
-  // An old-schema row (written before wall_ms existed) parses, reports
-  // itself unmeasured, and re-serializes to its original bytes.
-  const ec::Json old = dt::to_json(entry(3, 9));
-  EXPECT_EQ(old.find("wall_ms"), nullptr);
-  const dt::JournalEntry old_back = dt::journal_entry_from_json(old);
-  EXPECT_FALSE(old_back.has_wall_ms());
-  EXPECT_EQ(dt::to_json(old_back).dump(), old.dump());
+  // One schema, strictly parsed: a row without wall_ms is a typed error.
+  try {
+    static_cast<void>(dt::journal_entry_from_json(without(j, "wall_ms")));
+    ADD_FAILURE() << "a row without wall_ms parsed";
+  } catch (const dt::DistribError& err) {
+    EXPECT_NE(std::string(err.what()).find("wall_ms"), std::string::npos) << err.what();
+  }
+  ec::Json wrong_type = j;
+  wrong_type.set("wall_ms", "slow");
+  EXPECT_THROW(static_cast<void>(dt::journal_entry_from_json(wrong_type)), dt::DistribError);
+}
+
+TEST(Journal, RowMissingAnyKeyIsRejected) {
+  // Identity keys and every embedded RunResult key alike.
+  const ec::Json j = dt::to_json(entry(2, 5));
+  for (const auto& [key, unused] : j.items()) {
+    EXPECT_THROW(static_cast<void>(dt::journal_entry_from_json(without(j, key))),
+                 dt::DistribError)
+        << key;
+  }
+  for (const auto& [key, unused] : j.at("result").items()) {
+    ec::Json row = j;
+    row.set("result", without(j.at("result"), key));
+    EXPECT_THROW(static_cast<void>(dt::journal_entry_from_json(row)), dt::DistribError)
+        << "result." << key;
+  }
 }
 
 TEST(Journal, NegativeWallMsIsRejected) {
@@ -86,23 +115,16 @@ TEST(Journal, NegativeWallMsIsRejected) {
   EXPECT_THROW(static_cast<void>(dt::journal_entry_from_json(j)), dt::DistribError);
 }
 
-TEST(Journal, MixedSchemaFileReadsCleanly) {
-  // A journal part-written by an old binary and finished by a new one:
-  // both row shapes coexist in one file.
-  const std::string path = temp_path("mixed_schema.jsonl");
-  std::remove(path.c_str());
-  {
-    dt::JournalWriter writer(path, 0);
-    writer.append(entry(0, 1));  // unmeasured (old schema)
-    dt::JournalEntry measured = entry(1, 2);
-    measured.wall_ms = 42.0;
-    writer.append(measured);
-  }
-  const dt::JournalContents contents = dt::read_journal(path);
-  ASSERT_EQ(contents.entries.size(), 2u);
-  EXPECT_FALSE(contents.entries[0].has_wall_ms());
-  EXPECT_TRUE(contents.entries[1].has_wall_ms());
-  EXPECT_EQ(contents.entries[1].wall_ms, 42.0);
+TEST(Journal, FileRowWithoutWallMsIsAHardError) {
+  // A complete row that parses as JSON but lacks wall_ms was not torn by
+  // a crash: read_journal refuses it wherever it sits, the tail included.
+  const std::string good = dt::to_json(entry(0, 1)).dump(0) + "\n";
+  const std::string bad = without(dt::to_json(entry(1, 2)), "wall_ms").dump(0) + "\n";
+  const std::string path = temp_path("no_wall_ms.jsonl");
+  spit(path, good + bad + good);
+  EXPECT_THROW(static_cast<void>(dt::read_journal(path)), dt::DistribError);
+  spit(path, good + bad);
+  EXPECT_THROW(static_cast<void>(dt::read_journal(path)), dt::DistribError);
 }
 
 TEST(Journal, EntryParseRejectsInconsistentKey) {

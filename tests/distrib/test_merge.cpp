@@ -135,36 +135,42 @@ TEST_F(SmokeFixture, ResumeAfterTruncatedJournalConvergesByteIdentically) {
   EXPECT_EQ(sc::to_csv(merged), sc::to_csv(reference()));
 }
 
-TEST_F(SmokeFixture, MixedSchemaJournalResumesAndMergesByteIdentically) {
-  // A journal started by a pre-wall_ms binary and finished by this one:
-  // the old rows must count as completed work on resume, the new rows
-  // carry measurements, and the merge must not care either way.
+TEST_F(SmokeFixture, ResumeRejectsRowWithoutWallMsAndKeepsTheJournal) {
+  // A finished row without wall_ms is not this schema.  Resume must stop
+  // with a typed error rather than count or re-run it, and must leave
+  // the journal's bytes alone for the operator to inspect.
   const auto plan = dt::plan_shards(grid(), 1, dt::ShardStrategy::Contiguous);
   const dt::ShardManifest manifest = manifest_for(plan[0], 0, 1);
-  const std::string path = temp_journal("mixed_schema.jsonl");
+  const std::string path = temp_journal("no_wall_ms.jsonl");
   const auto keys = dt::job_keys(grid());
-  {
-    dt::JournalWriter writer(path, 0);
-    for (std::size_t i = 0; i < 5; ++i) {
-      dt::JournalEntry old_row;  // wall_ms unset: the old row shape
-      old_row.index = i;
-      old_row.key = keys[i];
-      old_row.result = reference()[i];
-      writer.append(old_row);
+  std::string text;
+  for (std::size_t i = 0; i < 5; ++i) {
+    dt::JournalEntry row;
+    row.index = i;
+    row.key = keys[i];
+    row.result = reference()[i];
+    const ec::Json full = dt::to_json(row);
+    ec::Json j = ec::Json::object();
+    for (const auto& [key, value] : full.items()) {
+      if (key != "wall_ms" || i != 3) j.set(key, value);
     }
+    text += j.dump(0) + "\n";
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+    std::fclose(f);
   }
 
-  const dt::ShardRunOutcome outcome = dt::run_shard(grid(), manifest, path, 2);
-  EXPECT_EQ(outcome.resumed, 5u);
-  EXPECT_EQ(outcome.executed, grid().size() - 5);
-
-  const dt::JournalContents resumed = dt::read_journal(path);
-  ASSERT_EQ(resumed.entries.size(), grid().size());
-  for (std::size_t i = 0; i < resumed.entries.size(); ++i) {
-    EXPECT_EQ(resumed.entries[i].has_wall_ms(), i >= 5) << "row " << i;
-  }
-  const auto merged = dt::merge_journals(grid(), resumed.entries);
-  EXPECT_EQ(sc::to_csv(merged), sc::to_csv(reference()));
+  EXPECT_THROW(static_cast<void>(dt::run_shard(grid(), manifest, path, 2)),
+               dt::DistribError);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string after(text.size() + 1, '\0');
+  after.resize(std::fread(after.data(), 1, after.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(after, text);
 }
 
 TEST_F(SmokeFixture, ResumeAccountsDuplicateJobKeysPerSlot) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "expctl/spec_io.hpp"
 #include "scenario/registry.hpp"
@@ -78,41 +79,41 @@ TEST(RunsIo, RunResultRoundTripsExactly) {
   EXPECT_EQ(ec::to_json(back).dump(), j.dump());
 }
 
-TEST(RunsIo, WakeFabricMetricsAreOptionalForOldJournalRows) {
-  // Same schema-compat promise as host_suspend_fraction: rows journaled
-  // before the wake-fabric metrics existed parse with them zeroed.
+TEST(RunsIo, EveryRunResultKeyIsRequired) {
+  // One schema, strictly parsed: a row missing any key (the per-host
+  // fractions and the wake-fabric metrics included) is a typed error
+  // naming that key, never a zero-filled result.
   const ec::Json full = ec::to_json(sample_result());
-  ec::Json old_row = ec::Json::object();
-  for (const auto& [key, value] : full.items()) {
-    if (key != "switch_queue_delay_p99_ms" && key != "wol_frames" &&
-        key != "host_unreachable_s") {
-      old_row.set(key, value);
+  ASSERT_EQ(full.items().size(), 16u);
+  for (const auto& [dropped, unused] : full.items()) {
+    ec::Json row = ec::Json::object();
+    for (const auto& [key, value] : full.items()) {
+      if (key != dropped) row.set(key, value);
+    }
+    try {
+      static_cast<void>(ec::run_result_from_json(row));
+      ADD_FAILURE() << "a row without \"" << dropped << "\" parsed";
+    } catch (const ec::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + dropped + "\""), std::string::npos)
+          << e.what();
     }
   }
-  const sc::RunResult back = ec::run_result_from_json(old_row);
-  EXPECT_EQ(back.switch_queue_delay_p99_ms, 0.0);
-  EXPECT_EQ(back.wol_frames, 0u);
-  EXPECT_EQ(back.host_unreachable_s, 0.0);
-
-  ec::Json wrong_type = ec::to_json(sample_result());
-  wrong_type.set("wol_frames", "many");
-  EXPECT_THROW(static_cast<void>(ec::run_result_from_json(wrong_type)), ec::SpecError);
 }
 
-TEST(RunsIo, HostFractionsAreOptionalForOldJournalRows) {
-  // Rows journaled before host_suspend_fraction existed must keep
-  // parsing (the wall_ms schema-compat promise).
-  const ec::Json full = ec::to_json(sample_result());
-  ec::Json old_row = ec::Json::object();
-  for (const auto& [key, value] : full.items()) {
-    if (key != "host_suspend_fraction") old_row.set(key, value);
+TEST(RunsIo, WakeFabricAndHostFractionFieldsRejectWrongTypes) {
+  for (const char* key : {"wol_frames", "switch_queue_delay_p99_ms", "host_unreachable_s"}) {
+    ec::Json wrong_type = ec::to_json(sample_result());
+    wrong_type.set(key, "many");
+    EXPECT_THROW(static_cast<void>(ec::run_result_from_json(wrong_type)), ec::SpecError)
+        << key;
   }
-  const sc::RunResult back = ec::run_result_from_json(old_row);
-  EXPECT_TRUE(back.host_suspend_fraction.empty());
-  EXPECT_EQ(back.suspends, sample_result().suspends);
-
   ec::Json wrong_type = ec::to_json(sample_result());
   wrong_type.set("host_suspend_fraction", "nope");
+  EXPECT_THROW(static_cast<void>(ec::run_result_from_json(wrong_type)), ec::SpecError);
+  ec::Json bad_element = ec::Json::array();
+  bad_element.push_back(0.5);
+  bad_element.push_back("half");
+  wrong_type.set("host_suspend_fraction", bad_element);
   EXPECT_THROW(static_cast<void>(ec::run_result_from_json(wrong_type)), ec::SpecError);
 }
 

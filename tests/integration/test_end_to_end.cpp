@@ -185,7 +185,6 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
 
   c::ControllerOptions opts;
   opts.requests.base_rate_per_hour = 120;
-  opts.waking_standby = true;
   c::Controller controller(cluster, sw, opts);
   controller.install();
 

@@ -217,8 +217,7 @@ TEST(EventQueue, FarFutureEventsDispatchInOrder) {
 TEST(EventQueue, SlabSlotsAreRecycled) {
   // Steady-state periodic load must not grow storage: dispatch frees the
   // slot before the handler runs, so a self-rescheduling timer reuses
-  // one slot forever.  core_stats() exposes the high-water mark (zeros
-  // under the reference engine, where the check degenerates to true).
+  // one slot forever.  core_stats() exposes the high-water mark.
   s::EventQueue q;
   int beats = 0;
   std::function<void()> beat = [&] {

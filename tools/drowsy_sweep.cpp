@@ -99,7 +99,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,6 +109,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "distrib/cost_model.hpp"
@@ -241,6 +244,26 @@ const char* flag_value(int argc, char** argv, int& i, const char* flag) {
   return argv[++i];
 }
 
+/// The value of `flag` parsed as a T (an unsigned integer, which rejects
+/// a sign, or a double, which must be finite); the whole token must parse —
+/// "3x" or "10ms" is a usage error (exit 2), never a silent prefix.
+/// Range checks stay with the caller.
+template <typename T>
+T number_flag(int argc, char** argv, int& i, const char* flag) {
+  const char* text = flag_value(argc, argv, i, flag);
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "%s: \"%s\" is not %s\n", flag, text,
+                 std::is_floating_point_v<T> ? "a number" : "a non-negative integer");
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Artifact destinations shared by `run` and `shard merge` — one emission
 /// path, so sharded output is byte-identical by construction.
 struct EmitOptions {
@@ -254,7 +277,7 @@ struct EmitOptions {
 bool parse_emit_flag(int argc, char** argv, int& i, EmitOptions& opts) {
   const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
   if (std::strcmp(argv[i], "--alpha") == 0) {
-    opts.alpha = std::atof(value("--alpha"));
+    opts.alpha = number_flag<double>(argc, argv, i, "--alpha");
     if (opts.alpha <= 0.0 || opts.alpha >= 1.0) {
       std::fprintf(stderr, "--alpha must be in (0, 1)\n");
       std::exit(2);
@@ -288,15 +311,6 @@ bool emit_results(const std::vector<sc::RunResult>& results, const EmitOptions& 
     ok &= sc::write_file(opts.verdicts_csv, ec::to_csv(verdicts));
   }
   return ok;
-}
-
-int parse_threads(const char* text) {
-  const long n = std::atol(text);
-  if (n < 0) {
-    std::fprintf(stderr, "--threads must be non-negative\n");
-    std::exit(2);
-  }
-  return static_cast<int>(n);
 }
 
 // --- run ----------------------------------------------------------------------
@@ -401,12 +415,11 @@ int cmd_shard_plan(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
     if (std::strcmp(argv[i], "--shards") == 0) {
-      const long n = std::atol(value("--shards"));
-      if (n <= 0) {
+      shards = number_flag<std::size_t>(argc, argv, i, "--shards");
+      if (shards == 0) {
         std::fprintf(stderr, "--shards must be positive\n");
         return 2;
       }
-      shards = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--strategy") == 0) {
       strategy = dt::shard_strategy_from_string(value("--strategy"));
     } else if (std::strcmp(argv[i], "--out-dir") == 0) {
@@ -504,7 +517,7 @@ int cmd_shard_run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--journal") == 0) {
       journal_path = value("--journal");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(parse_threads(value("--threads")));
+      threads = number_flag<std::size_t>(argc, argv, i, "--threads");
     } else if (manifest_path.empty() && argv[i][0] != '-') {
       manifest_path = argv[i];
     } else {
@@ -616,7 +629,6 @@ int cmd_shard_status(int argc, char** argv) {
     std::string path;
     std::size_t rows = 0;
     double wall_ms = 0.0;
-    std::size_t unmeasured = 0;
   };
   std::vector<JournalTotals> totals;
   const auto entries = read_journal_set(
@@ -625,18 +637,10 @@ int cmd_shard_status(int argc, char** argv) {
         JournalTotals t;
         t.path = path;
         t.rows = contents.entries.size();
-        for (const dt::JournalEntry& entry : contents.entries) {
-          if (entry.has_wall_ms()) {
-            t.wall_ms += entry.wall_ms;
-          } else {
-            ++t.unmeasured;
-          }
-        }
+        for (const dt::JournalEntry& entry : contents.entries) t.wall_ms += entry.wall_ms;
         if (!opts.json) {
-          std::printf("  %-40s %4zu row(s)  wall %10.0f ms", t.path.c_str(), t.rows,
+          std::printf("  %-40s %4zu row(s)  wall %10.0f ms\n", t.path.c_str(), t.rows,
                       t.wall_ms);
-          if (t.unmeasured > 0) std::printf("  (%zu unmeasured)", t.unmeasured);
-          std::printf("\n");
         }
         totals.push_back(std::move(t));
       });
@@ -698,7 +702,6 @@ int cmd_shard_status(int argc, char** argv) {
       row.set("path", t.path);
       row.set("rows", static_cast<std::uint64_t>(t.rows));
       row.set("wall_ms", t.wall_ms);
-      row.set("unmeasured", static_cast<std::uint64_t>(t.unmeasured));
       journals.push_back(std::move(row));
     }
     j.set("journals", std::move(journals));
@@ -785,30 +788,19 @@ int cmd_shard_daemon(int argc, char** argv) {
     if (std::strcmp(argv[i], "--worker-id") == 0) {
       opts.worker_id = value("--worker-id");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
+      opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
     } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-      const long ms = std::atol(value("--poll-ms"));
-      if (ms <= 0) {
+      opts.poll_ms = number_flag<unsigned>(argc, argv, i, "--poll-ms");
+      if (opts.poll_ms == 0) {
         std::fprintf(stderr, "--poll-ms must be positive\n");
         return 2;
       }
-      opts.poll_ms = static_cast<unsigned>(ms);
     } else if (std::strcmp(argv[i], "--max-idle-s") == 0) {
-      // strtod, not atof: a typo must be a usage error, not a silent 0.0
-      // (which means "wait for STOP forever").
-      const char* text = value("--max-idle-s");
-      char* end = nullptr;
-      opts.max_idle_s = std::strtod(text, &end);
-      if (end == text || *end != '\0') {
-        std::fprintf(stderr, "--max-idle-s: \"%s\" is not a number\n", text);
-        return 2;
-      }
+      opts.max_idle_s = number_flag<double>(argc, argv, i, "--max-idle-s");
     } else if (std::strcmp(argv[i], "--lease-ttl-s") == 0) {
-      const char* text = value("--lease-ttl-s");
-      char* end = nullptr;
-      opts.lease_ttl_s = std::strtod(text, &end);
-      if (end == text || *end != '\0' || opts.lease_ttl_s <= 0.0) {
-        std::fprintf(stderr, "--lease-ttl-s: \"%s\" is not a positive number\n", text);
+      opts.lease_ttl_s = number_flag<double>(argc, argv, i, "--lease-ttl-s");
+      if (opts.lease_ttl_s <= 0.0) {
+        std::fprintf(stderr, "--lease-ttl-s must be positive\n");
         return 2;
       }
     } else if (std::strcmp(argv[i], "--no-reap") == 0) {
@@ -909,7 +901,7 @@ int parse_study(int argc, char** argv, StudyOptions& opts, bool allow_run_flags,
     } else if (std::strcmp(argv[i], "--out") == 0) {
       opts.out_path = value("--out");
     } else if (allow_run_flags && std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
+      opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
     } else if (allow_run_flags && std::strcmp(argv[i], "--runs-csv") == 0) {
       opts.runs_csv = value("--runs-csv");
     } else if (allow_journals && std::strcmp(argv[i], "--journal") == 0) {
@@ -1063,7 +1055,7 @@ int main(int argc, char** argv) {
       for (int i = 2; i < argc; ++i) {
         const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
         if (std::strcmp(argv[i], "--threads") == 0) {
-          opts.threads = static_cast<std::size_t>(parse_threads(value("--threads")));
+          opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
         } else if (std::strcmp(argv[i], "--bench-json") == 0) {
           opts.bench_json = value("--bench-json");
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
