@@ -16,7 +16,6 @@
 #include "expctl/spec_io.hpp"
 #include "obs/snapshot.hpp"
 #include "scenario/probes.hpp"
-#include "scenario/registry.hpp"
 #include "util/log.hpp"
 
 namespace drowsy::distrib {
@@ -26,11 +25,6 @@ namespace fs = std::filesystem;
 namespace sc = drowsy::scenario;
 
 namespace {
-
-/// "<stem>.journal.jsonl" for "<stem>.json" (mirrors the CLI default).
-std::string journal_name(const fs::path& manifest) {
-  return manifest.stem().string() + ".journal.jsonl";
-}
 
 void emit(const DaemonOptions& options, const std::string& line) {
   if (options.on_event) options.on_event(line);
@@ -170,26 +164,15 @@ struct Queue {
     return {names.begin(), names.end()};
   }
 
-  /// Resolve a manifest's sweep_file: basename in the queue root first
-  /// (the enqueue-next-to-manifests layout), then the recorded path.
-  [[nodiscard]] std::string resolve_sweep(const ShardManifest& manifest) const {
-    const fs::path recorded(manifest.sweep_file);
-    const fs::path local = root / recorded.filename();
-    if (fs::exists(local)) return local.string();
-    if (fs::exists(recorded)) return recorded.string();
-    throw DistribError("sweep file " + manifest.sweep_file + " not found (looked for " +
-                       local.string() + " and the recorded path)");
-  }
-
   /// Adopt a reaper-published journal snapshot: a re-enqueued manifest
   /// may arrive with <queue>/<stem>.journal.jsonl beside it, holding the
   /// rows its dead previous owner already finished.  Move it into our
   /// claimed/ directory so run_shard resumes instead of re-executing —
-  /// but only after proving every row belongs to this shard's key
-  /// multiset, because run_shard treats a foreign row as a hard error
-  /// and the task would be quarantined to failed/.  A snapshot that does
-  /// not fit (stale file from an earlier queue generation under the same
-  /// name) is deleted: leaving it would trip every future claim too.
+  /// but only after the same count_shard_rows() check run_shard makes,
+  /// because there a foreign row is a hard error and the task would be
+  /// quarantined to failed/.  A snapshot that does not fit (stale file
+  /// from an earlier queue generation under the same name) is deleted:
+  /// leaving it would trip every future claim too.
   void adopt_reaped_journal(const fs::path& manifest_path, const fs::path& journal,
                             const ShardManifest& manifest,
                             const std::vector<sc::BatchJob>& grid) {
@@ -198,20 +181,8 @@ struct Queue {
     if (fs::exists(journal, ec_exists) || !fs::exists(orphan, ec_exists)) return;
     try {
       const JournalContents contents = read_journal(orphan.string());
-      const std::vector<JobKey> grid_keys = job_keys(grid);
-      std::map<std::string, std::size_t> owned_slots;
-      for (const std::size_t i : manifest.job_indices) {
-        ++owned_slots[grid_keys[i].encode()];
-      }
-      std::map<std::string, std::size_t> seen;
-      for (const JournalEntry& entry : contents.entries) {
-        const std::string key = entry.key.encode();
-        const auto it = owned_slots.find(key);
-        if (it == owned_slots.end() || ++seen[key] > it->second) {
-          throw DistribError("row for " + key + " does not fit shard " +
-                             std::to_string(manifest.shard_index));
-        }
-      }
+      static_cast<void>(
+          count_shard_rows(job_keys(grid), manifest, contents.entries, orphan.string()));
       fs::rename(orphan, journal);
       DROWSY_CRASH_POINT("daemon.after_adopt");
       emit(options, "adopted journal for " + manifest_path.filename().string() +
@@ -229,17 +200,10 @@ struct Queue {
   /// diagnosis and false is returned.  Only queue-unusable conditions
   /// propagate as exceptions.
   bool execute(const fs::path& manifest_path) {
-    const fs::path journal = claimed / journal_name(manifest_path);
+    const fs::path journal = journal_path_for(manifest_path.string());
     try {
-      const ShardManifest manifest =
-          manifest_from_json(ec::Json::parse(ec::read_file(manifest_path.string())));
-      const std::string sweep_path = resolve_sweep(manifest);
-      const std::string sweep_bytes = ec::read_file(sweep_path);
-      const ec::SweepSpec sweep =
-          ec::sweep_from_json(ec::Json::parse(sweep_bytes), sc::ScenarioRegistry::builtin());
-      const std::vector<sc::BatchJob> grid = ec::expand(sweep);
-      validate_manifest(manifest, sweep_bytes, grid.size());
-      adopt_reaped_journal(manifest_path, journal, manifest, grid);
+      const ShardTask task = load_shard_task(manifest_path.string(), root.string());
+      adopt_reaped_journal(manifest_path, journal, task.manifest, task.grid);
       // The profile probe folds each run's event-core profile into the
       // snapshot; the on_row hook checkpoints after every journal append,
       // so the leases stay renewed through a single long task.
@@ -248,7 +212,7 @@ struct Queue {
         snap.profile.merge(p);
       });
       const ShardRunOutcome outcome = run_shard(
-          grid, manifest, journal.string(), options.threads, probe,
+          task.grid, task.manifest, journal.string(), options.threads, probe,
           [this](const JournalEntry&) {
             const std::lock_guard<std::mutex> lock(snap_mutex);
             ++snap.jobs_done;

@@ -1,9 +1,11 @@
 // Queue-directory worker daemon: unattended shard execution.
 //
-// `shard run` executes exactly one manifest per invocation, so every
-// worker machine of a fleet needs babysitting.  run_daemon() is the
-// long-running alternative: point every worker at one queue directory on
-// a shared filesystem and let them drain it.
+// `shard run` executes one manifest per invocation, so every worker
+// machine of a fleet needs babysitting.  run_daemon() is the long-running
+// alternative: point every worker at one queue directory on a shared
+// filesystem and let them drain it.  Both execute a task through the same
+// shard_runner.hpp calls (load_shard_task, run_shard); the daemon adds
+// only the claim, the lease and the archive step.
 //
 // Queue protocol (everything lives under one root):
 //

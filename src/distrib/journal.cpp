@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 #include "distrib/fault.hpp"
 #include "expctl/runs_io.hpp"
@@ -57,6 +58,11 @@ JournalEntry journal_entry_from_json(const ec::Json& j) {
   } catch (const ec::SpecError& e) {
     throw DistribError(std::string("journal row: ") + e.what());
   }
+}
+
+std::string journal_path_for(const std::string& manifest_path) {
+  const std::filesystem::path manifest(manifest_path);
+  return (manifest.parent_path() / (manifest.stem().string() + ".journal.jsonl")).string();
 }
 
 JournalContents read_journal(const std::string& path) {

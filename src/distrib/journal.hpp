@@ -62,6 +62,12 @@ struct JournalContents {
 /// DistribError with the line number.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
+/// "<dir>/<stem>.journal.jsonl" for the manifest "<dir>/<stem>.json": the
+/// one naming rule for a shard's journal, beside its manifest wherever
+/// the manifest lives (shard run, a daemon's claimed/, the reaper's
+/// snapshot in the queue root).
+[[nodiscard]] std::string journal_path_for(const std::string& manifest_path);
+
 /// Append-only writer.  Each append() writes one JSONL row and flushes.
 ///
 /// Not thread-safe: callers serialize appends (run_shard relies on

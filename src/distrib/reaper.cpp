@@ -32,11 +32,6 @@ std::string why_expired(const ClaimInfo& claim) {
   return claim.has_lease ? "silent " + std::to_string(claim.age_s) + " s" : "no lease";
 }
 
-/// "<stem>.journal.jsonl" for ".../<stem>.json".
-std::string journal_name(const fs::path& manifest) {
-  return manifest.stem().string() + ".journal.jsonl";
-}
-
 /// Append one line to the reap journal with O_APPEND semantics: the
 /// whole row lands in a single write(2), so concurrent reapers never
 /// interleave within a line.  Advisory — an unwritable reap journal
@@ -112,7 +107,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     }
     ++outcome.expired;
     const fs::path manifest(claim.manifest_path);
-    const fs::path claimed_journal = manifest.parent_path() / journal_name(manifest);
+    const fs::path claimed_journal = journal_path_for(claim.manifest_path);
     if (options.dry_run) {
       ++outcome.reaped;
       emit(options, "would reap " + manifest.filename().string() + " from " +
@@ -168,7 +163,7 @@ ReapOutcome reap_queue(const ReapOptions& options) {
     // for the next owner to adopt.
     if (!tmp.empty()) {
       std::error_code ec_journal;
-      fs::rename(tmp, root / journal_name(manifest), ec_journal);
+      fs::rename(tmp, root / claimed_journal.filename(), ec_journal);
       if (ec_journal) {
         DROWSY_LOG_WARN("reaper", "cannot publish journal snapshot for %s: %s",
                         manifest.filename().string().c_str(),

@@ -1,10 +1,68 @@
 #include "distrib/shard_runner.hpp"
 
-#include <map>
+#include <filesystem>
+
+#include "expctl/spec_io.hpp"
 
 namespace drowsy::distrib {
 
+namespace ec = drowsy::expctl;
+namespace fs = std::filesystem;
 namespace sc = drowsy::scenario;
+
+ShardTask load_shard_task(const std::string& manifest_path, const std::string& lookup_dir) {
+  ShardTask task;
+  const std::string manifest_bytes = ec::read_file(manifest_path);
+  try {
+    task.manifest = manifest_from_json(ec::Json::parse(manifest_bytes));
+  } catch (const ec::JsonError& e) {
+    throw DistribError(manifest_path + ": " + e.what());
+  } catch (const DistribError& e) {
+    throw DistribError(manifest_path + ": " + e.what());
+  }
+  const fs::path recorded(task.manifest.sweep_file);
+  const fs::path local = fs::path(lookup_dir) / recorded.filename();
+  const fs::path sweep_path = fs::exists(local) ? local : recorded;
+  if (!fs::exists(sweep_path)) {
+    throw DistribError("sweep file " + task.manifest.sweep_file + " not found (looked for " +
+                       local.string() + " and the recorded path)");
+  }
+  const ec::LoadedSweep loaded = ec::load_sweep(sweep_path.string());
+  task.grid = ec::expand(loaded.sweep);
+  validate_manifest(task.manifest, loaded.bytes, task.grid.size());
+  return task;
+}
+
+std::map<std::string, std::size_t> count_shard_rows(const std::vector<JobKey>& grid_keys,
+                                                    const ShardManifest& manifest,
+                                                    const std::vector<JournalEntry>& entries,
+                                                    const std::string& journal_path) {
+  // Per-key accounting, not a key set: a grid may hold the same
+  // (spec-hash, policy, seed) in several slots (a sweep listing one
+  // scenario twice), and cover_grid() fills such slots first-come-
+  // first-served — resume must count rows the same way or it would mark
+  // both slots done off a single row.
+  std::map<std::string, std::size_t> owned_slots;
+  for (const std::size_t i : manifest.job_indices) {
+    ++owned_slots[grid_keys[i].encode()];
+  }
+  std::map<std::string, std::size_t> rows;
+  for (const JournalEntry& entry : entries) {
+    const std::string key = entry.key.encode();
+    const auto it = owned_slots.find(key);
+    if (it == owned_slots.end()) {
+      throw DistribError("journal " + journal_path + " contains a row for " + key +
+                         " which is not in shard " + std::to_string(manifest.shard_index) +
+                         " — wrong journal for this manifest?");
+    }
+    if (++rows[key] > it->second) {
+      throw DistribError("journal " + journal_path + " contains more rows for " + key +
+                         " than shard " + std::to_string(manifest.shard_index) +
+                         " owns — refusing to append more");
+    }
+  }
+  return rows;
+}
 
 ShardRunOutcome run_shard(const std::vector<sc::BatchJob>& grid,
                           const ShardManifest& manifest, const std::string& journal_path,
@@ -13,33 +71,10 @@ ShardRunOutcome run_shard(const std::vector<sc::BatchJob>& grid,
   ShardRunOutcome outcome;
   outcome.shard_jobs = manifest.job_indices.size();
 
-  // Per-key accounting, not a key set: a grid may hold the same
-  // (spec-hash, policy, seed) in several slots (a sweep listing one
-  // scenario twice), and cover_grid() fills such slots first-come-
-  // first-served — resume must count rows the same way or it would mark
-  // both slots done off a single row.
   const std::vector<JobKey> grid_keys = job_keys(grid);
-  std::map<std::string, std::size_t> owned_slots;
-  for (const std::size_t i : manifest.job_indices) {
-    ++owned_slots[grid_keys[i].encode()];
-  }
-
   const JournalContents journal = read_journal(journal_path);
-  std::map<std::string, std::size_t> journaled;
-  for (const JournalEntry& entry : journal.entries) {
-    const std::string key = entry.key.encode();
-    const auto it = owned_slots.find(key);
-    if (it == owned_slots.end()) {
-      throw DistribError("journal " + journal_path + " contains a row for " + key +
-                         " which is not in shard " + std::to_string(manifest.shard_index) +
-                         " — wrong journal for this manifest?");
-    }
-    if (++journaled[key] > it->second) {
-      throw DistribError("journal " + journal_path + " contains more rows for " + key +
-                         " than shard " + std::to_string(manifest.shard_index) +
-                         " owns — refusing to append more");
-    }
-  }
+  const std::map<std::string, std::size_t> journaled =
+      count_shard_rows(grid_keys, manifest, journal.entries, journal_path);
 
   // Outstanding work, in grid order.  Parallel lists: to_run[j] is the
   // grid job at grid index run_indices[j].  The first journaled[key]

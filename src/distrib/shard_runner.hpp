@@ -1,17 +1,23 @@
-// Journaled execution of one shard, with crash resume.
+// One shard task, from manifest file to journal, with crash resume.
 //
-// run_shard() is the worker-side verb behind `drowsy_sweep shard run`:
-// take the expanded grid and a manifest, figure out which of the shard's
-// jobs already have journal rows, truncate any torn tail, and run only
-// the remainder — appending each result to the journal the moment it
-// finishes.  Killing the process at any point and calling run_shard()
-// again converges on a complete journal without re-running finished
-// jobs and without duplicate rows.
+// load_shard_task() turns a manifest path into runnable work: parse the
+// manifest, find and load its sweep, expand the grid and validate the
+// manifest against it.  run_shard() then takes the grid and manifest,
+// figures out which of the shard's jobs already have journal rows,
+// truncates any torn tail, and runs only the remainder — appending each
+// result to the journal the moment it finishes.  Killing the process at
+// any point and calling run_shard() again converges on a complete
+// journal without re-running finished jobs and without duplicate rows.
+//
+// `drowsy_sweep shard run` and the queue daemon (daemon.hpp) both go
+// through these two calls; the daemon adds only the claim, the lease and
+// the archive step around them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +26,30 @@
 #include "scenario/batch_runner.hpp"
 
 namespace drowsy::distrib {
+
+/// A manifest ready to run: its sweep found, loaded and expanded, and the
+/// manifest validated against that grid.
+struct ShardTask {
+  ShardManifest manifest;
+  std::vector<scenario::BatchJob> grid;  ///< the sweep's full expanded grid
+};
+
+/// Load the manifest at `manifest_path` and the sweep it names.  The
+/// manifest's `sweep_file` is looked up by basename in `lookup_dir`
+/// first (the queue root, or the manifest's own directory), then as the
+/// recorded path.  Errors name the file at fault; a drifted sweep (hash,
+/// size, index bounds) is a DistribError from validate_manifest().
+[[nodiscard]] ShardTask load_shard_task(const std::string& manifest_path,
+                                        const std::string& lookup_dir);
+
+/// Journal rows per encoded JobKey, after proving they fit the shard:
+/// every row's key must be one of the manifest's jobs, and no key may
+/// have more rows than the shard has slots for it (a grid may hold one
+/// key in several slots).  Anything else means the rows belong to other
+/// work; throws DistribError naming `journal_path`.
+[[nodiscard]] std::map<std::string, std::size_t> count_shard_rows(
+    const std::vector<JobKey>& grid_keys, const ShardManifest& manifest,
+    const std::vector<JournalEntry>& entries, const std::string& journal_path);
 
 /// What one run_shard() invocation did (counts, not results — the
 /// results live in the journal).
@@ -33,9 +63,8 @@ struct ShardRunOutcome {
 
 /// Execute the manifest's outstanding jobs against `grid` (the full
 /// expanded job grid), journaling to `journal_path`.  An existing journal
-/// must contain only rows for this shard's jobs, each at most once —
-/// anything else means the journal belongs to different work, and running
-/// on top of it would manufacture a merge failure later.  `threads` = 0
+/// must pass count_shard_rows() — running on top of rows for different
+/// work would manufacture a merge failure later.  `threads` = 0
 /// picks hardware concurrency.  Throws DistribError on journal problems;
 /// run exceptions propagate from BatchRunner.  Each journaled row carries
 /// the run's measured wall-clock (`wall_ms`) for cost-model feedback.

@@ -662,4 +662,17 @@ std::string read_file(const std::string& path) {
   return content;
 }
 
+LoadedSweep load_sweep(const std::string& path) {
+  LoadedSweep loaded;
+  loaded.bytes = read_file(path);
+  try {
+    loaded.sweep = sweep_from_json(Json::parse(loaded.bytes), sc::ScenarioRegistry::builtin());
+  } catch (const SpecError& e) {
+    throw SpecError(path + ": " + e.what());
+  } catch (const JsonError& e) {
+    throw SpecError(path + ": " + e.what());
+  }
+  return loaded;
+}
+
 }  // namespace drowsy::expctl

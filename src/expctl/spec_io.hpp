@@ -117,4 +117,17 @@ struct SweepSpec {
 /// Slurp a file; throws SpecError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
 
+/// A sweep file as read from disk: the parsed spec plus the raw bytes
+/// that shard manifests pin by hash.
+struct LoadedSweep {
+  SweepSpec sweep;
+  std::string bytes;
+};
+
+/// Read and parse the sweep file at `path` (registry names resolved in
+/// the builtin registry).  Every parse or spec failure is anchored at the
+/// file: a bad trace kind three levels deep reads "bad.json:
+/// sweep.scenarios[0]: ... workload.kind: unknown trace kind ...".
+[[nodiscard]] LoadedSweep load_sweep(const std::string& path);
+
 }  // namespace drowsy::expctl

@@ -40,14 +40,14 @@ void StudyParams::set(const std::string& name, double value) {
 void StudyParams::set_from_token(const std::string& token) {
   const std::size_t eq = token.find('=');
   if (eq == std::string::npos || eq == 0) {
-    throw StudyError("--set expects name=value, got \"" + token + "\"");
+    throw StudyError("expected name=value, got \"" + token + "\"");
   }
   const std::string name = token.substr(0, eq);
   const std::string text = token.substr(eq + 1);
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
-    throw StudyError("--set " + name + ": \"" + text + "\" is not a number");
+    throw StudyError(name + ": \"" + text + "\" is not a number");
   }
   set(name, value);
 }

@@ -2,7 +2,11 @@
 // daemons must partition the queue exactly (rename-claiming), drain it
 // into done/ journals whose merge is byte-identical to a single-process
 // run, quarantine broken tasks in failed/, resume their own crashed
-// claims, and honor the STOP sentinel.
+// claims, and honor the STOP sentinel.  A task whose sweep is corrupt
+// fails with the sweep's path in its error file, and a reaped journal
+// snapshot that does not fit its shard is discarded, not adopted.  The
+// task loader both the daemon and `shard run` use finds a sweep in the
+// lookup directory first, then at its recorded path.
 #include "distrib/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -17,10 +21,12 @@
 #include "distrib/lease.hpp"
 #include "distrib/merge.hpp"
 #include "distrib/reaper.hpp"
+#include "distrib/shard_runner.hpp"
 #include "expctl/runs_io.hpp"
 #include "expctl/spec_io.hpp"
 #include "obs/snapshot.hpp"
 #include "scenario/registry.hpp"
+#include "util/log.hpp"
 
 namespace dt = drowsy::distrib;
 namespace ec = drowsy::expctl;
@@ -383,4 +389,104 @@ TEST_F(DaemonFixture, ReapingCanBeDisabled) {
   EXPECT_EQ(outcome.reaped, 0u);
   EXPECT_EQ(outcome.completed, 0u);
   EXPECT_TRUE(fs::exists(claimed / "shard_0.json")) << "claim left untouched";
+}
+
+TEST_F(DaemonFixture, ACorruptSweepFailsTheTaskNamingTheSweep) {
+  const fs::path root = make_queue("corrupt", 1);
+  const fs::path sweep = root / "ci_smoke.json";
+  ASSERT_TRUE(sc::write_file(sweep.string(), sweep_bytes().substr(0, 48)));
+
+  const dt::DaemonOutcome outcome = dt::run_daemon(options(root, "w1"));
+  EXPECT_EQ(outcome.completed, 0u);
+  EXPECT_EQ(outcome.failed, 1u);
+  const std::string error = ec::read_file((root / "failed" / "shard_0.error.txt").string());
+  EXPECT_NE(error.find(sweep.string() + ": "), std::string::npos) << error;
+}
+
+TEST_F(DaemonFixture, AReapedJournalThatDoesNotFitTheShardIsDiscarded) {
+  const fs::path root = make_queue("foreign", 2);
+  const auto plan = dt::plan_shards(grid(), 2, dt::ShardStrategy::Balanced);
+  ASSERT_FALSE(plan[1].empty());
+  // A reaper-published snapshot beside shard_0 holding one of shard_1's
+  // rows: stale work from another task under the same name.
+  {
+    dt::JournalWriter writer((root / "shard_0.journal.jsonl").string(), 0);
+    dt::JournalEntry entry;
+    entry.index = plan[1][0];
+    entry.key = dt::job_key(grid()[entry.index]);
+    entry.result = reference()[entry.index];
+    entry.wall_ms = 1.0;
+    writer.append(entry);
+  }
+
+  std::vector<std::string> warnings;
+  drowsy::util::set_log_sink(
+      [&warnings](drowsy::util::LogLevel level, const char*, const std::string& message) {
+        if (level == drowsy::util::LogLevel::Warn) warnings.push_back(message);
+      });
+  std::vector<std::string> events;
+  dt::DaemonOptions opts = options(root, "w1");
+  opts.on_event = [&events](const std::string& line) { events.push_back(line); };
+  const dt::DaemonOutcome outcome = dt::run_daemon(opts);
+  drowsy::util::set_log_sink({});
+
+  EXPECT_EQ(outcome.completed, 2u);
+  EXPECT_EQ(outcome.failed, 0u);
+  EXPECT_FALSE(fs::exists(root / "shard_0.journal.jsonl"));
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("discarding foreign journal snapshot"), std::string::npos);
+  EXPECT_NE(warnings[0].find("not in shard 0"), std::string::npos) << warnings[0];
+  for (const std::string& line : events) {
+    EXPECT_EQ(line.find("adopted"), std::string::npos) << line;
+  }
+
+  // shard_0 ran every one of its jobs afresh, and the queue's merge is
+  // the single-process run byte for byte.
+  std::vector<dt::JournalEntry> entries;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const dt::JournalContents contents = dt::read_journal(
+        (root / "done" / ("shard_" + std::to_string(s) + ".journal.jsonl")).string());
+    EXPECT_EQ(contents.entries.size(), plan[s].size());
+    entries.insert(entries.end(), contents.entries.begin(), contents.entries.end());
+  }
+  EXPECT_EQ(sc::to_csv(dt::merge_journals(grid(), entries)), sc::to_csv(reference()));
+}
+
+TEST_F(DaemonFixture, ShardTasksFindTheirSweepInTheLookupDirectoryThenAtTheRecordedPath) {
+  const fs::path root = make_queue("lookup", 2);
+  const std::string manifest = (root / "shard_1.json").string();
+  const dt::ShardTask task = dt::load_shard_task(manifest, root.string());
+  EXPECT_EQ(task.manifest.shard_index, 1u);
+  EXPECT_EQ(task.grid.size(), grid().size());
+  EXPECT_EQ(dt::journal_path_for(manifest), (root / "shard_1.journal.jsonl").string());
+
+  // Not in the lookup directory: the recorded path is used as given.
+  const fs::path elsewhere = root / "elsewhere";
+  fs::create_directories(elsewhere);
+  dt::ShardManifest m = task.manifest;
+  m.sweep_file = std::string(DROWSY_SOURCE_DIR) + "/sweeps/ci_smoke.json";
+  ASSERT_TRUE(sc::write_file((elsewhere / "m.json").string(), dt::to_json(m).dump()));
+  EXPECT_EQ(dt::load_shard_task((elsewhere / "m.json").string(), elsewhere.string()).grid.size(),
+            grid().size());
+
+  // In neither place, or a manifest that does not parse: the error names
+  // the file at fault.
+  m.sweep_file = "nowhere/missing.json";
+  ASSERT_TRUE(sc::write_file((elsewhere / "m.json").string(), dt::to_json(m).dump()));
+  try {
+    static_cast<void>(dt::load_shard_task((elsewhere / "m.json").string(), elsewhere.string()));
+    ADD_FAILURE() << "a missing sweep must throw";
+  } catch (const dt::DistribError& e) {
+    EXPECT_NE(std::string(e.what()).find((elsewhere / "missing.json").string()),
+              std::string::npos)
+        << e.what();
+  }
+  ASSERT_TRUE(sc::write_file((elsewhere / "bad.json").string(), "{"));
+  try {
+    static_cast<void>(dt::load_shard_task((elsewhere / "bad.json").string(), elsewhere.string()));
+    ADD_FAILURE() << "a corrupt manifest must throw";
+  } catch (const dt::DistribError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind((elsewhere / "bad.json").string() + ": ", 0), 0u)
+        << e.what();
+  }
 }

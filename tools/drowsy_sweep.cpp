@@ -1,116 +1,24 @@
-// drowsy_sweep — drive the scenario catalogue from JSON sweep files,
-// no recompilation required.
-//
-//   drowsy_sweep run <sweep.json> [--threads N] [--alpha A]
-//                    [--csv stats.csv] [--runs-csv runs.csv]
-//                    [--json stats.json] [--verdicts-csv verdicts.csv]
-//                    [--bench-json bench.json] [--trace-out DIR]
-//                    [--metrics-json metrics.json]
-//       Expand the sweep into its (scenario x axes x policy x seed) job
-//       grid, execute it on the parallel BatchRunner (traces materialized
-//       once per sweep via TraceCache), print the replicate-statistics
-//       table (mean ± CI-95) and the per-policy-pair Welch verdicts, and
-//       optionally write CSV/JSON artifacts plus a wall-clock/trace-cache
-//       benchmark record.  --trace-out writes one Perfetto-loadable
-//       timeline per run into DIR, stamped in sim time and byte-identical
-//       at any --threads value; --metrics-json flushes a worker metrics
-//       snapshot (obs/snapshot.hpp) after every finished run.
-//   drowsy_sweep validate <sweep.json>
-//       Parse and expand without running; prints the job count.
-//   drowsy_sweep list
-//       Registry scenario names with descriptions.
-//   drowsy_sweep dump [<scenario>...]
-//       Serialize registry scenarios (all by default) as JSON — the
-//       starting point for hand-edited sweep files.
-//
-// Sharded execution (multi-machine sweeps; see README "Sharded sweeps"):
-//
-//   drowsy_sweep shard plan <sweep.json> --shards N
-//                    [--strategy contiguous|strided|balanced] [--out-dir D]
-//       Split the job grid into N shards (balanced by estimated job cost
-//       by default) and write one manifest per shard to D (default ".").
-//   drowsy_sweep shard run <manifest.json> [--sweep PATH] [--threads N]
-//                    [--journal F]
-//       Execute a shard's outstanding jobs, appending each finished run
-//       to the journal (default: <manifest stem>.journal.jsonl).  Safe to
-//       kill and re-invoke: completed (spec-hash, policy, seed) jobs are
-//       skipped and a torn journal tail is truncated.
-//   drowsy_sweep shard merge <sweep.json> --journal F [--journal F ...]
-//                    [--alpha A] [--csv F] [--runs-csv F] [--json F]
-//                    [--verdicts-csv F]
-//       Validate that the journals cover the grid exactly once, restore
-//       canonical job order, and emit the same tables/artifacts as `run`
-//       — byte-identical to a single-process execution of the sweep.
-//   drowsy_sweep shard status <sweep.json> --journal F [--journal F ...]
-//                    [--queue-dir D] [--json]
-//       Coverage report: completed/missing/duplicate/foreign counts plus
-//       per-journal measured wall-clock totals.  With --queue-dir, also
-//       merge every worker's metrics snapshot (<queue>/metrics/*.json)
-//       into the fleet view, list every claim with its lease headroom,
-//       and warn about claims whose lease has expired or is missing.
-//       --json emits the same report as one JSON document (claims and
-//       workers included) for reapers and dashboards; exit codes are
-//       unchanged.
-//   drowsy_sweep shard daemon <queue-dir> [--worker-id W] [--threads N]
-//                    [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S]
-//                    [--no-reap]
-//       Long-running worker: claim manifests from the queue directory
-//       (atomic rename; safe with many daemons on a shared filesystem),
-//       execute each through the crash-safe journal path, archive to
-//       done/ or failed/, and poll until a STOP sentinel or idleness.
-//       Every claim carries a lease renewed after every journal row;
-//       while idle the daemon reaps other workers' expired claims back
-//       into the queue (disable with --no-reap).
-//   drowsy_sweep shard reap <queue-dir> [--dry-run] [--reaper-id R]
-//       Return dead workers' claims to the queue: every claim whose
-//       lease has expired or is missing is atomically re-enqueued, its
-//       journal's valid prefix published beside it for the next owner
-//       to resume.
-//       Each reap is appended to <queue>/reaped/reap.journal.jsonl.
-//
-// Fault injection (chaos testing; see docs/sweeps.md):
-//
-//   drowsy_sweep fault list
-//       The crash-point catalogue.  Arm one with
-//       DROWSY_CRASH_AT=<point>[:<nth>] — the process _exit()s with
-//       code 86 the nth time execution reaches the point.  Compiled out
-//       of Release builds (arming then fails loudly).
-//
-// Paper-figure studies (src/study; see docs/studies.md):
-//
-//   drowsy_sweep study list
-//       Registered studies with their paper figure and parameters.
-//   drowsy_sweep study run <study> [--set k=v ...] [--threads N]
-//                    [--out F] [--runs-csv F]
-//       Expand the study's grid, execute it on the BatchRunner and print
-//       the reduced figure CSV (--out writes exactly those bytes).
-//   drowsy_sweep study dump <study> [--set k=v ...] [--out F]
-//       The study's grid as a self-contained sweep JSON — feed it to
-//       `shard plan` and the queue daemons to run a study distributed.
-//   drowsy_sweep study reduce <study> [--set k=v ...] --journal F...
-//                    [--out F]
-//       Merge the journals of a sharded study run (coverage-validated,
-//       canonical order restored) and emit the figure CSV —
-//       byte-identical to a single-process `study run`.
-//
-// Full reference (flags, file formats, exit codes): docs/drowsy_sweep.md.
+// drowsy_sweep — drive the scenario catalogue from JSON sweep files: run
+// a sweep in one process, shard it across machines (plan, run, merge,
+// status, the queue daemon and its reaper), and reproduce the paper's
+// figures as studies.  `drowsy_sweep --help` prints every subcommand with
+// its flags, generated from the tables in commands() below; the full
+// reference (flags, file formats, exit codes) is docs/drowsy_sweep.md.
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
+
+#include "cli.hpp"
 
 #include "distrib/cost_model.hpp"
 #include "distrib/daemon.hpp"
@@ -129,70 +37,13 @@
 #include "study/study.hpp"
 #include "util/log.hpp"
 
+namespace cli = drowsy::cli;
 namespace dt = drowsy::distrib;
 namespace ec = drowsy::expctl;
 namespace sc = drowsy::scenario;
 namespace st = drowsy::study;
 
 namespace {
-
-void print_usage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s run <sweep.json> [--threads N] [--alpha A] [--csv F]"
-               " [--runs-csv F] [--json F] [--verdicts-csv F] [--bench-json F]"
-               " [--trace-out DIR] [--metrics-json F]\n"
-               "       %s validate <sweep.json>\n"
-               "       %s list\n"
-               "       %s dump [<scenario>...]\n"
-               "       %s shard plan <sweep.json> --shards N [--strategy S] [--out-dir D]"
-               " [--costs JOURNAL ...]\n"
-               "       %s shard run <manifest.json> [--sweep PATH] [--threads N]"
-               " [--journal F]\n"
-               "       %s shard merge <sweep.json> --journal F... [--alpha A] [--csv F]"
-               " [--runs-csv F] [--json F] [--verdicts-csv F]\n"
-               "       %s shard status <sweep.json> --journal F... [--queue-dir D]"
-               " [--json]\n"
-               "       %s shard daemon <queue-dir> [--worker-id W] [--threads N]"
-               " [--poll-ms P] [--max-idle-s S] [--lease-ttl-s S] [--no-reap]\n"
-               "       %s shard reap <queue-dir> [--dry-run] [--reaper-id R]\n"
-               "       %s fault list\n"
-               "       %s study list\n"
-               "       %s study run <study> [--set k=v ...] [--threads N] [--out F]"
-               " [--runs-csv F]\n"
-               "       %s study dump <study> [--set k=v ...] [--out F]\n"
-               "       %s study reduce <study> [--set k=v ...] --journal F... [--out F]\n"
-               "see docs/drowsy_sweep.md for the full reference\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0, argv0, argv0, argv0);
-}
-
-int usage(const char* argv0) {
-  print_usage(stderr, argv0);
-  return 2;
-}
-
-struct LoadedSweep {
-  ec::SweepSpec sweep;
-  std::string bytes;  ///< raw file content (hashed into shard manifests)
-};
-
-LoadedSweep load_sweep(const std::string& path) {
-  LoadedSweep loaded;
-  loaded.bytes = ec::read_file(path);
-  // Anchor every parse/spec failure at the file it came from: a bad
-  // trace kind three levels deep then reads
-  //   "bad.json: sweep.scenarios[0]: ... workload.kind: unknown trace
-  //    kind \"x\" (known: daily-backup, ...)".
-  try {
-    const ec::Json doc = ec::Json::parse(loaded.bytes);
-    loaded.sweep = ec::sweep_from_json(doc, sc::ScenarioRegistry::builtin());
-  } catch (const ec::SpecError& e) {
-    throw ec::SpecError(path + ": " + e.what());
-  } catch (const ec::JsonError& e) {
-    throw ec::SpecError(path + ": " + e.what());
-  }
-  return loaded;
-}
 
 int cmd_list() {
   for (const sc::ScenarioSpec& spec : sc::ScenarioRegistry::builtin().all()) {
@@ -225,43 +76,12 @@ int cmd_dump(const std::vector<std::string>& names) {
 }
 
 int cmd_validate(const std::string& path) {
-  const LoadedSweep loaded = load_sweep(path);
+  const ec::LoadedSweep loaded = ec::load_sweep(path);
   const auto jobs = ec::expand(loaded.sweep);
   std::printf("%s: OK — %zu scenario(s) x %zu policy(ies) -> %zu runs\n",
               loaded.sweep.name.c_str(), loaded.sweep.scenarios.size(),
               loaded.sweep.policies.size(), jobs.size());
   return 0;
-}
-
-/// argv[i+1] as the value of `flag`, advancing i; exits with usage status
-/// when the value is missing.  The one flag-parsing primitive every
-/// subcommand shares.
-const char* flag_value(int argc, char** argv, int& i, const char* flag) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-/// The value of `flag` parsed as a T (an unsigned integer, which rejects
-/// a sign, or a double, which must be finite); the whole token must parse —
-/// "3x" or "10ms" is a usage error (exit 2), never a silent prefix.
-/// Range checks stay with the caller.
-template <typename T>
-T number_flag(int argc, char** argv, int& i, const char* flag) {
-  const char* text = flag_value(argc, argv, i, flag);
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    std::fprintf(stderr, "%s: \"%s\" is not %s\n", flag, text,
-                 std::is_floating_point_v<T> ? "a number" : "a non-negative integer");
-    std::exit(2);
-  }
-  return value;
 }
 
 /// Artifact destinations shared by `run` and `shard merge` — one emission
@@ -273,28 +93,6 @@ struct EmitOptions {
   std::string stats_json;
   std::string verdicts_csv;
 };
-
-bool parse_emit_flag(int argc, char** argv, int& i, EmitOptions& opts) {
-  const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-  if (std::strcmp(argv[i], "--alpha") == 0) {
-    opts.alpha = number_flag<double>(argc, argv, i, "--alpha");
-    if (opts.alpha <= 0.0 || opts.alpha >= 1.0) {
-      std::fprintf(stderr, "--alpha must be in (0, 1)\n");
-      std::exit(2);
-    }
-  } else if (std::strcmp(argv[i], "--csv") == 0) {
-    opts.stats_csv = value("--csv");
-  } else if (std::strcmp(argv[i], "--runs-csv") == 0) {
-    opts.runs_csv = value("--runs-csv");
-  } else if (std::strcmp(argv[i], "--json") == 0) {
-    opts.stats_json = value("--json");
-  } else if (std::strcmp(argv[i], "--verdicts-csv") == 0) {
-    opts.verdicts_csv = value("--verdicts-csv");
-  } else {
-    return false;
-  }
-  return true;
-}
 
 /// Print the report tables and write the requested artifacts.
 bool emit_results(const std::vector<sc::RunResult>& results, const EmitOptions& opts) {
@@ -313,19 +111,31 @@ bool emit_results(const std::vector<sc::RunResult>& results, const EmitOptions& 
   return ok;
 }
 
-// --- run ----------------------------------------------------------------------
-
-struct RunOptions {
-  std::string sweep_path;
-  std::size_t threads = 0;  // hardware concurrency
+/// Every subcommand's settings.  Each command's flag table (commands()
+/// below) writes only the fields that command reads.
+struct Options {
+  std::size_t threads = 0;  ///< 0 = hardware concurrency
   EmitOptions emit;
   std::string bench_json;
   std::string trace_out;     ///< directory for per-run Perfetto timelines
   std::string metrics_json;  ///< worker metrics snapshot, flushed per run
+  std::size_t shards = 0;
+  dt::ShardStrategy strategy = dt::ShardStrategy::Balanced;
+  std::string out_dir = ".";
+  std::vector<std::string> costs;
+  std::vector<std::string> journals;
+  std::string queue_dir;     ///< status: scan claimed/ for leases
+  bool json_report = false;  ///< status: one JSON document on stdout
+  dt::DaemonOptions daemon;
+  dt::ReapOptions reap;
+  std::vector<std::string> sets;  ///< study --set tokens, applied once the study is known
+  std::string out;                ///< study figure CSV or sweep JSON
 };
 
-int cmd_run(const RunOptions& opts) {
-  const LoadedSweep loaded = load_sweep(opts.sweep_path);
+// --- run ----------------------------------------------------------------------
+
+int cmd_run(const Options& opts, const std::string& sweep_path) {
+  const ec::LoadedSweep loaded = ec::load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
 
   sc::BatchRunner runner(opts.threads);
@@ -394,47 +204,8 @@ int cmd_run(const RunOptions& opts) {
 
 // --- shard subcommands --------------------------------------------------------
 
-/// <stem>.journal.jsonl next to the manifest ("shard_0.json" ->
-/// "shard_0.journal.jsonl").
-std::string default_journal_path(const std::string& manifest_path) {
-  std::string stem = manifest_path;
-  const std::string suffix = ".json";
-  if (stem.size() > suffix.size() &&
-      stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    stem.resize(stem.size() - suffix.size());
-  }
-  return stem + ".journal.jsonl";
-}
-
-int cmd_shard_plan(int argc, char** argv) {
-  std::string sweep_path;
-  std::string out_dir = ".";
-  std::size_t shards = 0;
-  dt::ShardStrategy strategy = dt::ShardStrategy::Balanced;
-  std::vector<std::string> cost_journals;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = number_flag<std::size_t>(argc, argv, i, "--shards");
-      if (shards == 0) {
-        std::fprintf(stderr, "--shards must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--strategy") == 0) {
-      strategy = dt::shard_strategy_from_string(value("--strategy"));
-    } else if (std::strcmp(argv[i], "--out-dir") == 0) {
-      out_dir = value("--out-dir");
-    } else if (std::strcmp(argv[i], "--costs") == 0) {
-      cost_journals.push_back(value("--costs"));
-    } else if (sweep_path.empty() && argv[i][0] != '-') {
-      sweep_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (sweep_path.empty() || shards == 0) return usage(argv[0]);
-
-  const LoadedSweep loaded = load_sweep(sweep_path);
+int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
+  const ec::LoadedSweep loaded = ec::load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
 
   // Static heuristic costs are always computed: without --costs they
@@ -446,27 +217,27 @@ int cmd_shard_plan(int argc, char** argv) {
   }
 
   dt::CostModel::JobCosts priced;
-  const bool use_measured = !cost_journals.empty();
+  const bool use_measured = !opts.costs.empty();
   if (use_measured) {
     dt::CostModel model;
-    for (const std::string& path : cost_journals) {
+    for (const std::string& path : opts.costs) {
       model.add_journal(dt::read_journal(path).entries);
     }
     priced = model.price(jobs);
     std::printf("cost model: %zu journal(s) -> %zu exact, %zu scenario-level,"
                 " %zu heuristic job price(s)\n",
-                cost_journals.size(), priced.measured, priced.scenario, priced.heuristic);
+                opts.costs.size(), priced.measured, priced.scenario, priced.heuristic);
   }
   const std::vector<double>& plan_costs = use_measured ? priced.cost : static_costs;
-  const auto plan = dt::plan_shards(jobs, shards, strategy, plan_costs);
+  const auto plan = dt::plan_shards(jobs, opts.shards, opts.strategy, plan_costs);
 
-  if (mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cannot create %s\n", out_dir.c_str());
+  if (mkdir(opts.out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    std::fprintf(stderr, "cannot create %s\n", opts.out_dir.c_str());
     return 1;
   }
 
   std::printf("== %s: %zu jobs -> %zu shard(s), %s ==\n", loaded.sweep.name.c_str(),
-              jobs.size(), shards, dt::to_string(strategy));
+              jobs.size(), opts.shards, dt::to_string(opts.strategy));
   bool ok = true;
   const std::vector<double> planned_totals = dt::shard_costs(plan, plan_costs);
   const std::vector<double> static_totals = dt::shard_costs(plan, static_costs);
@@ -476,12 +247,12 @@ int cmd_shard_plan(int argc, char** argv) {
     manifest.sweep_file = sweep_path;
     manifest.sweep_hash = ec::fnv1a64(loaded.bytes);
     manifest.shard_index = s;
-    manifest.shard_count = shards;
-    manifest.strategy = strategy;
+    manifest.shard_count = opts.shards;
+    manifest.strategy = opts.strategy;
     manifest.total_jobs = jobs.size();
     manifest.job_indices = plan[s];
 
-    const std::string path = out_dir + "/shard_" + std::to_string(s) + ".json";
+    const std::string path = opts.out_dir + "/shard_" + std::to_string(s) + ".json";
     ok &= sc::write_file(path, dt::to_json(manifest).dump());
     if (use_measured) {
       std::printf("  %-28s %4zu job(s)  est. %10.0f ms  (static %10.0f)\n", path.c_str(),
@@ -495,7 +266,7 @@ int cmd_shard_plan(int argc, char** argv) {
     // Would the old plan have balanced as well?  Evaluate both layouts
     // under the measured model: the static-heuristic plan re-priced with
     // measured costs is what the fleet would actually have experienced.
-    const auto static_plan = dt::plan_shards(jobs, shards, strategy, static_costs);
+    const auto static_plan = dt::plan_shards(jobs, opts.shards, opts.strategy, static_costs);
     std::printf("predicted balance (max/min shard cost, measured model):\n"
                 "  measured-cost plan    %.3f\n"
                 "  static-heuristic plan %.3f\n",
@@ -505,77 +276,23 @@ int cmd_shard_plan(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-int cmd_shard_run(int argc, char** argv) {
-  std::string manifest_path;
-  std::string sweep_override;
-  std::string journal_path;
-  std::size_t threads = 0;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_override = value("--sweep");
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      journal_path = value("--journal");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = number_flag<std::size_t>(argc, argv, i, "--threads");
-    } else if (manifest_path.empty() && argv[i][0] != '-') {
-      manifest_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (manifest_path.empty()) return usage(argv[0]);
-  if (journal_path.empty()) journal_path = default_journal_path(manifest_path);
-
-  const dt::ShardManifest manifest =
-      dt::manifest_from_json(ec::Json::parse(ec::read_file(manifest_path)));
-  const std::string sweep_path =
-      sweep_override.empty() ? manifest.sweep_file : sweep_override;
-  const LoadedSweep loaded = load_sweep(sweep_path);
-  const auto jobs = ec::expand(loaded.sweep);
-  dt::validate_manifest(manifest, loaded.bytes, jobs.size());
+int cmd_shard_run(const Options& opts, const std::string& manifest_path) {
+  // The same load as the queue daemon's, with the manifest's own
+  // directory standing in for the queue root.
+  const dt::ShardTask task = dt::load_shard_task(
+      manifest_path, std::filesystem::path(manifest_path).parent_path().string());
+  const dt::ShardManifest& manifest = task.manifest;
+  const std::string journal_path = dt::journal_path_for(manifest_path);
 
   std::printf("== %s shard %zu/%zu: %zu job(s), journal %s ==\n",
               manifest.sweep_name.c_str(), manifest.shard_index, manifest.shard_count,
               manifest.job_indices.size(), journal_path.c_str());
-  const dt::ShardRunOutcome outcome = dt::run_shard(jobs, manifest, journal_path, threads);
+  const dt::ShardRunOutcome outcome =
+      dt::run_shard(task.grid, manifest, journal_path, opts.threads);
   std::printf("resumed %zu, executed %zu (traces materialized %llu, reused %llu)\n",
               outcome.resumed, outcome.executed,
               static_cast<unsigned long long>(outcome.trace_misses),
               static_cast<unsigned long long>(outcome.trace_hits));
-  return 0;
-}
-
-/// Shared by merge/status: sweep path then one or more --journal flags.
-struct JournalSetOptions {
-  std::string sweep_path;
-  std::vector<std::string> journals;
-  EmitOptions emit;
-  std::string queue_dir;  ///< status only: scan claimed/ for leases
-  bool json = false;      ///< status only: machine-readable report
-};
-
-int parse_journal_set(int argc, char** argv, JournalSetOptions& opts, bool allow_emit,
-                      bool allow_queue = false) {
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--journal") == 0) {
-      opts.journals.push_back(value("--journal"));
-    } else if (allow_emit && parse_emit_flag(argc, argv, i, opts.emit)) {
-      // handled
-    } else if (allow_queue && std::strcmp(argv[i], "--queue-dir") == 0) {
-      opts.queue_dir = value("--queue-dir");
-    } else if (allow_queue && std::strcmp(argv[i], "--json") == 0) {
-      // Valueless here, unlike merge's `--json F` emit flag: status has
-      // exactly one report, which goes to stdout.
-      opts.json = true;
-    } else if (opts.sweep_path.empty() && argv[i][0] != '-') {
-      opts.sweep_path = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.sweep_path.empty() || opts.journals.empty()) return usage(argv[0]);
   return 0;
 }
 
@@ -599,12 +316,8 @@ std::vector<dt::JournalEntry> read_journal_set(
   return entries;
 }
 
-int cmd_shard_merge(int argc, char** argv) {
-  JournalSetOptions opts;
-  if (const int rc = parse_journal_set(argc, argv, opts, /*allow_emit=*/true); rc != 0) {
-    return rc;
-  }
-  const LoadedSweep loaded = load_sweep(opts.sweep_path);
+int cmd_shard_merge(const Options& opts, const std::string& sweep_path) {
+  const ec::LoadedSweep loaded = ec::load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   const auto entries = read_journal_set(opts.journals);
   const auto results = dt::merge_journals(jobs, entries);
@@ -613,14 +326,8 @@ int cmd_shard_merge(int argc, char** argv) {
   return emit_results(results, opts.emit) ? 0 : 1;
 }
 
-int cmd_shard_status(int argc, char** argv) {
-  JournalSetOptions opts;
-  if (const int rc = parse_journal_set(argc, argv, opts, /*allow_emit=*/false,
-                                       /*allow_queue=*/true);
-      rc != 0) {
-    return rc;
-  }
-  const LoadedSweep loaded = load_sweep(opts.sweep_path);
+int cmd_shard_status(const Options& opts, const std::string& sweep_path) {
+  const ec::LoadedSweep loaded = ec::load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   // Per-journal accounting: progress in wall-clock terms, not just row
   // counts — a shard with 3 of 4 rows done may still own most of the
@@ -638,7 +345,7 @@ int cmd_shard_status(int argc, char** argv) {
         t.path = path;
         t.rows = contents.entries.size();
         for (const dt::JournalEntry& entry : contents.entries) t.wall_ms += entry.wall_ms;
-        if (!opts.json) {
+        if (!opts.json_report) {
           std::printf("  %-40s %4zu row(s)  wall %10.0f ms\n", t.path.c_str(), t.rows,
                       t.wall_ms);
         }
@@ -683,7 +390,7 @@ int cmd_shard_status(int argc, char** argv) {
       }
     }
   }
-  if (opts.json) {
+  if (opts.json_report) {
     // One JSON document on stdout; the exit code still carries the
     // complete/incomplete verdict so scripts need not parse to gate.
     ec::Json j = ec::Json::object();
@@ -776,43 +483,18 @@ int cmd_shard_status(int argc, char** argv) {
   return cov.complete() ? 0 : 3;  // distinct from hard errors (1) and usage (2)
 }
 
-int cmd_shard_daemon(int argc, char** argv) {
-  dt::DaemonOptions opts;
-  // The claiming protocol needs worker ids unique per live daemon; a
-  // bare pid collides across machines/containers sharing one queue.
+/// "<hostname>-<pid>": the default daemon worker id and reaper id.  The
+/// claiming protocol needs ids unique per live process; a bare pid
+/// collides across machines and containers sharing one queue.
+std::string host_pid() {
   char host[256] = "host";
   static_cast<void>(gethostname(host, sizeof(host) - 1));
-  opts.worker_id = std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--worker-id") == 0) {
-      opts.worker_id = value("--worker-id");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
-    } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-      opts.poll_ms = number_flag<unsigned>(argc, argv, i, "--poll-ms");
-      if (opts.poll_ms == 0) {
-        std::fprintf(stderr, "--poll-ms must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--max-idle-s") == 0) {
-      opts.max_idle_s = number_flag<double>(argc, argv, i, "--max-idle-s");
-    } else if (std::strcmp(argv[i], "--lease-ttl-s") == 0) {
-      opts.lease_ttl_s = number_flag<double>(argc, argv, i, "--lease-ttl-s");
-      if (opts.lease_ttl_s <= 0.0) {
-        std::fprintf(stderr, "--lease-ttl-s must be positive\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--no-reap") == 0) {
-      opts.reap = false;
-    } else if (opts.queue_dir.empty() && argv[i][0] != '-') {
-      opts.queue_dir = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.queue_dir.empty()) return usage(argv[0]);
+  return std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
+}
 
+int cmd_shard_daemon(const Options& options, const std::string& queue_dir) {
+  dt::DaemonOptions opts = options.daemon;
+  opts.queue_dir = queue_dir;
   // Daemons run unattended; their util::log diagnostics (snapshot write
   // failures, torn journals) must reach the operator's log, timestamped.
   drowsy::util::set_log_level(drowsy::util::LogLevel::Info);
@@ -831,25 +513,9 @@ int cmd_shard_daemon(int argc, char** argv) {
   return outcome.failed == 0 ? 0 : 1;
 }
 
-int cmd_shard_reap(int argc, char** argv) {
-  dt::ReapOptions opts;
-  char host[256] = "host";
-  static_cast<void>(gethostname(host, sizeof(host) - 1));
-  opts.reaper_id =
-      std::string(host) + "-" + std::to_string(static_cast<long>(getpid()));
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--dry-run") == 0) {
-      opts.dry_run = true;
-    } else if (std::strcmp(argv[i], "--reaper-id") == 0) {
-      opts.reaper_id = value("--reaper-id");
-    } else if (opts.queue_dir.empty() && argv[i][0] != '-') {
-      opts.queue_dir = argv[i];
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.queue_dir.empty()) return usage(argv[0]);
+int cmd_shard_reap(const Options& options, const std::string& queue_dir) {
+  dt::ReapOptions opts = options.reap;
+  opts.queue_dir = queue_dir;
   opts.on_event = [](const std::string& line) { std::printf("%s\n", line.c_str()); };
   const dt::ReapOutcome outcome = dt::reap_queue(opts);
   std::printf("%s%zu claim(s) examined, %zu expired, %zu reaped"
@@ -859,8 +525,7 @@ int cmd_shard_reap(int argc, char** argv) {
   return 0;
 }
 
-int cmd_fault(int argc, char** argv) {
-  if (argc != 3 || std::strcmp(argv[2], "list") != 0) return usage(argv[0]);
+int cmd_fault_list() {
   for (const std::string& point : dt::fault::catalogue()) {
     std::printf("%s\n", point.c_str());
   }
@@ -876,52 +541,29 @@ int cmd_fault(int argc, char** argv) {
 
 // --- study subcommands --------------------------------------------------------
 
-/// Shared by run/dump/reduce: study name, --set overrides, then the
-/// verb-specific flags the caller accepts.
-struct StudyOptions {
+/// A study with its --set overrides applied.  The overrides come in
+/// after parsing, so they may appear anywhere on the command line; a bad
+/// one is a usage error naming --set.
+struct StudyArgs {
   const st::Study* study = nullptr;
   st::StudyParams params;
-  std::size_t threads = 0;
-  std::string out_path;
-  std::string runs_csv;
-  std::vector<std::string> journals;
 };
 
-int parse_study(int argc, char** argv, StudyOptions& opts, bool allow_run_flags,
-                bool allow_journals) {
-  std::string name;
-  for (int i = 3; i < argc; ++i) {
-    const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-    if (std::strcmp(argv[i], "--set") == 0) {
-      if (opts.study == nullptr) {
-        std::fprintf(stderr, "--set must follow the study name\n");
-        return 2;
-      }
-      opts.params.set_from_token(value("--set"));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      opts.out_path = value("--out");
-    } else if (allow_run_flags && std::strcmp(argv[i], "--threads") == 0) {
-      opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
-    } else if (allow_run_flags && std::strcmp(argv[i], "--runs-csv") == 0) {
-      opts.runs_csv = value("--runs-csv");
-    } else if (allow_journals && std::strcmp(argv[i], "--journal") == 0) {
-      opts.journals.push_back(value("--journal"));
-    } else if (name.empty() && argv[i][0] != '-') {
-      name = argv[i];
-      const st::Study* study = st::StudyRegistry::builtin().find(name);
-      if (study == nullptr) {
-        std::fprintf(stderr, "no such study: %s (try 'drowsy_sweep study list')\n",
-                     name.c_str());
-        return 1;
-      }
-      opts.study = study;
-      opts.params = study->params;
-    } else {
-      return usage(argv[0]);
+StudyArgs resolve_study(const std::string& name, const std::vector<std::string>& sets) {
+  StudyArgs args;
+  args.study = st::StudyRegistry::builtin().find(name);
+  if (args.study == nullptr) {
+    throw std::runtime_error("no such study: " + name + " (try 'drowsy_sweep study list')");
+  }
+  args.params = args.study->params;
+  for (const std::string& token : sets) {
+    try {
+      args.params.set_from_token(token);
+    } catch (const st::StudyError& e) {
+      throw cli::UsageError(std::string("--set: ") + e.what());
     }
   }
-  if (opts.study == nullptr) return usage(argv[0]);
-  return 0;
+  return args;
 }
 
 int cmd_study_list() {
@@ -940,20 +582,15 @@ bool emit_figure_csv(const std::string& csv, const std::string& out_path) {
   return sc::write_file(out_path, csv);
 }
 
-int cmd_study_run(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/true,
-                                 /*allow_journals=*/false);
-      rc != 0) {
-    return rc;
-  }
-  const auto jobs = st::jobs_for(*opts.study, opts.params);
-  std::printf("== study %s (%s): %zu runs [%s] ==\n", opts.study->name.c_str(),
-              opts.study->figure.c_str(), jobs.size(), opts.params.describe().c_str());
-  const st::StudyOutcome outcome = st::run_study(*opts.study, opts.params, opts.threads);
-  bool ok = emit_figure_csv(outcome.csv, opts.out_path);
-  if (!opts.runs_csv.empty()) {
-    ok &= sc::write_file(opts.runs_csv, sc::to_csv(outcome.results));
+int cmd_study_run(const Options& opts, const std::string& name) {
+  const StudyArgs a = resolve_study(name, opts.sets);
+  const auto jobs = st::jobs_for(*a.study, a.params);
+  std::printf("== study %s (%s): %zu runs [%s] ==\n", a.study->name.c_str(),
+              a.study->figure.c_str(), jobs.size(), a.params.describe().c_str());
+  const st::StudyOutcome outcome = st::run_study(*a.study, a.params, opts.threads);
+  bool ok = emit_figure_csv(outcome.csv, opts.out);
+  if (!opts.emit.runs_csv.empty()) {
+    ok &= sc::write_file(opts.emit.runs_csv, sc::to_csv(outcome.results));
   }
   std::printf("\ntraces materialized: %llu (reused %llu times)\n",
               static_cast<unsigned long long>(outcome.trace_misses),
@@ -961,121 +598,112 @@ int cmd_study_run(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-int cmd_study_dump(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/false,
-                                 /*allow_journals=*/false);
-      rc != 0) {
-    return rc;
-  }
-  const std::string text = ec::to_json(opts.study->sweep(opts.params)).dump();
+int cmd_study_dump(const Options& opts, const std::string& name) {
+  const StudyArgs a = resolve_study(name, opts.sets);
+  const std::string text = ec::to_json(a.study->sweep(a.params)).dump();
   std::fwrite(text.data(), 1, text.size(), stdout);
-  if (!opts.out_path.empty() && !sc::write_file(opts.out_path, text)) return 1;
+  if (!opts.out.empty() && !sc::write_file(opts.out, text)) return 1;
   return 0;
 }
 
-int cmd_study_reduce(int argc, char** argv) {
-  StudyOptions opts;
-  if (const int rc = parse_study(argc, argv, opts, /*allow_run_flags=*/false,
-                                 /*allow_journals=*/true);
-      rc != 0) {
-    return rc;
-  }
-  if (opts.journals.empty()) return usage(argv[0]);
-  const auto jobs = st::jobs_for(*opts.study, opts.params);
+int cmd_study_reduce(const Options& opts, const std::string& name) {
+  const StudyArgs a = resolve_study(name, opts.sets);
+  const auto jobs = st::jobs_for(*a.study, a.params);
   const auto entries = read_journal_set(opts.journals);
   // merge_journals proves coverage (missing/duplicate/foreign rows are
   // hard errors) and restores canonical order; reduce_study re-checks the
   // rows against the study grid, so wrong --set parameters cannot
   // silently produce a wrong figure.
   const auto results = dt::merge_journals(jobs, entries);
-  return emit_figure_csv(st::reduce_study(*opts.study, opts.params, jobs, results),
-                         opts.out_path)
-             ? 0
-             : 1;
+  return emit_figure_csv(st::reduce_study(*a.study, a.params, jobs, results), opts.out) ? 0
+                                                                                       : 1;
 }
 
-int cmd_study(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0]);
-  const std::string verb = argv[2];
-  if (verb == "list") return argc == 3 ? cmd_study_list() : usage(argv[0]);
-  if (verb == "run") return cmd_study_run(argc, argv);
-  if (verb == "dump") return cmd_study_dump(argc, argv);
-  if (verb == "reduce") return cmd_study_reduce(argc, argv);
-  return usage(argv[0]);
-}
-
-int cmd_shard(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0]);
-  const std::string verb = argv[2];
-  if (verb == "plan") return cmd_shard_plan(argc, argv);
-  if (verb == "run") return cmd_shard_run(argc, argv);
-  if (verb == "merge") return cmd_shard_merge(argc, argv);
-  if (verb == "status") return cmd_shard_status(argc, argv);
-  if (verb == "daemon") return cmd_shard_daemon(argc, argv);
-  if (verb == "reap") return cmd_shard_reap(argc, argv);
-  return usage(argv[0]);
+/// Every subcommand's flag table, bound to `o`, in --help order.
+std::vector<cli::Command> commands(Options& o) {
+  using Args = std::vector<std::string>;
+  constexpr cli::Arity None = cli::Arity::none, One = cli::Arity::one, Any = cli::Arity::any;
+  o.daemon.worker_id = host_pid();
+  o.reap.reaper_id = o.daemon.worker_id;
+  const cli::Flag threads = cli::number("--threads", "N", o.threads);
+  const cli::Flag alpha{"--alpha", "A", [&o](const std::string& v) {
+                          o.emit.alpha = cli::parse_number<double>(v);
+                          if (o.emit.alpha <= 0.0 || o.emit.alpha >= 1.0) {
+                            throw std::runtime_error("must be in (0, 1)");
+                          }
+                        }};
+  const std::vector<cli::Flag> emit = {
+      alpha, cli::text("--csv", "F", o.emit.stats_csv),
+      cli::text("--runs-csv", "F", o.emit.runs_csv), cli::text("--json", "F", o.emit.stats_json),
+      cli::text("--verdicts-csv", "F", o.emit.verdicts_csv)};
+  const cli::Flag journals = cli::list("--journal", "F", o.journals, /*required=*/true);
+  const cli::Flag set = cli::list("--set", "k=v", o.sets);
+  const cli::Flag out = cli::text("--out", "F", o.out);
+  const auto join = [](std::vector<cli::Flag> head, const std::vector<cli::Flag>& tail) {
+    head.insert(head.end(), tail.begin(), tail.end());
+    return head;
+  };
+  return {
+      {"run", One, "<sweep.json>",
+       join(join({threads}, emit), {cli::text("--bench-json", "F", o.bench_json),
+                                    cli::text("--trace-out", "DIR", o.trace_out),
+                                    cli::text("--metrics-json", "F", o.metrics_json)}),
+       [&o](const Args& a) { return cmd_run(o, a[0]); }},
+      {"validate", One, "<sweep.json>", {}, [](const Args& a) { return cmd_validate(a[0]); }},
+      {"list", None, "", {}, [](const Args&) { return cmd_list(); }},
+      {"dump", Any, "[<scenario>...]", {}, cmd_dump},
+      {"shard plan", One, "<sweep.json>",
+       {cli::positive("--shards", "N", o.shards, /*required=*/true),
+        {"--strategy", "S",
+         [&o](const std::string& v) { o.strategy = dt::shard_strategy_from_string(v); }},
+        cli::text("--out-dir", "D", o.out_dir), cli::list("--costs", "J", o.costs)},
+       [&o](const Args& a) { return cmd_shard_plan(o, a[0]); }},
+      {"shard run", One, "<manifest.json>", {threads},
+       [&o](const Args& a) { return cmd_shard_run(o, a[0]); }},
+      {"shard merge", One, "<sweep.json>", join({journals}, emit),
+       [&o](const Args& a) { return cmd_shard_merge(o, a[0]); }},
+      // status's --json is a switch, unlike merge's `--json F`: status has
+      // exactly one report, which goes to stdout.
+      {"shard status", One, "<sweep.json>",
+       {journals, cli::text("--queue-dir", "D", o.queue_dir),
+        cli::toggle("--json", o.json_report)},
+       [&o](const Args& a) { return cmd_shard_status(o, a[0]); }},
+      {"shard daemon", One, "<queue-dir>",
+       {cli::text("--worker-id", "W", o.daemon.worker_id),
+        cli::number("--threads", "N", o.daemon.threads),
+        cli::positive("--poll-ms", "P", o.daemon.poll_ms),
+        cli::number("--max-idle-s", "S", o.daemon.max_idle_s),
+        cli::positive("--lease-ttl-s", "S", o.daemon.lease_ttl_s),
+        cli::toggle("--no-reap", o.daemon.reap, false)},
+       [&o](const Args& a) { return cmd_shard_daemon(o, a[0]); }},
+      {"shard reap", One, "<queue-dir>",
+       {cli::toggle("--dry-run", o.reap.dry_run), cli::text("--reaper-id", "R", o.reap.reaper_id)},
+       [&o](const Args& a) { return cmd_shard_reap(o, a[0]); }},
+      {"fault list", None, "", {}, [](const Args&) { return cmd_fault_list(); }},
+      {"study list", None, "", {}, [](const Args&) { return cmd_study_list(); }},
+      {"study run", One, "<study>",
+       {set, threads, out, cli::text("--runs-csv", "F", o.emit.runs_csv)},
+       [&o](const Args& a) { return cmd_study_run(o, a[0]); }},
+      {"study dump", One, "<study>", {set, out},
+       [&o](const Args& a) { return cmd_study_dump(o, a[0]); }},
+      {"study reduce", One, "<study>", {set, journals, out},
+       [&o](const Args& a) { return cmd_study_reduce(o, a[0]); }},
+  };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    print_usage(stdout, argv[0]);
-    return 0;
+  Options opts;
+  std::vector<cli::Command> all = commands(opts);
+  // Arm before any command runs so every subcommand — daemon, reap,
+  // merge — can be crashed from the outside; a typo'd point name dies
+  // there.
+  for (cli::Command& command : all) {
+    command.run = [run = std::move(command.run)](const std::vector<std::string>& args) {
+      dt::fault::arm_from_env();
+      return run(args);
+    };
   }
-  try {
-    // Arm before any dispatch so every subcommand — daemon, reap, merge —
-    // can be crashed from the outside; a typo'd point name dies here.
-    dt::fault::arm_from_env();
-    if (command == "list") {
-      if (argc != 2) return usage(argv[0]);
-      return cmd_list();
-    }
-    if (command == "dump") {
-      return cmd_dump(std::vector<std::string>(argv + 2, argv + argc));
-    }
-    if (command == "validate") {
-      if (argc != 3) return usage(argv[0]);
-      return cmd_validate(argv[2]);
-    }
-    if (command == "shard") {
-      return cmd_shard(argc, argv);
-    }
-    if (command == "fault") {
-      return cmd_fault(argc, argv);
-    }
-    if (command == "study") {
-      return cmd_study(argc, argv);
-    }
-    if (command == "run") {
-      RunOptions opts;
-      for (int i = 2; i < argc; ++i) {
-        const auto value = [&](const char* flag) { return flag_value(argc, argv, i, flag); };
-        if (std::strcmp(argv[i], "--threads") == 0) {
-          opts.threads = number_flag<std::size_t>(argc, argv, i, "--threads");
-        } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-          opts.bench_json = value("--bench-json");
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-          opts.trace_out = value("--trace-out");
-        } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-          opts.metrics_json = value("--metrics-json");
-        } else if (parse_emit_flag(argc, argv, i, opts.emit)) {
-          // handled
-        } else if (opts.sweep_path.empty() && argv[i][0] != '-') {
-          opts.sweep_path = argv[i];
-        } else {
-          return usage(argv[0]);
-        }
-      }
-      if (opts.sweep_path.empty()) return usage(argv[0]);
-      return cmd_run(opts);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "drowsy_sweep %s: %s\n", command.c_str(), e.what());
-    return 1;
-  }
-  return usage(argv[0]);
+  return cli::run(argc, argv, "drowsy_sweep", all, "docs/drowsy_sweep.md");
 }

@@ -1,20 +1,10 @@
-// drowsy_trace — raw cluster datasets in, replayable workloads out.
-//
-//   drowsy_trace convert <raw.csv> --format azure|google --out <trace.csv>
-//                [--manifest <m.json>]
-//       Fold raw readings (Azure-style per-VM CPU tables or Google-style
-//       task rows) into the hourly trace/csv column format that
-//       TraceKind::FileReplay consumes, and write a manifest JSON with
-//       per-VM SLMU/LLMU/LLMI classification.  Default manifest path:
-//       the --out path with its .csv suffix replaced by .manifest.json.
-//   drowsy_trace stats <trace.csv>
-//       Per-column digest of an already-converted trace file: hours,
-//       mean activity, idle fraction, VM class, plus population counts.
-//   drowsy_trace sample azure|google --out <raw.csv> [--vms N] [--days D]
-//                [--interval-s S] [--seed X]
-//       Deterministic raw sample slices in either dataset schema — the
-//       generator behind the checked-in traces/*.raw.csv fixtures, so CI
-//       can regenerate them byte-for-byte and catch drift.
+// drowsy_trace — raw cluster datasets in, replayable workloads out:
+// `convert` folds raw Azure- or Google-style readings into the hourly
+// trace CSV that TraceKind::FileReplay consumes (plus a manifest with the
+// per-VM SLMU/LLMU/LLMI classification), `stats` digests a converted
+// trace, and `sample` writes the deterministic raw slices behind the
+// checked-in traces/*.raw.csv fixtures.  `drowsy_trace --help` prints
+// every subcommand with its flags, generated from the tables in main().
 //
 // Determinism: convert and stats are pure functions of their input
 // bytes; sample is a pure function of its options.  The manifest is
@@ -23,46 +13,23 @@
 //
 // Full reference (formats, manifest schema, workflow): docs/replay.md.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "expctl/json.hpp"
 #include "replay/dataset.hpp"
 #include "trace/csv.hpp"
 #include "trace/trace.hpp"
 
 namespace rp = drowsy::replay;
+namespace cli = drowsy::cli;
 namespace tr = drowsy::trace;
 using drowsy::expctl::Json;
 
 namespace {
-
-void print_usage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s convert <raw.csv> --format azure|google --out <trace.csv>"
-               " [--manifest <m.json>]\n"
-               "       %s stats <trace.csv>\n"
-               "       %s sample azure|google --out <raw.csv> [--vms N] [--days D]"
-               " [--interval-s S] [--seed X]\n",
-               argv0, argv0, argv0);
-}
-
-int usage(const char* argv0) {
-  print_usage(stderr, argv0);
-  return 2;
-}
-
-/// `--flag value` accessor: returns true and advances `i` when argv[i]
-/// matches `flag` and a value follows.
-bool flag_value(int argc, char** argv, int& i, const char* flag, std::string& out) {
-  if (std::strcmp(argv[i], flag) != 0) return false;
-  if (i + 1 >= argc) throw std::runtime_error(std::string(flag) + " needs a value");
-  out = argv[++i];
-  return true;
-}
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream f(path, std::ios::binary);
@@ -122,100 +89,74 @@ void print_summary_table(const std::vector<rp::ColumnSummary>& columns) {
               counts.slmu, counts.llmu, counts.llmi);
 }
 
-int cmd_convert(int argc, char** argv) {
-  std::string input, format_name, out_path, manifest_path;
-  for (int i = 2; i < argc; ++i) {
-    if (flag_value(argc, argv, i, "--format", format_name)) continue;
-    if (flag_value(argc, argv, i, "--out", out_path)) continue;
-    if (flag_value(argc, argv, i, "--manifest", manifest_path)) continue;
-    if (argv[i][0] == '-' || !input.empty()) return usage(argv[0]);
-    input = argv[i];
-  }
-  if (input.empty() || format_name.empty() || out_path.empty()) return usage(argv[0]);
-  const rp::DatasetFormat format = rp::dataset_format_from_string(format_name);
-  if (manifest_path.empty()) manifest_path = default_manifest_path(out_path);
+/// Every subcommand's settings; each flag table writes only its own.
+struct Options {
+  rp::DatasetFormat format = rp::DatasetFormat::AzureVm;
+  std::string out_path;
+  std::string manifest_path;
+  rp::SampleOptions sample;
+};
 
+int cmd_convert(const Options& opts, const std::string& input) {
+  const std::string manifest_path =
+      opts.manifest_path.empty() ? default_manifest_path(opts.out_path) : opts.manifest_path;
   std::ifstream in(input, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + input);
-  const std::vector<tr::ActivityTrace> traces = rp::fold_dataset(format, in);
-  tr::save_csv(out_path, traces);
+  const std::vector<tr::ActivityTrace> traces = rp::fold_dataset(opts.format, in);
+  tr::save_csv(opts.out_path, traces);
 
   const auto columns = rp::summarize_columns(traces);
-  write_file(manifest_path, manifest_json(input, format, columns).dump() + "\n");
+  write_file(manifest_path, manifest_json(input, opts.format, columns).dump() + "\n");
 
   const rp::ClassCounts counts = rp::count_classes(columns);
   std::printf("%s: %zu VM(s) -> %s (%zu SLMU, %zu LLMU, %zu LLMI; manifest %s)\n",
-              input.c_str(), traces.size(), out_path.c_str(), counts.slmu, counts.llmu,
+              input.c_str(), traces.size(), opts.out_path.c_str(), counts.slmu, counts.llmu,
               counts.llmi, manifest_path.c_str());
   return 0;
 }
 
-int cmd_stats(int argc, char** argv) {
-  if (argc != 3) return usage(argv[0]);
-  const std::vector<tr::ActivityTrace> traces = tr::load_csv(argv[2]);
+int cmd_stats(const std::string& path) {
+  const std::vector<tr::ActivityTrace> traces = tr::load_csv(path);
   print_summary_table(rp::summarize_columns(traces));
   return 0;
 }
 
-int cmd_sample(int argc, char** argv) {
-  std::string format_name, out_path, value;
-  rp::SampleOptions opts;
-  for (int i = 2; i < argc; ++i) {
-    if (flag_value(argc, argv, i, "--out", out_path)) continue;
-    if (flag_value(argc, argv, i, "--vms", value)) {
-      opts.vms = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--days", value)) {
-      opts.days = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--interval-s", value)) {
-      opts.interval_s = std::stoi(value);
-      continue;
-    }
-    if (flag_value(argc, argv, i, "--seed", value)) {
-      opts.seed = std::stoull(value);
-      continue;
-    }
-    if (argv[i][0] == '-' || !format_name.empty()) return usage(argv[0]);
-    format_name = argv[i];
-  }
-  if (format_name.empty() || out_path.empty()) return usage(argv[0]);
-  if (opts.vms <= 0 || opts.days <= 0 || opts.interval_s <= 0) {
-    throw std::runtime_error("--vms, --days and --interval-s must be positive");
-  }
+int cmd_sample(const Options& o, const std::string& format_name) {
+  const rp::SampleOptions& opts = o.sample;
   const rp::DatasetFormat format = rp::dataset_format_from_string(format_name);
-
   std::ostringstream out;
   if (format == rp::DatasetFormat::AzureVm) {
     rp::write_azure_sample(out, opts);
   } else {
     rp::write_google_sample(out, opts);
   }
-  write_file(out_path, out.str());
+  write_file(o.out_path, out.str());
   std::printf("%s sample: %d VM(s) x %d day(s), seed %llu -> %s\n",
               rp::to_string(format), opts.vms, opts.days,
-              static_cast<unsigned long long>(opts.seed), out_path.c_str());
+              static_cast<unsigned long long>(opts.seed), o.out_path.c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage(argv[0]);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    print_usage(stdout, argv[0]);
-    return 0;
-  }
-  try {
-    if (command == "convert") return cmd_convert(argc, argv);
-    if (command == "stats") return cmd_stats(argc, argv);
-    if (command == "sample") return cmd_sample(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  return usage(argv[0]);
+  using Args = std::vector<std::string>;
+  Options o;
+  const cli::Flag format{"--format", "azure|google", [&o](const std::string& v) {
+                           o.format = rp::dataset_format_from_string(v);
+                         }, false, /*required=*/true};
+  const std::vector<cli::Command> commands = {
+      {"convert", cli::Arity::one, "<raw.csv>",
+       {format, cli::text("--out", "<trace.csv>", o.out_path, /*required=*/true),
+        cli::text("--manifest", "<m.json>", o.manifest_path)},
+       [&o](const Args& a) { return cmd_convert(o, a[0]); }},
+      {"stats", cli::Arity::one, "<trace.csv>", {}, [](const Args& a) { return cmd_stats(a[0]); }},
+      {"sample", cli::Arity::one, "azure|google",
+       {cli::text("--out", "<raw.csv>", o.out_path, /*required=*/true),
+        cli::positive("--vms", "N", o.sample.vms), cli::positive("--days", "D", o.sample.days),
+        cli::positive("--interval-s", "S", o.sample.interval_s),
+        cli::number("--seed", "X", o.sample.seed)},
+       [&o](const Args& a) { return cmd_sample(o, a[0]); }},
+  };
+  return cli::run(argc, argv, "drowsy_trace", commands, "docs/replay.md");
 }
