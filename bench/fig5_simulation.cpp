@@ -130,6 +130,6 @@ int main(int argc, char** argv) {
   std::printf("mean improvement over Oasis:  %+.0f%%  (paper: average 81%%;\n",
               sum_gain_oasis / points);
   std::printf("  our Oasis baseline idealizes away partial-migration overheads —\n");
-  std::printf("  see EXPERIMENTS.md)\n");
+  std::printf("  an unmeasured claim, open as ROADMAP.md item 3)\n");
   return 0;
 }

@@ -78,7 +78,8 @@ void Controller::place_all_unplaced() {
 }
 
 void Controller::pretrain_models(std::int64_t hours) {
-  if (hours <= 0) return;  // nothing to observe: create no models
+  // Nothing to observe, or nobody to read it: create no models.
+  if (hours <= 0 || !reads_models()) return;
   const double floor = cluster_.config().noise_floor;
   std::vector<util::CalendarTime> calendar;
   calendar.reserve(static_cast<std::size_t>(hours));
@@ -144,7 +145,7 @@ void Controller::run_hours(std::int64_t hours,
     for (const auto& host : cluster_.hosts()) pump_guest_timers(host->id(), h);
     q.run_until((h + 1) * util::kMsPerHour);
     cluster_.account_hour(h);
-    models_.observe_hour(cluster_, h);
+    if (reads_models()) models_.observe_hour(cluster_, h);
     if ((h + 1 - start) % options_.consolidation_period_hours == 0) {
       policy_->run_hour(h + 1);
     }

@@ -10,8 +10,9 @@
 //   hour start:  reflect traces into guest run-states, schedule requests,
 //                arm the guest-timer pump;
 //   during hour: suspend checks, wakes, timer firings on the event queue;
-//   hour end:    account quanta ledgers, update idleness models, run the
-//                consolidation policy for the next hour.
+//   hour end:    account quanta ledgers, update idleness models (in arms
+//                that read them), run the consolidation policy for the
+//                next hour.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +73,24 @@ class Controller {
   /// weigher (falls back to first-fit while models are cold).
   void place_all_unplaced();
 
+  /// True when something reads the idleness models: Drowsy-DC's own
+  /// IdlenessConsolidator places by them and the grace time is sized by
+  /// them (drowsy-netbatch's pre-wake predictor rides on both).  The
+  /// baselines — Neat+S3 is Drowsy-DC "the grace time excepted" (§VI-A-1)
+  /// — read neither, so pretraining and hourly learning skip them.
+  [[nodiscard]] bool reads_models() const {
+    return policy_ == drowsy_policy_.get() || options_.drowsy.suspend.use_grace_time;
+  }
+
   /// Feed `hours` hours of every VM's trace into the models without
   /// simulating (model warm-up, mirrors the paper's pre-existing history).
+  /// A no-op unless reads_models().
   void pretrain_models(std::int64_t hours);
 
   /// Drive the simulation for `hours` hours starting at the queue's
   /// current hour.  `on_hour_end(h)` runs after hour `h` is fully
-  /// processed (accounting, model update, consolidation done).
+  /// processed (accounting, model update when reads_models(),
+  /// consolidation done).
   void run_hours(std::int64_t hours,
                  const std::function<void(std::int64_t)>& on_hour_end = {});
 

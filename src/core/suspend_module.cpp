@@ -1,5 +1,6 @@
 #include "core/suspend_module.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -26,7 +27,11 @@ SuspendModule::SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilde
 void SuspendModule::start() {
   if (running_ || !config_.enabled) return;
   running_ = true;
-  schedule_next();
+  origin_ = cluster_.queue().now();
+  // A chain parked by our own suspend restarts from on_host_wake().
+  if (parked_ && host_.state() != sim::PowerState::S0) return;
+  parked_ = false;
+  schedule_check(origin_ + config_.check_interval);
 }
 
 void SuspendModule::stop() {
@@ -34,16 +39,24 @@ void SuspendModule::stop() {
   ++generation_;
 }
 
-void SuspendModule::schedule_next() {
+void SuspendModule::schedule_check(util::SimTime at) {
   const std::uint64_t gen = generation_;
-  cluster_.queue().schedule_after(
-      config_.check_interval,
+  cluster_.queue().schedule_at(
+      at,
       [this, gen] {
         if (generation_ != gen || !running_) return;
         check();
-        schedule_next();
+        // check() bumps the generation when it parks the chain.
+        if (generation_ == gen) {
+          schedule_check(cluster_.queue().now() + config_.check_interval);
+        }
       },
       obs::EventTag::SuspendCheck);
+}
+
+bool SuspendModule::parks() const {
+  const sim::PowerModel& pm = host_.power_model();
+  return std::max(pm.resume_latency, pm.quick_resume_latency) < config_.check_interval;
 }
 
 bool SuspendModule::host_idle() const {
@@ -80,9 +93,29 @@ util::SimTime SuspendModule::grace_duration(const util::CalendarTime& c) const {
 }
 
 void SuspendModule::on_host_wake() {
-  if (!config_.use_grace_time) return;
-  const util::CalendarTime c = util::calendar_of(cluster_.queue().now());
-  grace_until_ = cluster_.queue().now() + grace_duration(c);
+  const util::SimTime now = cluster_.queue().now();
+  if (config_.use_grace_time) grace_until_ = now + grace_duration(util::calendar_of(now));
+  if (!parked_) return;
+  parked_ = false;
+  if (!running_) return;
+  // Re-arm where the always-on chain first checked an awake host: the
+  // first grid point G >= now whose event ran after the resume event.
+  // For G == now that check was queued at now - interval and the resume
+  // at now - latency; parks() guarantees latency < interval, so the check
+  // ran first, saw Resuming and did nothing.  So G is the first grid
+  // point strictly after now.  (With latency > interval it would have
+  // seen S0; with equal values the order was fixed by two events one
+  // interval earlier that a parked chain never sees — hence parks().)
+  //
+  // The re-armed event takes its sequence number now, not at
+  // G - interval, so at G it may run after another host's check it used
+  // to precede.  A check reads and writes only its own host (and that
+  // host's waking-module entries), so the swap cannot change a decision.
+  // tests/core/test_suspend_chain.cpp holds every decision to the
+  // always-on chain's.
+  assert(now >= origin_);
+  const util::SimTime interval = config_.check_interval;
+  schedule_check(origin_ + ((now - origin_) / interval + 1) * interval);
 }
 
 void SuspendModule::check() {
@@ -131,6 +164,13 @@ void SuspendModule::check() {
                                              : util::format_duration(wake_date).c_str());
   if (waking_ != nullptr) waking_->on_host_suspending(host_, wake_date);
   host_.begin_suspend();
+  // Park: the chain sleeps with the host and on_host_wake() re-arms it.
+  // Bumping the generation also retires a pending chain event when an
+  // external caller ran this check, so at most one is ever queued.
+  if (parks()) {
+    ++generation_;
+    parked_ = true;
+  }
 }
 
 }  // namespace drowsy::core

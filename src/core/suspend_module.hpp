@@ -37,6 +37,12 @@ struct SuspendStats {
 };
 
 /// Per-host suspend daemon.
+///
+/// Checks run on the grid start() + k·check_interval.  A check that
+/// suspends the host parks the chain: nothing is scheduled while the host
+/// is out of S0, and on_host_wake() re-arms it at the next grid point.  So
+/// `checks` counts only checks of an awake host, unless a resume can take
+/// a whole interval (see parks()).
 class SuspendModule {
  public:
   SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
@@ -45,7 +51,9 @@ class SuspendModule {
   /// Attach the waking module(s) to notify before suspending.
   void set_waking_module(WakingModule* waking) { waking_ = waking; }
 
-  /// Begin periodic checks on the cluster's event queue.
+  /// Begin periodic checks on the cluster's event queue.  The owner must
+  /// call on_host_wake() on every resume (Controller::install wires it),
+  /// or a parked chain never restarts.
   void start();
   void stop();
 
@@ -61,7 +69,8 @@ class SuspendModule {
   /// drops ("exponentially increasing as the IP decreases", §IV).
   [[nodiscard]] util::SimTime grace_duration(const util::CalendarTime& c) const;
 
-  /// Host-resume hook: opens the post-resume grace window.
+  /// Host-resume hook: opens the post-resume grace window and re-arms a
+  /// parked check chain.
   void on_host_wake();
 
   /// Run one idleness check right now (also used by benches).
@@ -72,7 +81,10 @@ class SuspendModule {
   [[nodiscard]] const kern::Blacklist& blacklist() const { return blacklist_; }
 
  private:
-  void schedule_next();
+  void schedule_check(util::SimTime at);
+  /// Whether a suspend parks the chain: only when every resume finishes
+  /// within one interval (see on_host_wake).
+  [[nodiscard]] bool parks() const;
 
   sim::Host& host_;
   sim::Cluster& cluster_;
@@ -82,6 +94,8 @@ class SuspendModule {
   WakingModule* waking_ = nullptr;
   bool running_ = false;
   std::uint64_t generation_ = 0;
+  util::SimTime origin_ = 0;  ///< grid origin: the instant of the last start()
+  bool parked_ = false;       ///< chain stopped by our suspend, until the wake
   util::SimTime grace_until_ = 0;
   SuspendStats stats_;
 };

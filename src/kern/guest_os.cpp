@@ -94,14 +94,13 @@ int GuestOs::total_open_sessions() const {
 std::size_t GuestOs::fire_due_timers(util::SimTime now) { return timers_.fire_due(now); }
 
 bool GuestOs::any_relevant_running(const Blacklist& blacklist) const {
-  return procs_.count_if([&blacklist](const Process& p) {
-           return p.state == ProcState::Running && !blacklist.contains(p.name);
-         }) > 0;
+  return procs_.any_of([&blacklist](const Process& p) {
+    return p.state == ProcState::Running && !blacklist.contains(p.name);
+  });
 }
 
 bool GuestOs::any_blocked_on_io() const {
-  return procs_.count_if([](const Process& p) { return p.state == ProcState::BlockedIo; }) >
-         0;
+  return procs_.any_of([](const Process& p) { return p.state == ProcState::BlockedIo; });
 }
 
 util::SimTime GuestOs::earliest_relevant_timer(const Blacklist& blacklist) const {

@@ -70,17 +70,4 @@ void ProcessTable::set_state(Pid pid, ProcState state) {
   p->state = state;
 }
 
-void ProcessTable::for_each(const std::function<void(const Process&)>& visit) const {
-  for (const auto& [pid, p] : procs_) visit(p);
-}
-
-std::size_t ProcessTable::count_if(
-    const std::function<bool(const Process&)>& keep) const {
-  std::size_t n = 0;
-  for (const auto& [pid, p] : procs_) {
-    if (keep(p)) ++n;
-  }
-  return n;
-}
-
 }  // namespace drowsy::kern

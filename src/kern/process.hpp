@@ -7,8 +7,8 @@
 // sessions keep the host awake (the paper's "false positives").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -77,11 +77,30 @@ class ProcessTable {
 
   [[nodiscard]] std::size_t size() const { return procs_.size(); }
 
-  void for_each(const std::function<void(const Process&)>& visit) const;
+  /// Visit every process in pid order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const auto& [pid, p] : procs_) visit(p);
+  }
 
-  /// Count processes in `state` for which `keep` returns true.
-  [[nodiscard]] std::size_t count_if(
-      const std::function<bool(const Process&)>& keep) const;
+  /// Count processes for which `keep` returns true.
+  template <typename Keep>
+  [[nodiscard]] std::size_t count_if(Keep&& keep) const {
+    std::size_t n = 0;
+    for (const auto& [pid, p] : procs_) {
+      if (keep(p)) ++n;
+    }
+    return n;
+  }
+
+  /// True when `match` holds for some process; stops at the first one.
+  template <typename Match>
+  [[nodiscard]] bool any_of(Match&& match) const {
+    for (const auto& [pid, p] : procs_) {
+      if (match(p)) return true;
+    }
+    return false;
+  }
 
  private:
   std::map<Pid, Process> procs_;
