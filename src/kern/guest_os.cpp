@@ -95,7 +95,7 @@ std::size_t GuestOs::fire_due_timers(util::SimTime now) { return timers_.fire_du
 
 bool GuestOs::any_relevant_running(const Blacklist& blacklist) const {
   return procs_.any_of([&blacklist](const Process& p) {
-    return p.state == ProcState::Running && !blacklist.contains(p.name);
+    return p.state == ProcState::Running && !blacklist.contains(p);
   });
 }
 
@@ -107,7 +107,7 @@ util::SimTime GuestOs::earliest_relevant_timer(const Blacklist& blacklist) const
   const HrTimer* t = timers_.peek_filtered([this, &blacklist](const HrTimer& timer) {
     const Process* owner = procs_.find(timer.owner_pid);
     if (owner == nullptr) return false;  // orphaned timer
-    return !blacklist.contains(owner->name);
+    return !blacklist.contains(*owner);
   });
   return t == nullptr ? util::kNever : t->expiry;
 }

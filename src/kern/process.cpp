@@ -1,6 +1,8 @@
 #include "kern/process.hpp"
 
+#include <atomic>
 #include <cassert>
+#include <utility>
 
 namespace drowsy::kern {
 
@@ -14,9 +16,22 @@ const char* to_string(ProcState s) {
   return "?";
 }
 
-void Blacklist::add_exact(std::string name) { exact_.push_back(std::move(name)); }
+std::uint64_t Blacklist::next_id() {
+  // Relaxed is enough: only uniqueness matters, and batch threads build
+  // their blacklists concurrently.
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
-void Blacklist::add_prefix(std::string prefix) { prefixes_.push_back(std::move(prefix)); }
+void Blacklist::add_exact(std::string name) {
+  exact_.push_back(std::move(name));
+  id_ = next_id();
+}
+
+void Blacklist::add_prefix(std::string prefix) {
+  prefixes_.push_back(std::move(prefix));
+  id_ = next_id();
+}
 
 bool Blacklist::contains(const std::string& name) const {
   for (const auto& e : exact_) {
@@ -42,26 +57,32 @@ Blacklist Blacklist::standard() {
 }
 
 Pid ProcessTable::spawn(std::string name, ProcState initial, bool kernel_thread) {
-  const Pid pid = next_pid_++;
-  Process p;
+  const auto pid = static_cast<Pid>(slots_.size() + 1);
+  Process& p = slots_.emplace_back();
   p.pid = pid;
   p.name = std::move(name);
   p.state = initial;
   p.kernel_thread = kernel_thread;
-  procs_.emplace(pid, std::move(p));
+  ++live_;
   return pid;
 }
 
-bool ProcessTable::reap(Pid pid) { return procs_.erase(pid) > 0; }
+bool ProcessTable::reap(Pid pid) {
+  Process* p = find(pid);
+  if (p == nullptr) return false;
+  *p = Process{};  // tombstone: pid 0
+  --live_;
+  return true;
+}
 
 Process* ProcessTable::find(Pid pid) {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
+  return const_cast<Process*>(std::as_const(*this).find(pid));
 }
 
 const Process* ProcessTable::find(Pid pid) const {
-  auto it = procs_.find(pid);
-  return it == procs_.end() ? nullptr : &it->second;
+  if (pid < 1 || static_cast<std::size_t>(pid) > slots_.size()) return nullptr;
+  const Process& p = slots_[static_cast<std::size_t>(pid) - 1];
+  return p.pid == 0 ? nullptr : &p;
 }
 
 void ProcessTable::set_state(Pid pid, ProcState state) {

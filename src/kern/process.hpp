@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,20 +27,41 @@ enum class ProcState {
 [[nodiscard]] const char* to_string(ProcState s);
 
 /// One process of a guest OS.
+///
+/// `name` is fixed at spawn: the blacklist verdict below is derived from
+/// it once and reused, so renaming a live process would leave a stale
+/// verdict behind.
 struct Process {
-  Pid pid = 0;
+  Pid pid = 0;  ///< 0 only in a reaped ProcessTable slot
   std::string name;
   ProcState state = ProcState::Sleeping;
   bool kernel_thread = false;
   /// Open network sessions (SSH, TCP) owned by this process; a non-zero
   /// count marks the service as non-idle even when the process sleeps.
   int open_sessions = 0;
+
+  /// Memo of Blacklist::contains(*this): the identity of the blacklist
+  /// that last judged this process (0: none yet) and its verdict.
+  mutable std::uint64_t verdict_of = 0;
+  mutable bool blacklisted = false;
 };
 
 /// Name-based blacklist of processes to ignore during idleness checks and
 /// timer filtering.  Matches exact names and prefixes (e.g. "kworker").
+///
+/// Every rule set carries an identity drawn from a process-wide counter:
+/// a new or changed blacklist gets a fresh one, a copy shares it (same
+/// rules, same verdicts).  Processes memoize their verdict under it, so a
+/// repeated check costs one integer compare instead of string matching.
 class Blacklist {
  public:
+  Blacklist() : id_(next_id()) {}
+  /// Copy-only: a move would empty the rules but keep the identity, so
+  /// the moved-from blacklist would answer with verdicts it no longer
+  /// holds.  Declaring the copies makes a move copy instead.
+  Blacklist(const Blacklist&) = default;
+  Blacklist& operator=(const Blacklist&) = default;
+
   void add_exact(std::string name);
   void add_prefix(std::string prefix);
 
@@ -50,16 +70,32 @@ class Blacklist {
     return exact_.size() + prefixes_.size();
   }
 
+  /// contains(p.name), computed once per (process, rule set) and memoized
+  /// in the process.
+  [[nodiscard]] bool contains(const Process& p) const {
+    if (p.verdict_of != id_) {
+      p.blacklisted = contains(p.name);
+      p.verdict_of = id_;
+    }
+    return p.blacklisted;
+  }
+
   /// The default rules every managed host ships with: kernel threads and
   /// well-known monitoring daemons.
   [[nodiscard]] static Blacklist standard();
 
  private:
+  static std::uint64_t next_id();
+
   std::vector<std::string> exact_;
   std::vector<std::string> prefixes_;
+  std::uint64_t id_;
 };
 
-/// Pid-indexed process table.
+/// Pid-indexed process table.  Pids are dense, start at 1 and are never
+/// reused, so process `pid` lives in slot `pid - 1` of a flat vector; a
+/// reaped slot stays behind as a tombstone (pid 0).  Lookup is O(1) and
+/// the visitors walk the slots, i.e. in pid order.
 class ProcessTable {
  public:
   /// Spawn a process; returns its pid.
@@ -75,20 +111,22 @@ class ProcessTable {
   /// Set the run state of a process; asserts the pid exists.
   void set_state(Pid pid, ProcState state);
 
-  [[nodiscard]] std::size_t size() const { return procs_.size(); }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Visit every process in pid order.
   template <typename Visit>
   void for_each(Visit&& visit) const {
-    for (const auto& [pid, p] : procs_) visit(p);
+    for (const Process& p : slots_) {
+      if (p.pid != 0) visit(p);
+    }
   }
 
   /// Count processes for which `keep` returns true.
   template <typename Keep>
   [[nodiscard]] std::size_t count_if(Keep&& keep) const {
     std::size_t n = 0;
-    for (const auto& [pid, p] : procs_) {
-      if (keep(p)) ++n;
+    for (const Process& p : slots_) {
+      if (p.pid != 0 && keep(p)) ++n;
     }
     return n;
   }
@@ -96,15 +134,15 @@ class ProcessTable {
   /// True when `match` holds for some process; stops at the first one.
   template <typename Match>
   [[nodiscard]] bool any_of(Match&& match) const {
-    for (const auto& [pid, p] : procs_) {
-      if (match(p)) return true;
+    for (const Process& p : slots_) {
+      if (p.pid != 0 && match(p)) return true;
     }
     return false;
   }
 
  private:
-  std::map<Pid, Process> procs_;
-  Pid next_pid_ = 1;
+  std::vector<Process> slots_;  ///< slot i holds pid i + 1, or a tombstone
+  std::size_t live_ = 0;
 };
 
 }  // namespace drowsy::kern

@@ -36,10 +36,11 @@ kern::Pid Vm::add_scheduled_job(EventQueue& queue, std::string name,
         queue.schedule_after(
             work_duration,
             [guest, pid_box] {
-              if (kern::Process* p = guest->processes().find(*pid_box)) {
-                // Only end the work if no later firing re-marked it Running in
-                // the meantime (duration shorter than the period in practice).
-                p->state = kern::ProcState::Sleeping;
+              kern::ProcessTable& procs = guest->processes();
+              if (procs.find(*pid_box) != nullptr) {
+                // The work is done (the duration is shorter than the period
+                // in practice): the service sleeps until its next firing.
+                procs.set_state(*pid_box, kern::ProcState::Sleeping);
               }
             },
             obs::EventTag::Hrtimer);
