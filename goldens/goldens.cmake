@@ -19,7 +19,7 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 
 set(sweeps ci_smoke netsim_storm paper_catalogue replay_smoke ablation_grace)
 set(studies fig1-workload-profiles fig3-grace-ablation fig4-im-efficiency
-            table1-suspend-fraction)
+            table1-suspend-fraction fig5-llmi-sweep energy-sla-testbed)
 
 set(expected "")
 foreach(sweep ${sweeps})

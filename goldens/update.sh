@@ -1,5 +1,5 @@
 #!/bin/sh
-# Rewrite goldens/*.csv (every sweeps/*.json and the four study figures)
+# Rewrite goldens/*.csv (every sweeps/*.json and the six study figures)
 # from the current tree.  Every golden diff must be explained in the
 # commit that makes it.
 #

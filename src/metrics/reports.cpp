@@ -22,29 +22,6 @@ SuspendFractionRow suspend_fractions(const std::string& algorithm, sim::Cluster&
   return row;
 }
 
-std::string suspend_fraction_table(const std::vector<SuspendFractionRow>& rows,
-                                   sim::Cluster& cluster,
-                                   const std::vector<sim::HostId>& hosts) {
-  std::string out = "Algorithm   ";
-  char buf[64];
-  for (sim::HostId id : hosts) {
-    std::snprintf(buf, sizeof(buf), "%8s", cluster.host(id)->name().c_str());
-    out += buf;
-  }
-  out += "   Global\n";
-  for (const auto& row : rows) {
-    std::snprintf(buf, sizeof(buf), "%-12s", row.algorithm.c_str());
-    out += buf;
-    for (double f : row.per_host) {
-      std::snprintf(buf, sizeof(buf), "%8.0f", 100.0 * f);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "%9.0f\n", 100.0 * row.global);
-    out += buf;
-  }
-  return out;
-}
-
 EnergySummary summarize(const std::string& algorithm, sim::Cluster& cluster,
                         const sim::RequestFabric& fabric) {
   EnergySummary s;

@@ -1,5 +1,6 @@
-// Report formatting for the evaluation benches: Table I (suspend
-// fractions), the §VI-A-3 energy summary, and SLA/latency lines.
+// Run summaries read from live cluster state: per-host suspended-time
+// fractions and the energy/SLA outcome that scenario::harvest copies into
+// a RunResult, plus a plain-text energy table for the examples.
 #pragma once
 
 #include <string>
@@ -12,7 +13,7 @@
 namespace drowsy::metrics {
 
 /// Per-host suspended-time fractions over [window_start, now], plus the
-/// global fraction — one Table I row.
+/// global fraction.
 struct SuspendFractionRow {
   std::string algorithm;
   std::vector<double> per_host;  ///< fraction in [0, 1]
@@ -24,11 +25,6 @@ struct SuspendFractionRow {
 [[nodiscard]] SuspendFractionRow suspend_fractions(
     const std::string& algorithm, sim::Cluster& cluster,
     const std::vector<sim::HostId>& hosts, util::SimTime window_start);
-
-/// Render Table I from a set of rows.
-[[nodiscard]] std::string suspend_fraction_table(
-    const std::vector<SuspendFractionRow>& rows, sim::Cluster& cluster,
-    const std::vector<sim::HostId>& hosts);
 
 /// One experiment's energy/SLA outcome.
 struct EnergySummary {

@@ -39,10 +39,10 @@ namespace {
 /// §VI-A real-environment testbed: 4 pool hosts (P2-P5, 2 slots each),
 /// 2 LLMU VMs (V1, V2) and 6 LLMI VMs (V3-V8) where V3 and V4 receive
 /// the exact same workload.  Workload seeds are pinned for paper fidelity.
-/// One deviation from the pre-scenario bench/testbed.hpp: the LLMI traces
+/// One deviation from the pre-scenario testbed bench: the LLMI traces
 /// are full-year nutanix_like generations (fresh per-week jitter) rather
-/// than one week tiled across the year, so bench outputs shifted slightly;
-/// the paper's anchors (V3==V4 colocation, energy ordering) still hold.
+/// than one week tiled across the year, so outputs shifted slightly; the
+/// paper's anchors (V3==V4 colocation, energy ordering) still hold.
 ScenarioSpec paper_testbed() {
   ScenarioSpec s;
   s.name = "paper-testbed";

@@ -1,13 +1,13 @@
-// The built-in paper-figure studies.
+// The built-in paper-figure studies: the one code path that produces a
+// paper figure or table.
 //
-// Each study re-expresses one bench's bespoke loop at scenario altitude:
-// the grid is an expctl sweep (so it shards, journals and caches like any
-// other sweep) and the figure-specific columns are derived in the
-// reducer.  Where the pre-study benches drove trace::generators or the
-// core modules directly, the port pins the same trace recipes into
-// ScenarioSpecs; deviations from the pre-port numbers are documented per
-// study in docs/studies.md (the same altitude shift fig5 made when it
-// became a registry wrapper).
+// Each study re-expresses one former bench's bespoke loop at scenario
+// altitude: the grid is an expctl sweep (so it shards, journals and
+// caches like any other sweep) and the figure-specific columns are
+// derived in the reducer.  Where the pre-study benches drove
+// trace::generators or the core modules directly, the port pins the same
+// trace recipes into ScenarioSpecs; deviations from the pre-port numbers
+// are documented per study in docs/studies.md.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -372,6 +372,150 @@ Study table1_study() {
   return s;
 }
 
+// --- fig5: energy vs LLMI fraction ---------------------------------------------
+
+constexpr int kFig5Vms = 48;
+constexpr int kFig5Phases = 6;
+constexpr int kFig5LlmiPct[] = {0, 25, 50, 75, 100};
+constexpr sc::Policy kFig5Policies[] = {sc::Policy::DrowsyDc, sc::Policy::NeatVanilla,
+                                        sc::Policy::NeatS3, sc::Policy::Oasis};
+
+/// The `paper-sim-phases` registry scenario with its VM mix re-balanced to
+/// `llmi_pct` percent LLMI and the §VI-B pretraining horizon restored.
+sc::ScenarioSpec fig5_scenario(int llmi_pct, const StudyParams& params) {
+  sc::ScenarioSpec spec = sc::ScenarioRegistry::builtin().at("paper-sim-phases");
+  spec.name = "fig5-llmi" + std::to_string(llmi_pct);
+  spec.duration_days = params.get_int("days");
+  spec.pretrain_days = 60;  // "effectiveness increases with time" (§VI-A-3)
+  spec.opportunistic_step = params.get("opportunistic_step") != 0.0;
+  const int llmi_count = kFig5Vms * llmi_pct / 100;
+  spec.vms.clear();
+  for (int phase = 0; phase < kFig5Phases; ++phase) {
+    // LLMI VM i takes phase i % kFig5Phases; each phase is one VM group.
+    const int count = (llmi_count + kFig5Phases - 1 - phase) / kFig5Phases;
+    if (count == 0) continue;
+    const int hour = phase * (util::kHoursPerDay / kFig5Phases);
+    spec.vms.push_back({.name_prefix = "llmi-p" + std::to_string(hour) + "-",
+                        .count = count,
+                        .workload = {.kind = sc::TraceKind::PhaseWindow,
+                                     .hour = hour,
+                                     .span_hours = 4,
+                                     .seed = 1000u + static_cast<std::uint64_t>(phase)}});
+  }
+  if (llmi_count < kFig5Vms) {
+    spec.vms.push_back({.name_prefix = "llmu",
+                        .count = kFig5Vms - llmi_count,
+                        .workload = {.kind = sc::TraceKind::GoogleLlmu, .seed = 2000}});
+  }
+  return spec;
+}
+
+ec::SweepSpec fig5_sweep(const StudyParams& params) {
+  ec::SweepSpec sweep;
+  sweep.name = "fig5-llmi-sweep";
+  for (const int pct : kFig5LlmiPct) sweep.scenarios.push_back(fig5_scenario(pct, params));
+  sweep.policies.assign(std::begin(kFig5Policies), std::end(kFig5Policies));
+  sweep.replicates = 1;
+  return sweep;
+}
+
+/// Percent of `baseline`'s energy that `kwh` saves.
+double saving_pct(double kwh, double baseline) {
+  return baseline > 0.0 ? 100.0 * (baseline - kwh) / baseline : 0.0;
+}
+
+std::string fig5_reduce(const std::string& header, const StudyParams& params,
+                        const std::vector<sc::RunResult>& results) {
+  static_cast<void>(params);
+  constexpr std::size_t arms = std::size(kFig5Policies);
+  std::string out = header + "\n";
+  for (std::size_t p = 0; p < std::size(kFig5LlmiPct); ++p) {
+    // Canonical order is scenario-major: one row's arms are contiguous,
+    // in kFig5Policies order (drowsy-dc, neat, neat+s3, oasis).
+    const sc::RunResult* row = &results.at(p * arms);
+    out += std::to_string(kFig5LlmiPct[p]);
+    for (std::size_t a = 0; a < arms; ++a) out += "," + num(row[a].kwh);
+    out += "," + num(saving_pct(row[0].kwh, row[1].kwh)) + "," +
+           num(saving_pct(row[0].kwh, row[3].kwh)) + "\n";
+  }
+  return out;
+}
+
+Study fig5_study() {
+  Study s;
+  s.name = "fig5-llmi-sweep";
+  s.figure = "Figure 5";
+  s.description = "simulation study: fleet energy per policy vs the LLMI fraction";
+  s.csv_header =
+      "llmi_pct,drowsy_dc_kwh,neat_kwh,neat_s3_kwh,oasis_kwh,gain_vs_neat_pct,"
+      "gain_vs_oasis_pct";
+  s.params = {{"days", 14}, {"opportunistic_step", 1}};
+  s.sweep = fig5_sweep;
+  s.reduce = [header = s.csv_header](const StudyParams& params,
+                                     const std::vector<sc::RunResult>& results) {
+    return fig5_reduce(header, params, results);
+  };
+  return s;
+}
+
+// --- energy: §VI-A-3 energy, SLA and quick resume ------------------------------
+
+constexpr sc::Policy kEnergyPolicies[] = {sc::Policy::DrowsyDc, sc::Policy::NeatS3,
+                                          sc::Policy::NeatNoSuspend};
+
+ec::SweepSpec energy_sweep(const StudyParams& params) {
+  ec::SweepSpec sweep;
+  sweep.name = "energy-sla-testbed";
+  sc::ScenarioSpec quick = sc::ScenarioRegistry::builtin().at("paper-testbed");
+  quick.duration_days = params.get_int("days");
+  sc::ScenarioSpec naive = quick;
+  naive.name = "paper-testbed-naive-resume";
+  naive.quick_resume = false;
+  sweep.scenarios = {std::move(quick), std::move(naive)};
+  sweep.policies.assign(std::begin(kEnergyPolicies), std::end(kEnergyPolicies));
+  sweep.replicates = 1;
+  return sweep;
+}
+
+std::string energy_reduce(const std::string& header, const StudyParams& params,
+                          const std::vector<sc::RunResult>& results) {
+  const ec::SweepSpec sweep = energy_sweep(params);
+  constexpr std::size_t arms = std::size(kEnergyPolicies);
+  std::string out = header + "\n";
+  for (std::size_t s = 0; s < sweep.scenarios.size(); ++s) {
+    // Savings are against the same resume mode's baseline arms, in
+    // kEnergyPolicies order: row[1] is neat+s3, row[2] neat-nosleep.
+    const sc::RunResult* row = &results.at(s * arms);
+    const char* resume = sweep.scenarios[s].quick_resume ? "quick" : "naive";
+    for (std::size_t a = 0; a < arms; ++a) {
+      const sc::RunResult& r = row[a];
+      out += r.scenario + "," + resume + "," + r.policy + "," + num(r.kwh) + "," +
+             num(100.0 * r.sla_attainment) + "," + num(r.wake_latency_p99_ms) + "," +
+             std::to_string(r.requests) + "," + std::to_string(r.wakes) + "," +
+             std::to_string(r.migrations) + "," + num(saving_pct(r.kwh, row[2].kwh)) +
+             "," + num(saving_pct(r.kwh, row[1].kwh)) + "\n";
+    }
+  }
+  return out;
+}
+
+Study energy_study() {
+  Study s;
+  s.name = "energy-sla-testbed";
+  s.figure = "Section VI-A-3";
+  s.description = "testbed energy and SLA per policy, with quick resume on and off";
+  s.csv_header =
+      "scenario,resume,policy,kwh,sla_pct,wake_p99_ms,requests,wakes,migrations,"
+      "saving_vs_nosleep_pct,saving_vs_neat_s3_pct";
+  s.params = {{"days", 7}};
+  s.sweep = energy_sweep;
+  s.reduce = [header = s.csv_header](const StudyParams& params,
+                                     const std::vector<sc::RunResult>& results) {
+    return energy_reduce(header, params, results);
+  };
+  return s;
+}
+
 }  // namespace
 
 const StudyRegistry& StudyRegistry::builtin() {
@@ -381,6 +525,8 @@ const StudyRegistry& StudyRegistry::builtin() {
     r.add(fig3_study());
     r.add(fig4_study());
     r.add(table1_study());
+    r.add(fig5_study());
+    r.add(energy_study());
     return r;
   }();
   return registry;

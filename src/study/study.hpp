@@ -108,8 +108,9 @@ class StudyRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// The built-in paper-figure catalogue: fig1 workload profiles, the
-  /// fig3 grace ablation, fig4 idleness-model efficiency and the Table I
-  /// suspend fractions.
+  /// fig3 grace ablation, fig4 idleness-model efficiency, the Table I
+  /// suspend fractions, the fig5 LLMI sweep and the §VI-A-3 testbed
+  /// energy/SLA summary.
   [[nodiscard]] static const StudyRegistry& builtin();
 
  private:

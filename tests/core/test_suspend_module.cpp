@@ -124,6 +124,27 @@ TEST_F(SuspendFixture, WakeDateIgnoresBlacklistedTimers) {
   EXPECT_EQ(module.compute_wake_date(), u::kNever);
 }
 
+TEST_F(SuspendFixture, RunningKernelThreadLeavesHostIdle) {
+  auto module = make_module();
+  vm->guest().processes().spawn("kworker/7:2", k::ProcState::Running, /*kernel=*/true);
+  EXPECT_TRUE(module.host_idle());
+}
+
+TEST_F(SuspendFixture, WakeDateIsEarliestRelevantTimerAcrossVms) {
+  s::Vm& vm1 = cluster.add_vm(s::VmSpec{"V2", 2, 6144},
+                              t::ActivityTrace(std::vector<double>(1000, 0.0)));
+  cluster.place(vm1.id(), host->id());
+  auto module = make_module();
+  // A blacklisted monitor firing every 15 s must not pull the date in.
+  vm->guest().add_timer_service("monitoring-agent", q.now(),
+                                [](u::SimTime now) { return now + u::seconds(15); });
+  vm->guest().add_timer_service("backup", q.now(),
+                                [](u::SimTime) { return u::hours(5.0); });
+  vm1.guest().add_timer_service("report-job", q.now(),
+                                [](u::SimTime) { return u::hours(3.0); });
+  EXPECT_EQ(module.compute_wake_date(), u::hours(3.0));
+}
+
 TEST_F(SuspendFixture, ImminentTimerBlocksSuspend) {
   auto module = make_module();
   vm->guest().add_timer_service("job", q.now(),

@@ -36,15 +36,6 @@ TEST_F(ReportsFixture, SuspendFractionsComputed) {
   EXPECT_NEAR(row.global, row.per_host[0] / 2.0, 0.01);
 }
 
-TEST_F(ReportsFixture, SuspendFractionTableRenders) {
-  q.run_until(u::hours(1.0));
-  const auto row = m::suspend_fractions("neat", cluster, {0, 1}, 0);
-  const std::string table = m::suspend_fraction_table({row}, cluster, {0, 1});
-  EXPECT_NE(table.find("neat"), std::string::npos);
-  EXPECT_NE(table.find("P1"), std::string::npos);
-  EXPECT_NE(table.find("Global"), std::string::npos);
-}
-
 TEST_F(ReportsFixture, EnergySummaryPullsClusterState) {
   q.run_until(u::hours(2.0));
   s::RequestFabric fabric(cluster, sw);

@@ -3,7 +3,8 @@
 // and reduces to a figure CSV whose header matches the study's declared
 // schema.  Plus the per-figure invariants the paper anchors: vm3 == vm4
 // in fig1, grace-on suspends below grace-off in fig3, table1's per-host
-// columns.
+// columns, fig5's gain columns and opportunistic-step ablation, and the
+// testbed's energy ordering and quick-resume latency.
 #include "study/study.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,9 @@ namespace {
 /// Shrunk parameters per study so the whole file stays test-fast.
 st::StudyParams small_params(const st::Study& study) {
   st::StudyParams params = study.params;
-  params.set("days", 1);
+  // The testbed relocates for the first time after day 1; before that
+  // drowsy-dc and neat+s3 are the same run.
+  params.set("days", study.name == "energy-sla-testbed" ? 2 : 1);
   if (study.name == "fig4-im-efficiency") params.set("years", 1);
   return params;
 }
@@ -159,6 +162,61 @@ TEST(Table1Study, PerHostColumnsComeFromRunResults) {
   // The control arm's gain column is zero by construction.
   EXPECT_EQ(cells_of(lines[2]).at(0), "neat+s3");
   EXPECT_EQ(cells_of(lines[2]).at(6), "0.000000");
+}
+
+double cell(const std::string& line, std::size_t column) {
+  return std::atof(cells_of(line).at(column).c_str());
+}
+
+TEST(Fig5Study, GainColumnsAreTheRowsOwnKwhRatios) {
+  const std::vector<std::string> lines = lines_of(outcome_of("fig5-llmi-sweep").csv);
+  ASSERT_EQ(lines.size(), 1u + 5u);  // LLMI 0/25/50/75/100 %
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    SCOPED_TRACE(lines[i]);
+    const double drowsy = cell(lines[i], 1), neat = cell(lines[i], 2);
+    const double oasis = cell(lines[i], 4);
+    EXPECT_NEAR(cell(lines[i], 5), 100.0 * (neat - drowsy) / neat, 1e-4);
+    EXPECT_NEAR(cell(lines[i], 6), 100.0 * (oasis - drowsy) / oasis, 1e-4);
+  }
+  // An all-LLMI fleet is where idleness-aware placement pays most.
+  EXPECT_EQ(cells_of(lines[5]).at(0), "100");
+  EXPECT_LT(cell(lines[5], 1), cell(lines[5], 2));
+}
+
+TEST(Fig5Study, OpportunisticStepMovesOnlyTheDrowsyColumn) {
+  const st::Study& study = st::StudyRegistry::builtin().at("fig5-llmi-sweep");
+  st::StudyParams params = small_params(study);
+  params.set("opportunistic_step", 0);
+  const std::vector<std::string> with = lines_of(outcome_of("fig5-llmi-sweep").csv);
+  const std::vector<std::string> without = lines_of(st::run_study(study, params, 2).csv);
+  ASSERT_EQ(with.size(), without.size());
+  bool drowsy_moved = false;
+  for (std::size_t i = 1; i < with.size(); ++i) {
+    const std::vector<std::string> a = cells_of(with[i]), b = cells_of(without[i]);
+    // llmi_pct, then the neat, neat+s3 and oasis arms: byte-equal.
+    for (const std::size_t c : {0u, 2u, 3u, 4u}) EXPECT_EQ(a.at(c), b.at(c)) << with[i];
+    drowsy_moved = drowsy_moved || a.at(1) != b.at(1);
+  }
+  EXPECT_TRUE(drowsy_moved);
+}
+
+TEST(EnergyStudy, KwhOrderAndQuickResumeLatency) {
+  const std::vector<std::string> lines = lines_of(outcome_of("energy-sla-testbed").csv);
+  ASSERT_EQ(lines.size(), 1u + 6u);  // {quick, naive} x 3 policies
+  std::map<std::string, std::vector<std::string>> rows;  // "resume/policy" -> cells
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::vector<std::string> cells = cells_of(lines[i]);
+    rows[cells.at(1) + "/" + cells.at(2)] = cells;
+  }
+  const auto kwh = [&](const std::string& key) { return std::atof(rows.at(key).at(3).c_str()); };
+  const auto p99 = [&](const std::string& key) { return std::atof(rows.at(key).at(5).c_str()); };
+  for (const std::string resume : {"quick", "naive"}) {
+    SCOPED_TRACE(resume);
+    EXPECT_LT(kwh(resume + "/drowsy-dc"), kwh(resume + "/neat+s3"));
+    EXPECT_LT(kwh(resume + "/neat+s3"), kwh(resume + "/neat-nosleep"));
+  }
+  EXPECT_GT(p99("naive/drowsy-dc"), p99("quick/drowsy-dc"));
+  EXPECT_GT(p99("quick/drowsy-dc"), 0.0);
 }
 
 TEST(ReduceStudy, RejectsMismatchedResults) {
