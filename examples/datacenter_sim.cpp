@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "core/drowsy.hpp"
-#include "metrics/reports.hpp"
 #include "trace/generators.hpp"
 
 namespace core = drowsy::core;
@@ -18,7 +17,6 @@ namespace sim = drowsy::sim;
 namespace net = drowsy::net;
 namespace trace = drowsy::trace;
 namespace util = drowsy::util;
-namespace metrics = drowsy::metrics;
 
 int main(int argc, char** argv) {
   const int hosts = argc > 1 ? std::atoi(argv[1]) : 8;
@@ -59,9 +57,15 @@ int main(int argc, char** argv) {
                 host->name().c_str(), 100.0 * host->suspended_fraction(0),
                 host->suspend_count(), host->resume_count(), host->energy().kwh());
   }
-  std::vector<metrics::EnergySummary> rows;
-  rows.push_back(metrics::summarize("drowsy-dc", cluster, controller.fabric()));
-  std::printf("\n%s", metrics::energy_table(rows).c_str());
+  const sim::RequestStats& requests = controller.fabric().stats();
+  const double sla_ms = controller.fabric().config().sla_ms;
+  const double wake_p99_ms =
+      requests.wake_latencies_ms.empty() ? 0.0 : requests.wake_latencies_ms.quantile(0.99);
+  std::printf("\ntotal: %.2f kWh, SLA(<=%.0f ms) %.2f%%, wake p99 %.0f ms, %llu requests, "
+              "%llu wakes, %d migrations\n",
+              cluster.total_kwh(), sla_ms, 100.0 * requests.sla_attainment(sla_ms),
+              wake_p99_ms, static_cast<unsigned long long>(requests.total),
+              static_cast<unsigned long long>(requests.woke_host), cluster.total_migrations());
   std::printf("\nwaking module: %llu packet wakes, %llu scheduled wakes\n",
               static_cast<unsigned long long>(controller.waking_primary().stats().packet_wakes),
               static_cast<unsigned long long>(

@@ -5,18 +5,14 @@
 #include <cstdio>
 #include <limits>
 
+#include "scenario/batch_runner.hpp"
 #include "util/math.hpp"
 
 namespace drowsy::expctl {
 
 namespace {
 
-/// Fixed-precision rendering, matching scenario::to_csv's byte-stable style.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
+using scenario::num;
 
 std::string quoted(const std::string& s) { return "\"" + s + "\""; }
 

@@ -1,10 +1,10 @@
 // Replicate-aware reporting: stddev/CI-95 per (scenario, policy) and
 // Welch's t-test verdicts between policy pairs.
 //
-// scenario::aggregate() reports bare means, which cannot say whether the
-// kWh gap between two policies on the same scenario is signal or seed
-// noise (the ROADMAP flags exactly such ties on dev-fleet-idle and
-// paper-sim-phases).  This layer regroups the per-run results, attaches
+// The one place run results are grouped.  A bare mean cannot say whether
+// the kWh gap between two policies on the same scenario is signal or seed
+// noise (dev-fleet-idle and paper-sim-phases show exactly such ties), so
+// this layer groups the per-run results by (scenario, policy), attaches
 // sample stddev and a t-distribution 95% confidence half-width to every
 // metric, and renders an energy verdict for each policy pair per
 // scenario: "a < b (p=...)" when Welch's t-test rejects equal means at

@@ -1,6 +1,5 @@
 #include "scenario/batch_runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -10,22 +9,6 @@
 #include "util/thread_pool.hpp"
 
 namespace drowsy::scenario {
-
-namespace {
-
-/// Fixed-precision float rendering so emitted summaries are byte-stable.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  // Names come from the registry (no quotes/newlines); keep it simple.
-  return "\"" + s + "\"";
-}
-
-}  // namespace
 
 std::vector<BatchJob> cross(const std::vector<ScenarioSpec>& specs,
                             const std::vector<Policy>& policies,
@@ -81,44 +64,10 @@ std::vector<RunResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
   return results;
 }
 
-std::vector<AggregateRow> aggregate(const std::vector<RunResult>& results) {
-  std::vector<AggregateRow> rows;
-  for (const RunResult& r : results) {
-    AggregateRow* row = nullptr;
-    for (AggregateRow& existing : rows) {
-      if (existing.scenario == r.scenario && existing.policy == r.policy) {
-        row = &existing;
-        break;
-      }
-    }
-    if (row == nullptr) {
-      rows.push_back(AggregateRow{});
-      row = &rows.back();
-      row->scenario = r.scenario;
-      row->policy = r.policy;
-      row->kwh_min = r.kwh;
-      row->kwh_max = r.kwh;
-    }
-    ++row->runs;
-    row->kwh_mean += r.kwh;
-    row->kwh_min = std::min(row->kwh_min, r.kwh);
-    row->kwh_max = std::max(row->kwh_max, r.kwh);
-    row->suspend_fraction_mean += r.suspend_fraction;
-    row->sla_mean += r.sla_attainment;
-    row->wake_p99_ms_mean += r.wake_latency_p99_ms;
-    row->migrations_mean += static_cast<double>(r.migrations);
-    row->requests_total += r.requests;
-    row->wakes_total += r.wakes;
-  }
-  for (AggregateRow& row : rows) {
-    const auto n = static_cast<double>(row.runs);
-    row.kwh_mean /= n;
-    row.suspend_fraction_mean /= n;
-    row.sla_mean /= n;
-    row.wake_p99_ms_mean /= n;
-    row.migrations_mean /= n;
-  }
-  return rows;
+std::string num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
+  return buf;
 }
 
 namespace {
@@ -149,83 +98,6 @@ std::string to_csv(const std::vector<RunResult>& results) {
            std::to_string(r.suspends) + "," + host_fractions_cell(r) + "," +
            num(r.switch_queue_delay_p99_ms) + "," + std::to_string(r.wol_frames) +
            "," + num(r.host_unreachable_s) + "\n";
-  }
-  return out;
-}
-
-std::string to_csv(const std::vector<AggregateRow>& rows) {
-  std::string out =
-      "scenario,policy,runs,kwh_mean,kwh_min,kwh_max,suspend_fraction_mean,"
-      "sla_mean,wake_p99_ms_mean,migrations_mean,requests_total,wakes_total\n";
-  for (const AggregateRow& r : rows) {
-    out += r.scenario + "," + r.policy + "," + std::to_string(r.runs) + "," +
-           num(r.kwh_mean) + "," + num(r.kwh_min) + "," + num(r.kwh_max) + "," +
-           num(r.suspend_fraction_mean) + "," + num(r.sla_mean) + "," +
-           num(r.wake_p99_ms_mean) + "," + num(r.migrations_mean) + "," +
-           std::to_string(r.requests_total) + "," + std::to_string(r.wakes_total) + "\n";
-  }
-  return out;
-}
-
-std::string to_json(const std::vector<RunResult>& results) {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    out += "  {\"scenario\": " + quoted(r.scenario) +
-           ", \"policy\": " + quoted(r.policy) + ", \"seed\": " + std::to_string(r.seed) +
-           ", \"simulated_hours\": " + std::to_string(r.simulated_hours) +
-           ", \"kwh\": " + num(r.kwh) +
-           ", \"suspend_fraction\": " + num(r.suspend_fraction) +
-           ", \"sla_attainment\": " + num(r.sla_attainment) +
-           ", \"wake_p99_ms\": " + num(r.wake_latency_p99_ms) +
-           ", \"requests\": " + std::to_string(r.requests) +
-           ", \"wakes\": " + std::to_string(r.wakes) +
-           ", \"migrations\": " + std::to_string(r.migrations) +
-           ", \"suspends\": " + std::to_string(r.suspends) +
-           ", \"host_suspend_fraction\": [";
-    for (std::size_t h = 0; h < r.host_suspend_fraction.size(); ++h) {
-      out += (h > 0 ? ", " : "") + num(r.host_suspend_fraction[h]);
-    }
-    out += "], \"switch_queue_delay_p99_ms\": " + num(r.switch_queue_delay_p99_ms) +
-           ", \"wol_frames\": " + std::to_string(r.wol_frames) +
-           ", \"host_unreachable_s\": " + num(r.host_unreachable_s) + "}";
-    out += i + 1 < results.size() ? ",\n" : "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
-std::string to_json(const std::vector<AggregateRow>& rows) {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AggregateRow& r = rows[i];
-    out += "  {\"scenario\": " + quoted(r.scenario) +
-           ", \"policy\": " + quoted(r.policy) + ", \"runs\": " + std::to_string(r.runs) +
-           ", \"kwh_mean\": " + num(r.kwh_mean) + ", \"kwh_min\": " + num(r.kwh_min) +
-           ", \"kwh_max\": " + num(r.kwh_max) +
-           ", \"suspend_fraction_mean\": " + num(r.suspend_fraction_mean) +
-           ", \"sla_mean\": " + num(r.sla_mean) +
-           ", \"wake_p99_ms_mean\": " + num(r.wake_p99_ms_mean) +
-           ", \"migrations_mean\": " + num(r.migrations_mean) +
-           ", \"requests_total\": " + std::to_string(r.requests_total) +
-           ", \"wakes_total\": " + std::to_string(r.wakes_total) + "}";
-    out += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  out += "]\n";
-  return out;
-}
-
-std::string aggregate_table(const std::vector<AggregateRow>& rows) {
-  std::string out =
-      "scenario             policy          runs      kWh   susp%   SLA%  "
-      "wake-p99(ms)  migrations\n";
-  char buf[160];
-  for (const AggregateRow& r : rows) {
-    std::snprintf(buf, sizeof(buf), "%-20s %-14s %4zu  %7.2f  %6.1f  %5.1f  %12.0f  %10.1f\n",
-                  r.scenario.c_str(), r.policy.c_str(), r.runs, r.kwh_mean,
-                  100.0 * r.suspend_fraction_mean, 100.0 * r.sla_mean,
-                  r.wake_p99_ms_mean, r.migrations_mean);
-    out += buf;
   }
   return out;
 }

@@ -4,9 +4,9 @@
 // EventQueue, Cluster and Controller), so the batch fans runs across
 // util::ThreadPool with no shared mutable state.  Results land in a
 // vector indexed by job order — never by completion order — which makes
-// the output bit-identical at 1 and N worker threads.  Aggregation means
-// replicate seeds into one row per (scenario, policy) and renders CSV and
-// JSON summaries next to metrics::reports' human-readable tables.
+// the output bit-identical at 1 and N worker threads.  The per-run CSV
+// lives here; grouping replicates and every other serialization of run
+// results is expctl's (expctl/report.hpp, expctl/runs_io.hpp).
 #pragma once
 
 #include <cstddef>
@@ -90,42 +90,15 @@ class BatchRunner {
   std::uint64_t last_trace_misses_ = 0;
 };
 
-/// One (scenario, policy) row: replicate means plus spread.
-struct AggregateRow {
-  std::string scenario;
-  std::string policy;
-  std::size_t runs = 0;
-  double kwh_mean = 0.0;
-  double kwh_min = 0.0;
-  double kwh_max = 0.0;
-  double suspend_fraction_mean = 0.0;
-  double sla_mean = 0.0;
-  double wake_p99_ms_mean = 0.0;
-  double migrations_mean = 0.0;
-  std::uint64_t requests_total = 0;
-  std::uint64_t wakes_total = 0;
-};
-
-/// Collapse per-run rows into per-(scenario, policy) aggregates, in first-
-/// appearance order (deterministic for a deterministic job list).
-[[nodiscard]] std::vector<AggregateRow> aggregate(const std::vector<RunResult>& results);
-
 // --- emission ----------------------------------------------------------------
+
+/// Fixed %.6f rendering, shared by every fixed-format result emitter (run
+/// CSVs, expctl's stats and verdicts, study figures) so their bytes are
+/// stable across runs and machines.
+[[nodiscard]] std::string num(double v);
 
 /// Per-run results as CSV (header + one line per run, fixed formatting).
 [[nodiscard]] std::string to_csv(const std::vector<RunResult>& results);
-
-/// Aggregates as CSV.
-[[nodiscard]] std::string to_csv(const std::vector<AggregateRow>& rows);
-
-/// Per-run results as a JSON array of objects.
-[[nodiscard]] std::string to_json(const std::vector<RunResult>& results);
-
-/// Aggregates as a JSON array of objects.
-[[nodiscard]] std::string to_json(const std::vector<AggregateRow>& rows);
-
-/// Human-readable aggregate table (align with metrics::reports style).
-[[nodiscard]] std::string aggregate_table(const std::vector<AggregateRow>& rows);
 
 /// Write `content` to `path`; returns false (and logs) on I/O failure.
 bool write_file(const std::string& path, const std::string& content);

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "metrics/reports.hpp"
 #include "replay/replay.hpp"
 #include "scenario/trace_cache.hpp"
 #include "util/rng.hpp"
@@ -387,25 +386,29 @@ RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {
   r.seed = run.seed;
   r.simulated_hours = util::hour_index(run.queue.now());
 
-  const metrics::EnergySummary summary =
-      metrics::summarize(r.policy, run.cluster, run.controller->fabric());
-  r.kwh = summary.kwh;
-  r.sla_attainment = summary.sla_attainment;
-  r.wake_latency_p99_ms = summary.wake_latency_p99_ms;
-  r.requests = summary.requests;
-  r.wakes = summary.wakes;
-  r.migrations = summary.migrations;
-
-  std::vector<sim::HostId> all_hosts;
-  all_hosts.reserve(run.cluster.hosts().size());
-  for (const auto& host : run.cluster.hosts()) {
-    all_hosts.push_back(host->id());
-    r.suspends += host->suspend_count();
+  // Energy first: total_kwh() brings every host's accounting up to now.
+  r.kwh = run.cluster.total_kwh();
+  const sim::RequestFabric& fabric = run.controller->fabric();
+  const auto& requests = fabric.stats();
+  r.requests = requests.total;
+  r.wakes = requests.woke_host;
+  r.sla_attainment = requests.sla_attainment(fabric.config().sla_ms);
+  if (!requests.wake_latencies_ms.empty()) {
+    r.wake_latency_p99_ms = requests.wake_latencies_ms.quantile(0.99);
   }
-  metrics::SuspendFractionRow fractions =
-      metrics::suspend_fractions(r.policy, run.cluster, all_hosts, 0);
-  r.suspend_fraction = fractions.global;
-  r.host_suspend_fraction = std::move(fractions.per_host);
+  r.migrations = run.cluster.total_migrations();
+
+  // Table I: per-host and global fractions of host-time in S3.
+  double s3_ms = 0.0;
+  for (const auto& host : run.cluster.hosts()) {
+    r.suspends += host->suspend_count();
+    host->account_now();
+    r.host_suspend_fraction.push_back(host->suspended_fraction(0));
+    s3_ms += static_cast<double>(host->time_in(sim::PowerState::S3));
+  }
+  const double host_ms = static_cast<double>(run.cluster.hosts().size()) *
+                         static_cast<double>(run.queue.now());
+  r.suspend_fraction = host_ms > 0.0 ? s3_ms / host_ms : 0.0;
 
   // Wake-fabric metrics.  WoL frames count every magic packet injected:
   // the waking modules' (packet- and schedule-triggered) plus the

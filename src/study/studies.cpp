@@ -9,7 +9,6 @@
 // trace recipes into ScenarioSpecs; deviations from the pre-port numbers
 // are documented per study in docs/studies.md.
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 #include "core/idleness_model.hpp"
@@ -25,13 +24,7 @@ namespace sc = drowsy::scenario;
 
 namespace {
 
-/// Fixed %.6f rendering, matching scenario::to_csv — figure CSVs must be
-/// byte-stable across runs and machines.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
+using sc::num;
 
 /// Integer-seconds rendering for axis-derived columns ("15", "120").
 std::string secs(util::SimTime ms) { return std::to_string(ms / util::kMsPerSecond); }

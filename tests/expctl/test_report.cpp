@@ -100,6 +100,12 @@ TEST(Report, SummarizeGroupsAndCounts) {
   EXPECT_DOUBLE_EQ(rows[0].kwh.mean, 11.0);
   // Sample stddev of {10, 12} is sqrt(2).
   EXPECT_NEAR(rows[0].kwh.stddev, std::sqrt(2.0), 1e-12);
+  // Counts are summed across replicates, not averaged.
+  EXPECT_EQ(rows[0].requests_total, 200u);
+  EXPECT_EQ(rows[0].wakes_total, 40u);
+  EXPECT_EQ(rows[1].requests_total, 200u);
+  EXPECT_EQ(rows[2].requests_total, 100u);
+  EXPECT_EQ(rows[2].wakes_total, 20u);
   EXPECT_EQ(rows[2].scenario, "b");
   EXPECT_EQ(rows[2].runs, 1u);
   EXPECT_DOUBLE_EQ(rows[2].kwh.stddev, 0.0);  // single replicate: no spread

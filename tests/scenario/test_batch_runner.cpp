@@ -4,6 +4,9 @@
 
 #include <stdexcept>
 
+#include "expctl/runs_io.hpp"
+
+namespace ec = drowsy::expctl;
 namespace sc = drowsy::scenario;
 
 namespace {
@@ -81,8 +84,11 @@ TEST(BatchRunner, FixedSeedIsIdenticalAtOneAndManyThreads) {
   const auto a = serial.run(jobs);
   const auto b = wide.run(jobs);
   EXPECT_EQ(sc::to_csv(a), sc::to_csv(b));
-  EXPECT_EQ(sc::to_json(a), sc::to_json(b));
-  EXPECT_EQ(sc::to_csv(sc::aggregate(a)), sc::to_csv(sc::aggregate(b)));
+  // Shortest round-trip doubles: equal dumps mean bit-equal results.
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(ec::to_json(a[i]).dump(), ec::to_json(b[i]).dump()) << i;
+  }
   // And re-running the same pool reproduces itself.
   const auto c = wide.run(jobs);
   EXPECT_EQ(sc::to_csv(b), sc::to_csv(c));
@@ -99,26 +105,6 @@ TEST(BatchRunner, DifferentSeedsDifferentRuns) {
   EXPECT_NE(results[0].requests, results[1].requests);
 }
 
-TEST(BatchRunner, AggregateMeansReplicates) {
-  sc::BatchRunner runner(4);
-  const auto jobs = sc::cross({tiny_scenario("agg", 41)}, {sc::Policy::DrowsyDc}, 3);
-  const auto results = runner.run(jobs);
-  const auto rows = sc::aggregate(results);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].runs, 3u);
-  double kwh_sum = 0.0;
-  std::uint64_t req_sum = 0;
-  for (const auto& r : results) {
-    kwh_sum += r.kwh;
-    req_sum += r.requests;
-  }
-  EXPECT_NEAR(rows[0].kwh_mean, kwh_sum / 3.0, 1e-9);
-  EXPECT_EQ(rows[0].requests_total, req_sum);
-  EXPECT_GE(rows[0].kwh_max, rows[0].kwh_min);
-  EXPECT_GE(rows[0].kwh_mean, rows[0].kwh_min);
-  EXPECT_LE(rows[0].kwh_mean, rows[0].kwh_max);
-}
-
 TEST(BatchRunner, InvalidSpecInBatchRethrowsOnCaller) {
   sc::BatchRunner runner(2);
   sc::ScenarioSpec bad = tiny_scenario("bad", 1);
@@ -129,7 +115,7 @@ TEST(BatchRunner, InvalidSpecInBatchRethrowsOnCaller) {
   EXPECT_THROW(static_cast<void>(runner.run(jobs)), std::invalid_argument);
 }
 
-TEST(BatchRunner, CsvAndJsonAreWellFormed) {
+TEST(BatchRunner, CsvIsWellFormed) {
   sc::BatchRunner runner(2);
   const auto results =
       runner.run(sc::cross({tiny_scenario("emit", 51)}, {sc::Policy::DrowsyDc}, 2));
@@ -138,16 +124,4 @@ TEST(BatchRunner, CsvAndJsonAreWellFormed) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
   EXPECT_EQ(csv.rfind("scenario,policy,seed,", 0), 0u);
   EXPECT_NE(csv.find("emit,drowsy-dc,"), std::string::npos);
-
-  const std::string json = sc::to_json(results);
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"scenario\": \"emit\""), std::string::npos);
-  EXPECT_NE(json.find("\"kwh\": "), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-
-  const auto rows = sc::aggregate(results);
-  EXPECT_NE(sc::to_csv(rows).find("kwh_mean"), std::string::npos);
-  EXPECT_NE(sc::to_json(rows).find("\"runs\": 2"), std::string::npos);
-  EXPECT_NE(sc::aggregate_table(rows).find("emit"), std::string::npos);
 }

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "expctl/json.hpp"
+#include "expctl/runs_io.hpp"
 #include "scenario/batch_runner.hpp"
 
 namespace ec = drowsy::expctl;
@@ -125,7 +126,7 @@ TEST(Probes, ObservationNeverPerturbsTheSimulation) {
       sc::run_one(spec, sc::Policy::DrowsyDc, spec.seed, nullptr, &probe);
 
   EXPECT_EQ(sc::to_csv({bare}), sc::to_csv({observed}));
-  EXPECT_EQ(sc::to_json({bare}), sc::to_json({observed}));
+  EXPECT_EQ(ec::to_json(bare).dump(), ec::to_json(observed).dump());
 
   // The composite probe delivered both halves: a trace file on disk and
   // a non-empty profile with the expected event classes.
