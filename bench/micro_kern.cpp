@@ -1,5 +1,5 @@
-// Micro-benchmarks for the kernel substrate: the red-black timer tree the
-// suspending module walks (§V-B) and the process scan of the idleness
+// Micro-benchmarks for the kernel substrate: the expiry-ordered timer queue
+// the suspending module walks (§V-B) and the process scan of the idleness
 // check (§IV).  Establishes that per-check costs stay in the microsecond
 // range even with large guest populations.
 #include <benchmark/benchmark.h>
@@ -16,7 +16,7 @@ namespace util = drowsy::util;
 
 namespace {
 
-void BM_RbTreeTimerArmCancel(benchmark::State& state) {
+void BM_TimerArmCancel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   kern::HrTimerQueue queue;
   std::vector<std::unique_ptr<kern::HrTimer>> timers;
@@ -32,7 +32,7 @@ void BM_RbTreeTimerArmCancel(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(n) + " timers resident");
 }
-BENCHMARK(BM_RbTreeTimerArmCancel)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_TimerArmCancel)->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_TimerPeekEarliest(benchmark::State& state) {
   kern::HrTimerQueue queue;

@@ -1,102 +1,8 @@
 #include "baselines/neat.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-
-#include "util/log.hpp"
 
 namespace drowsy::baselines {
-
-namespace {
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-}  // namespace
-
-NeatConsolidation::NeatConsolidation(sim::Cluster& cluster, NeatConfig config)
-    : cluster_(cluster), config_(config), rng_(config.seed) {}
-
-std::string NeatConsolidation::name() const {
-  std::string n = "neat-";
-  switch (config_.overload) {
-    case OverloadAlgo::Thr: n += "thr"; break;
-    case OverloadAlgo::Mad: n += "mad"; break;
-    case OverloadAlgo::Iqr: n += "iqr"; break;
-    case OverloadAlgo::Lr: n += "lr"; break;
-  }
-  switch (config_.selection) {
-    case SelectionAlgo::Mmt: n += "-mmt"; break;
-    case SelectionAlgo::HighestUtil: n += "-hu"; break;
-    case SelectionAlgo::Random: n += "-rand"; break;
-  }
-  return n;
-}
-
-bool NeatConsolidation::overloaded(const sim::Host& host, double current_util) const {
-  auto it = history_.find(host.id());
-  const std::deque<double>* hist = it == history_.end() ? nullptr : &it->second;
-  switch (config_.overload) {
-    case OverloadAlgo::Thr:
-      return current_util > config_.threshold;
-    case OverloadAlgo::Mad: {
-      if (hist == nullptr || hist->size() < 3) return current_util > config_.threshold;
-      std::vector<double> v(hist->begin(), hist->end());
-      const double med = median(v);
-      std::vector<double> dev;
-      dev.reserve(v.size());
-      for (double x : v) dev.push_back(std::abs(x - med));
-      const double mad = median(dev);
-      const double thr = 1.0 - config_.safety * mad;
-      return current_util > std::max(0.0, thr);
-    }
-    case OverloadAlgo::Iqr: {
-      if (hist == nullptr || hist->size() < 4) return current_util > config_.threshold;
-      std::vector<double> v(hist->begin(), hist->end());
-      std::sort(v.begin(), v.end());
-      const double iqr = quantile_sorted(v, 0.75) - quantile_sorted(v, 0.25);
-      const double thr = 1.0 - config_.safety * iqr;
-      return current_util > std::max(0.0, thr);
-    }
-    case OverloadAlgo::Lr: {
-      if (hist == nullptr || hist->size() < 4) return current_util > config_.threshold;
-      // Least-squares line over the window, forecast one step ahead
-      // (Neat's "local regression" in spirit: overloaded when the
-      // predicted utilization crosses 1).
-      const auto n = static_cast<double>(hist->size());
-      double sx = 0, sy = 0, sxx = 0, sxy = 0;
-      double i = 0;
-      for (double y : *hist) {
-        sx += i;
-        sy += y;
-        sxx += i * i;
-        sxy += i * y;
-        i += 1.0;
-      }
-      const double denom = n * sxx - sx * sx;
-      if (std::abs(denom) < 1e-12) return current_util > config_.threshold;
-      const double slope = (n * sxy - sx * sy) / denom;
-      const double intercept = (sy - slope * sx) / n;
-      const double predicted = intercept + slope * n;  // next step
-      return config_.safety * 0.4 * predicted >= 1.0 || current_util > config_.threshold;
-    }
-  }
-  return false;
-}
 
 std::vector<sim::Vm*> NeatConsolidation::select_vms(sim::Host& host,
                                                     std::int64_t next_hour) {
@@ -104,30 +10,11 @@ std::vector<sim::Vm*> NeatConsolidation::select_vms(sim::Host& host,
   std::vector<sim::Vm*> pool = host.vms();
   std::vector<sim::Vm*> picked;
   double util = cluster_.host_utilization_at(host, next_hour);
-  while (!pool.empty() && overloaded(host, util)) {
+  while (!pool.empty() && overloaded(util)) {
+    // Minimum migration time: smallest memory first.
     std::size_t pick = 0;
-    switch (config_.selection) {
-      case SelectionAlgo::Mmt: {
-        // Minimum migration time: smallest memory first.
-        for (std::size_t i = 1; i < pool.size(); ++i) {
-          if (pool[i]->spec().memory_mb < pool[pick]->spec().memory_mb) pick = i;
-        }
-        break;
-      }
-      case SelectionAlgo::HighestUtil: {
-        for (std::size_t i = 1; i < pool.size(); ++i) {
-          if (pool[i]->activity_at_hour(next_hour) >
-              pool[pick]->activity_at_hour(next_hour)) {
-            pick = i;
-          }
-        }
-        break;
-      }
-      case SelectionAlgo::Random: {
-        pick = static_cast<std::size_t>(
-            rng_.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
-        break;
-      }
+    for (std::size_t i = 1; i < pool.size(); ++i) {
+      if (pool[i]->spec().memory_mb < pool[pick]->spec().memory_mb) pick = i;
     }
     sim::Vm* vm = pool[pick];
     pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
@@ -158,7 +45,7 @@ void NeatConsolidation::place_pabfd(std::vector<sim::Vm*>& vms, std::int64_t nex
                            static_cast<double>(vm->spec().vcpus) /
                            static_cast<double>(host->spec().cpu_capacity);
       const double after = std::min(1.0, before + added);
-      if (overloaded(*host, after)) continue;
+      if (overloaded(after)) continue;
       const auto& pm = host->power_model();
       const double delta = pm.watts(sim::PowerState::S0, after) -
                            pm.watts(sim::PowerState::S0, before);
@@ -172,17 +59,10 @@ void NeatConsolidation::place_pabfd(std::vector<sim::Vm*>& vms, std::int64_t nex
 }
 
 void NeatConsolidation::run_hour(std::int64_t next_hour) {
-  // Refresh utilization history.
-  for (const auto& host : cluster_.hosts()) {
-    auto& hist = history_[host->id()];
-    hist.push_back(cluster_.host_utilization_at(*host, next_hour - 1));
-    while (hist.size() > config_.history) hist.pop_front();
-  }
-
   // (2)+(3)+(4): overloaded hosts shed VMs.
   for (const auto& host : cluster_.hosts()) {
     const double util = cluster_.host_utilization_at(*host, next_hour);
-    if (!overloaded(*host, util)) continue;
+    if (!overloaded(util)) continue;
     auto vms = select_vms(*host, next_hour);
     place_pabfd(vms, next_hour, host.get());
   }
@@ -198,7 +78,7 @@ void NeatConsolidation::run_hour(std::int64_t next_hour) {
   });
   for (sim::Host* host : order) {
     const double util = cluster_.host_utilization_at(*host, next_hour);
-    if (util >= config_.underload) continue;
+    if (util >= core::kUnderloadUtilization) continue;
     // A suspended host is already saving power; evacuating it would only
     // wake it for the migrations.
     if (host->state() != sim::PowerState::S0) continue;
@@ -216,7 +96,7 @@ void NeatConsolidation::run_hour(std::int64_t next_hour) {
         const double added = vm->activity_at_hour(next_hour) *
                              static_cast<double>(vm->spec().vcpus) /
                              static_cast<double>(other->spec().cpu_capacity);
-        if (overloaded(*other, before + added)) continue;
+        if (overloaded(before + added)) continue;
         const auto& pm = other->power_model();
         const double delta = pm.watts(sim::PowerState::S0, std::min(1.0, before + added)) -
                              pm.watts(sim::PowerState::S0, before);

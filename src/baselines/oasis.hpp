@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +34,6 @@ class OasisConsolidation final : public core::ConsolidationPolicy {
   OasisConsolidation(sim::Cluster& cluster, OasisConfig config = {});
 
   void run_hour(std::int64_t next_hour) override;
-  [[nodiscard]] std::string name() const override { return "oasis"; }
 
   /// Fraction of the history window where both VMs were in the same
   /// idleness state (both idle or both active).  Exposed for tests.

@@ -1,4 +1,5 @@
-// All Drowsy-DC tunables, with the paper's published values as defaults.
+// All Drowsy-DC tunables, with the paper's published values as defaults, and
+// the fixed thresholds that no configuration varies.
 #pragma once
 
 #include <cstddef>
@@ -6,6 +7,25 @@
 #include "util/sim_time.hpp"
 
 namespace drowsy::core {
+
+/// Beloglazov's Neat thresholds on host CPU utilization, shared by Neat
+/// and Drowsy-DC's consolidation: above the first a host sheds VMs, below
+/// the second it tries to evacuate.
+inline constexpr double kOverloadUtilization = 0.9;
+inline constexpr double kUnderloadUtilization = 0.5;
+
+/// Raw-IP magnitude, in multiples of σ, that marks a determined host.  SI
+/// scores move by ~σ per observation (eq. 3), so 7σ is "a week of constant
+/// maximum activity".  It is both the opportunistic step's too-wide VM-IP
+/// range ("we empirically set the threshold of a too wide IP range to
+/// 7σ", §III-D) and the grace time's fully-determined reference (§IV).
+inline constexpr double kDeterminedIpSigmas = 7.0;
+
+/// Tolerance when sorting by IP distance ("so close distances are
+/// considered equal"), in multiples of σ.  Well below 1: it only needs to
+/// absorb numerical noise, and VMs with genuinely matching idleness models
+/// (paper's V3/V4) land in the same bucket anyway.
+inline constexpr double kIpDistanceToleranceSigmas = 0.01;
 
 /// Idleness-model parameters (paper §III-C).
 struct IdlenessModelConfig {
@@ -35,13 +55,6 @@ struct SuspendConfig {
   /// exponentially increasing as the IP decreases".
   util::SimTime grace_min = util::seconds(5);
   util::SimTime grace_max = util::minutes(2);
-  /// Raw-IP magnitude (in multiples of σ) treated as fully determined
-  /// when computing the grace time.  SI scores move by ~σ per observation
-  /// (eq. 3), so ±7σ — "a week of constant maximum activity", the same
-  /// reference the 7σ range threshold uses — marks a determined host;
-  /// without this scaling the normalized IP is pinned at 0.5 and the
-  /// grace band collapses to a point.
-  double grace_ip_scale_sigmas = 7.0;
   /// Disable the grace time (the Neat+S3 baseline "is based on the exact
   /// same algorithm as Drowsy-DC, the grace time excepted", §VI-A-1;
   /// also the oscillation ablation).
@@ -64,19 +77,9 @@ struct WakingConfig {
 
 /// Idleness-aware placement / consolidation parameters (paper §III-D).
 struct PlacementConfig {
-  /// IP-range threshold for the opportunistic consolidation step, in
-  /// multiples of σ: "we empirically set the threshold of a too wide IP
-  /// range to 7σ".
-  double ip_range_sigmas = 7.0;
-  /// Tolerance when sorting by IP distance ("so close distances are
-  /// considered equal"), in multiples of σ.  Well below 1: it only needs
-  /// to absorb numerical noise, and VMs with genuinely matching idleness
-  /// models (paper's V3/V4) land in the same bucket anyway.
-  double ip_distance_tolerance_sigmas = 0.01;
-  /// Classic overload/underload thresholds on host CPU utilization
-  /// (Beloglazov's Neat defaults).
-  double overload_utilization = 0.9;
-  double underload_utilization = 0.5;
+  /// Hosts below this CPU utilization try to evacuate (tests lower it to
+  /// isolate the other steps).
+  double underload_utilization = kUnderloadUtilization;
   /// Enable the opportunistic 7σ step (ablation knob).
   bool opportunistic_step = true;
 };

@@ -63,9 +63,9 @@ void IdlenessConsolidator::run_hour(std::int64_t next_hour) {
 
 void IdlenessConsolidator::handle_overloaded(std::int64_t next_hour,
                                              const util::CalendarTime& c) {
-  const double tol = config_.ip_distance_tolerance_sigmas / (365.0 * 24.0);
+  const double tol = kIpDistanceToleranceSigmas / (365.0 * 24.0);
   for (const auto& host : cluster_.hosts()) {
-    if (cluster_.host_utilization_at(*host, next_hour) <= config_.overload_utilization) {
+    if (cluster_.host_utilization_at(*host, next_hour) <= kOverloadUtilization) {
       continue;
     }
     // Step (3): select VMs to migrate — IP distance from the host first
@@ -83,7 +83,7 @@ void IdlenessConsolidator::handle_overloaded(std::int64_t next_hour,
                 return a->spec().memory_mb < b->spec().memory_mb;      // then fastest
               });
     for (sim::Vm* vm : candidates) {
-      if (cluster_.host_utilization_at(*host, next_hour) <= config_.overload_utilization) {
+      if (cluster_.host_utilization_at(*host, next_hour) <= kOverloadUtilization) {
         break;
       }
       // Step (4): move to the suitable host with the closest IP.
@@ -125,7 +125,7 @@ void IdlenessConsolidator::handle_underloaded(std::int64_t next_hour,
         if (d.host->vms().empty()) continue;
         const double after = cluster_.host_utilization_at(*d.host, next_hour) +
                              share / static_cast<double>(d.host->spec().cpu_capacity);
-        if (after > config_.overload_utilization) continue;
+        if (after > kOverloadUtilization) continue;
         pick = &d;
         break;
       }
@@ -143,7 +143,7 @@ void IdlenessConsolidator::handle_underloaded(std::int64_t next_hour,
 
 void IdlenessConsolidator::opportunistic_step(const util::CalendarTime& c) {
   const double sigma = 1.0 / (365.0 * 24.0);
-  const double threshold = config_.ip_range_sigmas * sigma;
+  const double threshold = kDeterminedIpSigmas * sigma;
   for (const auto& host : cluster_.hosts()) {
     // Shed extreme VMs until the IP range closes (bounded by the resident
     // count so an unplaceable VM cannot loop forever).
@@ -191,7 +191,7 @@ void IdlenessConsolidator::opportunistic_step(const util::CalendarTime& c) {
 void IdlenessConsolidator::relocate_all(std::int64_t next_hour) {
   const util::CalendarTime c = util::calendar_of(next_hour * util::kMsPerHour);
   const double sigma = 1.0 / (365.0 * 24.0);
-  const double threshold = config_.ip_range_sigmas * sigma;
+  const double threshold = kDeterminedIpSigmas * sigma;
 
   // Even in the §VI-A-1 "periodically relocate all VMs" mode, a global
   // repack only happens when some host's VM-IP range exceeds the 7σ
@@ -217,7 +217,7 @@ void IdlenessConsolidator::relocate_all(std::int64_t next_hour) {
     long bucket;
     sim::HostId current;
   };
-  const double tol = std::max(config_.ip_distance_tolerance_sigmas * sigma, 1e-12);
+  const double tol = kIpDistanceToleranceSigmas * sigma;
   std::vector<Entry> entries;
   for (const auto& vm : cluster_.vms()) {
     sim::Host* h = cluster_.host_of(vm->id());

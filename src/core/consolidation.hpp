@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -34,8 +33,6 @@ class ConsolidationPolicy {
   /// Make placement decisions for the upcoming hour `next_hour` (absolute
   /// hour index).  Called after the models observed hour `next_hour - 1`.
   virtual void run_hour(std::int64_t next_hour) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Drowsy-DC's idleness-aware consolidation.
@@ -59,9 +56,8 @@ class IdlenessConsolidator final : public ConsolidationPolicy {
   /// stable pattern does not churn migrations).
   void relocate_all(std::int64_t next_hour);
 
-  [[nodiscard]] std::string name() const override { return "drowsy-dc"; }
-
-  /// Enable relocate-all mode inside run_hour (used by the Fig. 2 bench).
+  /// Enable relocate-all mode inside run_hour (Controller sets it from
+  /// ControllerOptions::relocate_all).
   void set_relocate_all_mode(bool enabled) { relocate_all_mode_ = enabled; }
 
   [[nodiscard]] const PlacementConfig& config() const { return config_; }

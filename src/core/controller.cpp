@@ -146,9 +146,7 @@ void Controller::run_hours(std::int64_t hours,
     q.run_until((h + 1) * util::kMsPerHour);
     cluster_.account_hour(h);
     if (reads_models()) models_.observe_hour(cluster_, h);
-    if ((h + 1 - start) % options_.consolidation_period_hours == 0) {
-      policy_->run_hour(h + 1);
-    }
+    policy_->run_hour(h + 1);
     if (on_hour_end) on_hour_end(h);
   }
 }

@@ -37,7 +37,6 @@ struct ControllerOptions {
   sim::RequestConfig requests;
   bool quick_resume = true;       ///< the paper's optimized ≈800 ms resume
   bool relocate_all = false;      ///< §VI-A-1 evaluation mode
-  int consolidation_period_hours = 1;
 };
 
 /// The deployment.

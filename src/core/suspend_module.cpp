@@ -80,10 +80,11 @@ util::SimTime SuspendModule::compute_wake_date() const {
 util::SimTime SuspendModule::grace_duration(const util::CalendarTime& c) const {
   // Normalized IP in [0,1]: 1 = determined idle -> short grace (g_min);
   // 0 = determined active -> long grace (g_max), exponential in between.
-  // Raw IPs move at the σ scale, so "determined" is measured against the
-  // configured multiple of σ (default 7σ, a week of constant activity).
+  // Raw IPs move at the σ scale, so "determined" is measured against 7σ;
+  // without that scaling the normalized IP is pinned at 0.5 and the grace
+  // band collapses to a point.
   const double sigma = 1.0 / (365.0 * 24.0);
-  const double scale = config_.grace_ip_scale_sigmas * sigma;
+  const double scale = kDeterminedIpSigmas * sigma;
   const double raw = models_.host_ip(host_, c).raw;
   const double ipn = (util::clamp(raw / scale, -1.0, 1.0) + 1.0) / 2.0;
   const double g_min = static_cast<double>(config_.grace_min);

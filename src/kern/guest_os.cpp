@@ -16,7 +16,7 @@ GuestOs::GuestOs() {
 }
 
 GuestOs::~GuestOs() {
-  // Timers hold intrusive links into timers_; cancel before the queue dies.
+  // timers_ holds pointers to the services' timers; unlink them first.
   for (auto& svc : services_) {
     if (svc->timer) timers_.cancel(*svc->timer);
   }

@@ -4,44 +4,27 @@
 
 namespace drowsy::kern {
 
-namespace {
-const HrTimer* timer_of(const RbNode* node) {
-  return rb_entry<HrTimer, &HrTimer::node>(const_cast<RbNode*>(node));
-}
-
-HrTimer* timer_of(RbNode* node) { return rb_entry<HrTimer, &HrTimer::node>(node); }
-
-bool timer_less(const HrTimer& a, const HrTimer& b) {
-  if (a.expiry != b.expiry) return a.expiry < b.expiry;
-  return a.id < b.id;
-}
-}  // namespace
-
 void HrTimerQueue::arm(HrTimer& timer, util::SimTime expiry) {
   assert(!timer.armed() && "timer already armed");
   timer.expiry = expiry;
   timer.id = next_id_++;
   timer.enqueued = true;
-  tree_.insert(&timer.node, [](const RbNode* a, const RbNode* b) {
-    return timer_less(*timer_of(a), *timer_of(b));
-  });
+  timers_.insert(&timer);
 }
 
 void HrTimerQueue::cancel(HrTimer& timer) {
   if (!timer.armed()) return;
   timer.enqueued = false;
-  tree_.erase(&timer.node);
+  timers_.erase(&timer);
 }
 
 HrTimer* HrTimerQueue::peek() const {
-  RbNode* n = tree_.first();
-  return n == nullptr ? nullptr : timer_of(n);
+  return timers_.empty() ? nullptr : *timers_.begin();
 }
 
 HrTimer* HrTimerQueue::peek_filtered(
     const std::function<bool(const HrTimer&)>& keep) const {
-  for (RbNode* n = tree_.first(); n != nullptr; n = RbTree::next(n)) {
-    HrTimer* t = timer_of(n);
+  for (HrTimer* t : timers_) {
     if (keep(*t)) return t;
   }
   return nullptr;
@@ -52,7 +35,7 @@ std::size_t HrTimerQueue::fire_due(util::SimTime now) {
   while (HrTimer* t = peek()) {
     if (t->expiry > now) break;
     t->enqueued = false;
-    tree_.erase(&t->node);
+    timers_.erase(timers_.begin());
     ++fired;
     if (t->callback) t->callback(now);
   }
@@ -60,7 +43,7 @@ std::size_t HrTimerQueue::fire_due(util::SimTime now) {
 }
 
 void HrTimerQueue::for_each(const std::function<void(const HrTimer&)>& visit) const {
-  for (RbNode* n = tree_.first(); n != nullptr; n = RbTree::next(n)) visit(*timer_of(n));
+  for (const HrTimer* t : timers_) visit(*t);
 }
 
 }  // namespace drowsy::kern

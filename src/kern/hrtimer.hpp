@@ -3,27 +3,24 @@
 // Guest processes that sleep register a timer that will wake them; the
 // suspending module walks this structure (paper §V-B) to compute the
 // earliest waking date, filtering out timers owned by blacklisted
-// processes.  Timers are kept in an intrusive red-black tree ordered by
-// expiry, exactly like the kernel's timerqueue.
+// processes.  Timers are kept in a std::set ordered by (expiry, id) — a
+// red-black tree, like the kernel's timerqueue — so the walk visits them
+// in expiry order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
-#include <vector>
+#include <set>
 
-#include "kern/rbtree.hpp"
 #include "util/sim_time.hpp"
 
 namespace drowsy::kern {
 
 using Pid = std::int32_t;
 
-/// One armed timer.  Owned by whoever armed it; the registry holds only an
-/// intrusive link.  A timer must be cancelled (or fired) before destruction.
+/// One armed timer.  Owned by whoever armed it; the registry holds only a
+/// pointer.  A timer must be cancelled (or fired) before destruction.
 struct HrTimer {
-  RbNode node;                        ///< intrusive link, managed by HrTimerQueue
   util::SimTime expiry = util::kNever;  ///< absolute expiry instant
   Pid owner_pid = 0;                  ///< process that armed the timer
   std::uint64_t id = 0;               ///< registry-assigned, for stable ordering
@@ -33,7 +30,7 @@ struct HrTimer {
   [[nodiscard]] bool armed() const { return enqueued; }
 };
 
-/// Red-black-tree timer queue ordered by (expiry, id).
+/// Timer queue ordered by (expiry, id).
 class HrTimerQueue {
  public:
   HrTimerQueue() = default;
@@ -59,17 +56,21 @@ class HrTimerQueue {
   /// Returns the number fired.
   std::size_t fire_due(util::SimTime now);
 
-  [[nodiscard]] std::size_t size() const { return tree_.size(); }
-  [[nodiscard]] bool empty() const { return tree_.empty(); }
+  [[nodiscard]] std::size_t size() const { return timers_.size(); }
+  [[nodiscard]] bool empty() const { return timers_.empty(); }
 
   /// Visit all armed timers in expiry order.
   void for_each(const std::function<void(const HrTimer&)>& visit) const;
 
-  /// Red-black invariant check (test hook); -1 on violation.
-  [[nodiscard]] int validate() const { return tree_.validate(); }
-
  private:
-  RbTree tree_;
+  struct Earlier {
+    bool operator()(const HrTimer* a, const HrTimer* b) const {
+      if (a->expiry != b->expiry) return a->expiry < b->expiry;
+      return a->id < b->id;
+    }
+  };
+
+  std::set<HrTimer*, Earlier> timers_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -326,12 +326,9 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
       break;
     case Policy::NeatS3:
     case Policy::NeatVanilla:
-    case Policy::NeatNoSuspend: {
-      baselines::NeatConfig neat;
-      neat.seed = mix_seed(seed, 0xBEEFULL);
-      run->baseline = std::make_unique<baselines::NeatConsolidation>(run->cluster, neat);
+    case Policy::NeatNoSuspend:
+      run->baseline = std::make_unique<baselines::NeatConsolidation>(run->cluster);
       break;
-    }
     case Policy::Oasis:
       run->baseline = std::make_unique<baselines::OasisConsolidation>(run->cluster);
       break;

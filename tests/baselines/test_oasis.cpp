@@ -128,8 +128,3 @@ TEST_F(OasisFixture, LowScorePairsNotForced) {
   // formed because of the score; verify via pair_score.
   EXPECT_LT(oasis.pair_score(a.id(), b_vm.id()), cfg.min_score);
 }
-
-TEST_F(OasisFixture, NameIsOasis) {
-  b::OasisConsolidation oasis(cluster);
-  EXPECT_EQ(oasis.name(), "oasis");
-}

@@ -203,8 +203,3 @@ TEST_F(ConsolidationFixture, OpportunisticStepDisabledByConfig) {
   consolidator.run_hour(30 * 24);
   EXPECT_EQ(cluster.total_migrations(), 0);
 }
-
-TEST_F(ConsolidationFixture, NameIsStable) {
-  c::IdlenessConsolidator consolidator(cluster, builder);
-  EXPECT_EQ(consolidator.name(), "drowsy-dc");
-}

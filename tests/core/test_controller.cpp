@@ -225,7 +225,6 @@ TEST_F(ControllerFixture, ExternalPolicyIsUsed) {
   struct CountingPolicy final : c::ConsolidationPolicy {
     int calls = 0;
     void run_hour(std::int64_t) override { ++calls; }
-    [[nodiscard]] std::string name() const override { return "counting"; }
   };
   add_host();
   auto& vm = add_vm(t::ActivityTrace({0.0}));

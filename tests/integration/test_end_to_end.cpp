@@ -234,3 +234,46 @@ TEST(EndToEnd, SlaHoldsUnderDrowsyDc) {
     EXPECT_LT(stats.wake_latencies_ms.max(), 10'000.0);
   }
 }
+
+TEST(EndToEnd, TimerDrivenBackupStartsOnSchedule) {
+  // Paper §V-B: a nightly 02:00 backup sleeps on a guest hrtimer.  Before
+  // suspending, the suspending module walks the guest's timers in expiry
+  // order, skips blacklisted owners (the monitoring agent's 30 s poll),
+  // and registers 02:00 as the waking date; the waking module wakes the
+  // host ahead of time, so every run starts exactly on schedule.
+  s::EventQueue queue;
+  s::Cluster cluster(queue);
+  n::SdnSwitch sw(queue);
+  auto& host = cluster.add_host(s::HostSpec{"backup-host", 8, 16384, 2});
+  auto& vm = cluster.add_vm(s::VmSpec{"backup-vm", 2, 6144},
+                            t::ActivityTrace(std::vector<double>(24 * 40, 0.0)));
+  cluster.place(vm.id(), host.id());
+
+  std::vector<u::SimTime> runs;
+  vm.add_scheduled_job(
+      queue, "nightly-backup",
+      [](u::SimTime now) {
+        const u::CalendarTime cal = u::calendar_of(now);
+        u::SimTime next = u::time_of(cal.year, cal.day_of_year, /*hour=*/2);
+        while (next <= now) next += u::kMsPerDay;
+        return next;
+      },
+      /*work_duration=*/u::minutes(15), [&runs](u::SimTime at) { runs.push_back(at); });
+  // The decoy: if this blacklisted timer became the waking date, the host
+  // would wake every 30 s and could not sleep through the week.
+  vm.guest().add_timer_service("monitoring-agent", queue.now(),
+                               [](u::SimTime now) { return now + u::seconds(30); });
+
+  c::Controller controller(cluster, sw);
+  controller.install();
+  controller.run_hours(7 * u::kHoursPerDay);
+  host.account_now();
+
+  ASSERT_EQ(runs.size(), 7u);
+  for (std::size_t day = 0; day < runs.size(); ++day) {
+    EXPECT_EQ(runs[day], static_cast<u::SimTime>(day) * u::kMsPerDay + u::hours(2.0))
+        << "run " << day << " is late";
+  }
+  EXPECT_EQ(controller.waking_primary().stats().scheduled_wakes, 7u);
+  EXPECT_GT(host.suspended_fraction(0), 0.95);
+}

@@ -326,30 +326,75 @@ int cmd_shard_merge(const Options& opts, const std::string& sweep_path) {
   return emit_results(results, opts.emit) ? 0 : 1;
 }
 
+/// The text form of `shard status`, rendered from its JSON document.
+void print_shard_status(const ec::Json& j) {
+  for (const ec::Json& t : j.at("journals").elements()) {
+    std::printf("  %-40s %4llu row(s)  wall %10.0f ms\n", t.at("path").as_string().c_str(),
+                static_cast<unsigned long long>(t.at("rows").as_uint()),
+                t.at("wall_ms").as_double());
+  }
+  std::printf("%s: %llu/%llu run(s) complete\n", j.at("sweep").as_string().c_str(),
+              static_cast<unsigned long long>(j.at("completed").as_uint()),
+              static_cast<unsigned long long>(j.at("total").as_uint()));
+  for (const char* key : {"missing", "duplicates"}) {
+    if (const std::uint64_t n = j.at(key).as_uint(); n > 0) {
+      std::printf("  %s: %llu\n", key, static_cast<unsigned long long>(n));
+    }
+  }
+  const ec::Json& foreign = j.at("foreign");
+  if (foreign.size() > 0) {
+    std::printf("  foreign rows: %zu (e.g. %s)\n", foreign.size(),
+                foreign.elements().front().as_string().c_str());
+  }
+  for (const ec::Json& w : j.at("workers").elements()) {
+    std::printf("  worker %-20s %llu job(s), %llu task(s) done, %llu failed, "
+                "%llu events profiled\n",
+                w.at("worker_id").as_string().c_str(),
+                static_cast<unsigned long long>(w.at("jobs_done").as_uint()),
+                static_cast<unsigned long long>(w.at("tasks_done").as_uint()),
+                static_cast<unsigned long long>(w.at("tasks_failed").as_uint()),
+                static_cast<unsigned long long>(
+                    w.at("event_profile").at("total_events").as_uint()));
+  }
+  for (const ec::Json& claim : j.at("claims").elements()) {
+    const std::string& manifest = claim.at("manifest").as_string();
+    const std::string& worker = claim.at("worker_id").as_string();
+    const double remaining_s = claim.at("lease_remaining_s").as_double();
+    if (!claim.at("expired").as_bool()) {
+      std::printf("  claim %s (worker %s): lease %.0f s remaining\n", manifest.c_str(),
+                  worker.c_str(), remaining_s);
+      continue;
+    }
+    char why[64] = "no lease";
+    if (claim.at("has_lease").as_bool()) {
+      std::snprintf(why, sizeof(why), "lease expired %.0f s ago", -remaining_s);
+    }
+    std::printf("  warning: expired claim %s (worker %s, %s) — run `shard reap`, "
+                "or restart a daemon with --worker-id %s\n",
+                manifest.c_str(), worker.c_str(), why, worker.c_str());
+  }
+  if (const std::uint64_t reaps = j.at("reap_count").as_uint(); reaps > 0) {
+    std::printf("  reaped claims: %llu\n", static_cast<unsigned long long>(reaps));
+  }
+}
+
 int cmd_shard_status(const Options& opts, const std::string& sweep_path) {
   const ec::LoadedSweep loaded = ec::load_sweep(sweep_path);
   const auto jobs = ec::expand(loaded.sweep);
   // Per-journal accounting: progress in wall-clock terms, not just row
   // counts — a shard with 3 of 4 rows done may still own most of the
   // remaining work.
-  struct JournalTotals {
-    std::string path;
-    std::size_t rows = 0;
-    double wall_ms = 0.0;
-  };
-  std::vector<JournalTotals> totals;
+  ec::Json journals = ec::Json::array();
   const auto entries = read_journal_set(
       opts.journals,
       [&](const std::string& path, const dt::JournalContents& contents) {
-        JournalTotals t;
-        t.path = path;
-        t.rows = contents.entries.size();
-        for (const dt::JournalEntry& entry : contents.entries) t.wall_ms += entry.wall_ms;
-        if (!opts.json_report) {
-          std::printf("  %-40s %4zu row(s)  wall %10.0f ms\n", t.path.c_str(), t.rows,
-                      t.wall_ms);
-        }
-        totals.push_back(std::move(t));
+        double wall_ms = 0.0;
+        for (const dt::JournalEntry& entry : contents.entries) wall_ms += entry.wall_ms;
+        ec::Json row = ec::Json::object();
+        row.set("path", path);
+        row.set("rows", static_cast<std::uint64_t>(contents.entries.size()));
+        row.set("wall_ms", wall_ms);
+        journals.push_back(std::move(row));
       });
   const dt::Coverage cov = dt::cover_grid(jobs, entries);
   // Every claim in flight with its lease: expired ones park their shard
@@ -390,95 +435,46 @@ int cmd_shard_status(const Options& opts, const std::string& sweep_path) {
       }
     }
   }
-  if (opts.json_report) {
-    // One JSON document on stdout; the exit code still carries the
-    // complete/incomplete verdict so scripts need not parse to gate.
-    ec::Json j = ec::Json::object();
-    j.set("sweep", loaded.sweep.name);
-    j.set("completed", static_cast<std::uint64_t>(cov.completed));
-    j.set("total", static_cast<std::uint64_t>(cov.total));
-    j.set("complete", cov.complete());
-    j.set("missing", static_cast<std::uint64_t>(cov.missing.size()));
-    j.set("duplicates", static_cast<std::uint64_t>(cov.duplicates.size()));
-    ec::Json foreign = ec::Json::array();
-    for (const std::string& f : cov.foreign) foreign.push_back(f);
-    j.set("foreign", std::move(foreign));
-    ec::Json journals = ec::Json::array();
-    for (const JournalTotals& t : totals) {
-      ec::Json row = ec::Json::object();
-      row.set("path", t.path);
-      row.set("rows", static_cast<std::uint64_t>(t.rows));
-      row.set("wall_ms", t.wall_ms);
-      journals.push_back(std::move(row));
-    }
-    j.set("journals", std::move(journals));
-    // The lease fields are always present (zeroed without a lease) so
-    // consumers can grep/parse a stable schema.
-    ec::Json all_claims = ec::Json::array();
-    for (const dt::ClaimInfo& claim : claims) {
-      ec::Json row = ec::Json::object();
-      row.set("manifest", claim.manifest_path);
-      row.set("worker_id", claim.worker_id);
-      row.set("has_lease", claim.has_lease);
-      row.set("age_s", claim.age_s);
-      row.set("lease_ttl_s", claim.lease_ttl_s);
-      row.set("lease_remaining_s", claim.lease_remaining_s());
-      row.set("expired", claim.expired());
-      row.set("queue_dir", opts.queue_dir);
-      all_claims.push_back(std::move(row));
-    }
-    j.set("claims", std::move(all_claims));
-    j.set("reap_count", static_cast<std::uint64_t>(reaps.size()));
-    ec::Json fleet = ec::Json::array();
-    for (const drowsy::obs::WorkerSnapshot& w : workers) {
-      fleet.push_back(drowsy::obs::to_json(w));
-    }
-    j.set("workers", std::move(fleet));
-    std::printf("%s\n", j.dump(2).c_str());
-    return cov.complete() ? 0 : 3;
-  }
-  std::printf("%s: %zu/%zu run(s) complete\n", loaded.sweep.name.c_str(), cov.completed,
-              cov.total);
-  if (!cov.missing.empty()) {
-    std::printf("  missing: %zu (first grid index %zu)\n", cov.missing.size(),
-                cov.missing.front());
-  }
-  if (!cov.duplicates.empty()) {
-    std::printf("  duplicates: %zu (first grid index %zu)\n", cov.duplicates.size(),
-                cov.duplicates.front());
-  }
-  if (!cov.foreign.empty()) {
-    std::printf("  foreign rows: %zu (e.g. %s)\n", cov.foreign.size(),
-                cov.foreign.front().c_str());
-  }
-  for (const drowsy::obs::WorkerSnapshot& w : workers) {
-    std::printf("  worker %-20s %llu job(s), %llu task(s) done, %llu failed, "
-                "%llu events profiled\n",
-                w.worker_id.c_str(), static_cast<unsigned long long>(w.jobs_done),
-                static_cast<unsigned long long>(w.tasks_done),
-                static_cast<unsigned long long>(w.tasks_failed),
-                static_cast<unsigned long long>(w.profile.total_events()));
-  }
+  // One document for both outputs: --json prints it, the text report is
+  // rendered from it.  The exit code carries the complete/incomplete
+  // verdict so scripts need not parse to gate.
+  ec::Json j = ec::Json::object();
+  j.set("sweep", loaded.sweep.name);
+  j.set("completed", static_cast<std::uint64_t>(cov.completed));
+  j.set("total", static_cast<std::uint64_t>(cov.total));
+  j.set("complete", cov.complete());
+  j.set("missing", static_cast<std::uint64_t>(cov.missing.size()));
+  j.set("duplicates", static_cast<std::uint64_t>(cov.duplicates.size()));
+  ec::Json foreign = ec::Json::array();
+  for (const std::string& f : cov.foreign) foreign.push_back(f);
+  j.set("foreign", std::move(foreign));
+  j.set("journals", std::move(journals));
+  // The lease fields are always present (zeroed without a lease) so
+  // consumers can grep/parse a stable schema.
+  ec::Json all_claims = ec::Json::array();
   for (const dt::ClaimInfo& claim : claims) {
-    if (!claim.expired()) {
-      std::printf("  claim %s (worker %s): lease %.0f s remaining\n",
-                  claim.manifest_path.c_str(), claim.worker_id.c_str(),
-                  claim.lease_remaining_s());
-      continue;
-    }
-    char why[64] = "no lease";
-    if (claim.has_lease) {
-      std::snprintf(why, sizeof(why), "lease expired %.0f s ago", -claim.lease_remaining_s());
-    }
-    std::printf("  warning: expired claim %s (worker %s, %s) — run `shard reap`, "
-                "or restart a daemon with --worker-id %s\n",
-                claim.manifest_path.c_str(), claim.worker_id.c_str(), why,
-                claim.worker_id.c_str());
+    ec::Json row = ec::Json::object();
+    row.set("manifest", claim.manifest_path);
+    row.set("worker_id", claim.worker_id);
+    row.set("has_lease", claim.has_lease);
+    row.set("age_s", claim.age_s);
+    row.set("lease_ttl_s", claim.lease_ttl_s);
+    row.set("lease_remaining_s", claim.lease_remaining_s());
+    row.set("expired", claim.expired());
+    row.set("queue_dir", opts.queue_dir);
+    all_claims.push_back(std::move(row));
   }
-  if (!opts.queue_dir.empty() && !reaps.empty()) {
-    std::printf("  reaped claims: %zu (last: %s from %s by %s)\n", reaps.size(),
-                reaps.back().manifest.c_str(), reaps.back().worker_id.c_str(),
-                reaps.back().reaper_id.c_str());
+  j.set("claims", std::move(all_claims));
+  j.set("reap_count", static_cast<std::uint64_t>(reaps.size()));
+  ec::Json fleet = ec::Json::array();
+  for (const drowsy::obs::WorkerSnapshot& w : workers) {
+    fleet.push_back(drowsy::obs::to_json(w));
+  }
+  j.set("workers", std::move(fleet));
+  if (opts.json_report) {
+    std::printf("%s\n", j.dump(2).c_str());
+  } else {
+    print_shard_status(j);
   }
   return cov.complete() ? 0 : 3;  // distinct from hard errors (1) and usage (2)
 }
