@@ -140,6 +140,8 @@ void Controller::run_hours(std::int64_t hours,
   assert(q.now() % util::kMsPerHour == 0 && "start on an hour boundary");
   const std::int64_t start = util::hour_index(q.now());
   for (std::int64_t h = start; h < start + hours; ++h) {
+    // Run states first: a suspend chain this re-arms takes its seq ahead
+    // of the hour's arrival block, as the always-on chain's check did.
     refresh_runstates(h);
     fabric_.schedule_hour(h);
     for (const auto& host : cluster_.hosts()) pump_guest_timers(host->id(), h);

@@ -22,15 +22,19 @@ SuspendModule::SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilde
       cluster_(cluster),
       models_(models),
       config_(config),
-      blacklist_(std::move(blacklist)) {}
+      blacklist_(std::move(blacklist)) {
+  host_.set_on_guest_change([this] { on_guest_change(); });
+}
+
+SuspendModule::~SuspendModule() { host_.set_on_guest_change({}); }
 
 void SuspendModule::start() {
   if (running_ || !config_.enabled) return;
   running_ = true;
   origin_ = cluster_.queue().now();
   // A chain parked by our own suspend restarts from on_host_wake().
-  if (parked_ && host_.state() != sim::PowerState::S0) return;
-  parked_ = false;
+  if (park_ == Park::Asleep && host_.state() != sim::PowerState::S0) return;
+  park_ = Park::None;
   schedule_check(origin_ + config_.check_interval);
 }
 
@@ -45,13 +49,26 @@ void SuspendModule::schedule_check(util::SimTime at) {
       at,
       [this, gen] {
         if (generation_ != gen || !running_) return;
+        const std::uint64_t busy = stats_.blocked_by_running;
         check();
-        // check() bumps the generation when it parks the chain.
-        if (generation_ == gen) {
-          schedule_check(cluster_.queue().now() + config_.check_interval);
+        const sim::EventQueue& q = cluster_.queue();
+        if (stats_.blocked_by_running != busy) {
+          // Busy: park until on_guest_change().  Nothing else is queued.
+          park_ = Park::Busy;
+          parked_at_ = q.now();
+          park_seq_ = q.next_seq();
+          return;
         }
+        // check() bumps the generation when it parks the chain.
+        if (generation_ == gen) schedule_check(q.now() + config_.check_interval);
       },
       obs::EventTag::SuspendCheck);
+}
+
+util::SimTime SuspendModule::grid_after(util::SimTime t) const {
+  assert(t >= origin_);
+  const util::SimTime interval = config_.check_interval;
+  return origin_ + ((t - origin_) / interval + 1) * interval;
 }
 
 bool SuspendModule::parks() const {
@@ -96,8 +113,8 @@ util::SimTime SuspendModule::grace_duration(const util::CalendarTime& c) const {
 void SuspendModule::on_host_wake() {
   const util::SimTime now = cluster_.queue().now();
   if (config_.use_grace_time) grace_until_ = now + grace_duration(util::calendar_of(now));
-  if (!parked_) return;
-  parked_ = false;
+  if (park_ == Park::None) return;
+  park_ = Park::None;
   if (!running_) return;
   // Re-arm where the always-on chain first checked an awake host: the
   // first grid point G >= now whose event ran after the resume event.
@@ -114,9 +131,36 @@ void SuspendModule::on_host_wake() {
   // host's waking-module entries), so the swap cannot change a decision.
   // tests/core/test_suspend_chain.cpp holds every decision to the
   // always-on chain's.
-  assert(now >= origin_);
+  schedule_check(grid_after(now));
+}
+
+void SuspendModule::on_guest_change() {
+  if (park_ != Park::Busy) return;
+  park_ = Park::None;
+  if (!running_) return;
+  // Re-arm where the always-on chain first checked after the change.
+  // That is the first grid point strictly after now when the change
+  // comes outside dispatch (the controller's hour-boundary work, after
+  // run_until has run every event at now, the chain's check included),
+  // inside an event at an off-grid instant, or at the instant of the
+  // check that parked us.
+  const sim::EventQueue& q = cluster_.queue();
+  const util::SimTime now = q.now();
+  const util::SimTime next = grid_after(now);
   const util::SimTime interval = config_.check_interval;
-  schedule_check(origin_ + ((now - origin_) / interval + 1) * interval);
+  if (!q.dispatching() || next - now != interval || now == parked_at_) {
+    schedule_check(next);
+    return;
+  }
+  // E runs at a later grid point G = now.  The always-on chain queued its
+  // check for G at G - interval, right after the check there; so it ran
+  // after E — and saw the change — iff E was queued first: before the
+  // check that parked us (whose successor took park_seq_), or before
+  // G - interval.  E queued at G - interval itself, after the park, is
+  // taken as queued after that instant's check; which of the two came
+  // first there depends on events no parked chain sees.
+  const bool e_first = q.current_seq() < park_seq_ || q.current_queued_at() < now - interval;
+  schedule_check(e_first ? now : next);
 }
 
 void SuspendModule::check() {
@@ -170,7 +214,7 @@ void SuspendModule::check() {
   // external caller ran this check, so at most one is ever queued.
   if (parks()) {
     ++generation_;
-    parked_ = true;
+    park_ = Park::Asleep;
   }
 }
 

@@ -26,6 +26,11 @@
 namespace drowsy::core {
 
 /// Decision statistics (Fig. 3 effectiveness/overhead evaluation).
+///
+/// `checks` and `blocked_by_running` count the checks that actually ran.
+/// A parked chain runs none (see SuspendModule), so both fall whenever
+/// parking improves and no artifact may depend on them; every other
+/// outcome is what the always-on chain would count.
 struct SuspendStats {
   std::uint64_t checks = 0;
   std::uint64_t suspends = 0;
@@ -38,15 +43,29 @@ struct SuspendStats {
 
 /// Per-host suspend daemon.
 ///
-/// Checks run on the grid start() + k·check_interval.  A check that
-/// suspends the host parks the chain: nothing is scheduled while the host
-/// is out of S0, and on_host_wake() re-arms it at the next grid point.  So
-/// `checks` counts only checks of an awake host, unless a resume can take
-/// a whole interval (see parks()).
+/// Checks run on the grid start() + k·check_interval, and the chain parks
+/// — schedules nothing — while a check could only repeat its last answer:
+///  * a check that suspends the host parks it while the host is out of
+///    S0 (unless a resume can take a whole interval, see parks()), and
+///    on_host_wake() re-arms it;
+///  * a chain check that ends blocked_by_running parks it while the host
+///    stays busy.  The host reports every change that could end that
+///    verdict (a VM leaving it; a process of a resident guest leaving
+///    Running, entering BlockedIo or opening a session — see
+///    kern::ProcessTable::set_on_change), and the chain re-arms at the
+///    first grid point where the always-on chain would see the change.
+///    Reachability and the blacklist cannot turn a running verdict into
+///    a suspend, so they re-arm nothing.
+/// tests/core/test_suspend_chain.cpp holds every decision to the
+/// always-on chain's.
 class SuspendModule {
  public:
+  /// Registers with `host` for its guest-change reports (see above).
   SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
                 SuspendConfig config, kern::Blacklist blacklist = kern::Blacklist::standard());
+  ~SuspendModule();
+  SuspendModule(const SuspendModule&) = delete;
+  SuspendModule& operator=(const SuspendModule&) = delete;
 
   /// Attach the waking module(s) to notify before suspending.
   void set_waking_module(WakingModule* waking) { waking_ = waking; }
@@ -73,6 +92,10 @@ class SuspendModule {
   /// parked check chain.
   void on_host_wake();
 
+  /// Guest-change hook (the host calls it): re-arms a chain parked on a
+  /// busy host.
+  void on_guest_change();
+
   /// Run one idleness check right now (also used by benches).
   void check();
 
@@ -81,10 +104,18 @@ class SuspendModule {
   [[nodiscard]] const kern::Blacklist& blacklist() const { return blacklist_; }
 
  private:
+  enum class Park : std::uint8_t {
+    None,    ///< the chain is scheduled (or stopped)
+    Asleep,  ///< our suspend parked it; the next wake re-arms it
+    Busy,    ///< a running verdict parked it; a guest change re-arms it
+  };
+
   void schedule_check(util::SimTime at);
   /// Whether a suspend parks the chain: only when every resume finishes
   /// within one interval (see on_host_wake).
   [[nodiscard]] bool parks() const;
+  /// The first grid point strictly after `t`.
+  [[nodiscard]] util::SimTime grid_after(util::SimTime t) const;
 
   sim::Host& host_;
   sim::Cluster& cluster_;
@@ -95,7 +126,11 @@ class SuspendModule {
   bool running_ = false;
   std::uint64_t generation_ = 0;
   util::SimTime origin_ = 0;  ///< grid origin: the instant of the last start()
-  bool parked_ = false;       ///< chain stopped by our suspend, until the wake
+  Park park_ = Park::None;
+  util::SimTime parked_at_ = 0;  ///< instant of the check that parked on Busy
+  /// The queue's next seq right after that check: the seq the always-on
+  /// chain gave its next check.
+  std::uint64_t park_seq_ = 0;
   util::SimTime grace_until_ = 0;
   SuspendStats stats_;
 };

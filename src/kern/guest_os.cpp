@@ -73,11 +73,7 @@ void GuestOs::record_hour(double activity, double noise_floor,
   last_hour_ = ledger;
 }
 
-void GuestOs::open_session(Pid pid) {
-  Process* p = procs_.find(pid);
-  assert(p != nullptr);
-  ++p->open_sessions;
-}
+void GuestOs::open_session(Pid pid) { procs_.open_session(pid); }
 
 void GuestOs::close_session(Pid pid) {
   Process* p = procs_.find(pid);

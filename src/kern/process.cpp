@@ -64,14 +64,17 @@ Pid ProcessTable::spawn(std::string name, ProcState initial, bool kernel_thread)
   p.state = initial;
   p.kernel_thread = kernel_thread;
   ++live_;
+  if (initial == ProcState::BlockedIo) changed();
   return pid;
 }
 
 bool ProcessTable::reap(Pid pid) {
   Process* p = find(pid);
   if (p == nullptr) return false;
+  const bool was_running = p->state == ProcState::Running;
   *p = Process{};  // tombstone: pid 0
   --live_;
+  if (was_running) changed();
   return true;
 }
 
@@ -88,7 +91,18 @@ const Process* ProcessTable::find(Pid pid) const {
 void ProcessTable::set_state(Pid pid, ProcState state) {
   Process* p = find(pid);
   assert(p != nullptr && "unknown pid");
+  const ProcState old = p->state;
   p->state = state;
+  if (state != old && (old == ProcState::Running || state == ProcState::BlockedIo)) {
+    changed();
+  }
+}
+
+void ProcessTable::open_session(Pid pid) {
+  Process* p = find(pid);
+  assert(p != nullptr && "unknown pid");
+  ++p->open_sessions;
+  changed();
 }
 
 }  // namespace drowsy::kern

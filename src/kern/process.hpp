@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,16 @@ class ProcessTable {
   /// Set the run state of a process; asserts the pid exists.
   void set_state(Pid pid, ProcState state);
 
+  /// Open one more session on a process; asserts the pid exists.
+  void open_session(Pid pid);
+
+  /// Install the table's one change observer (an empty function removes
+  /// it).  It runs after every change that can turn an "a relevant
+  /// process runs" verdict into another one: a process leaves Running
+  /// (set_state, reap), a process enters BlockedIo (set_state, spawn), or
+  /// a session opens.  Changes that only add running work never call it.
+  void set_on_change(std::function<void()> hook) { on_change_ = std::move(hook); }
+
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Visit every process in pid order.
@@ -141,8 +152,13 @@ class ProcessTable {
   }
 
  private:
+  void changed() const {
+    if (on_change_) on_change_();
+  }
+
   std::vector<Process> slots_;  ///< slot i holds pid i + 1, or a tombstone
   std::size_t live_ = 0;
+  std::function<void()> on_change_;
 };
 
 }  // namespace drowsy::kern

@@ -13,7 +13,7 @@ SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency)
     : dispatcher_(dispatcher), port_latency_(port_latency) {}
 
 void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> deliver) {
-  ports_[mac] = std::move(deliver);
+  ports_[mac] = std::make_shared<const Deliver>(std::move(deliver));
 }
 
 void SdnSwitch::detach_port(const MacAddress& mac) { ports_.erase(mac); }
@@ -60,8 +60,10 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
     return false;
   }
   ++forwarded_;
-  auto deliver = it->second;  // copy: the port may detach before delivery
-  dispatcher_.schedule_after(port_latency_, [deliver, packet] { deliver(packet); },
+  // {shared_ptr, Packet} fits util::InlineFn's buffer: no allocation per
+  // frame.  Holding the callback keeps a detached port's delivery valid.
+  dispatcher_.schedule_after(port_latency_,
+                             [deliver = it->second, packet] { (*deliver)(packet); },
                              obs::EventTag::NetsimFrame);
   return true;
 }

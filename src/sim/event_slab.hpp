@@ -27,12 +27,15 @@ inline constexpr std::uint32_t kNoEvent = UINT32_MAX;
 
 /// One scheduled event.  (at, seq) is the total dispatch order the whole
 /// repo's determinism rests on; `next` chains records into a wheel bucket
-/// (pending) or the free list (recycled); `tag` feeds the optional
+/// (pending) or the free list (recycled); `lead` is how far ahead of its
+/// deadline the event was queued (saturated at UINT32_MAX ms, and stored
+/// in what would otherwise be padding); `tag` feeds the optional
 /// obs::EventProfile attribution.
 struct EventRecord {
   util::SimTime at = 0;
   std::uint64_t seq = 0;
   std::uint32_t next = kNoEvent;
+  std::uint32_t lead = 0;
   obs::EventTag tag = obs::EventTag::Other;
   util::InlineFn fn;
 };

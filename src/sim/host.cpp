@@ -25,12 +25,17 @@ bool Host::can_host(const VmSpec& vm) const {
 void Host::attach_vm(Vm& vm) {
   assert(can_host(vm.spec()) && "placement must respect capacity");
   vms_.push_back(&vm);
+  vm.guest().processes().set_on_change([this] {
+    if (on_guest_change_) on_guest_change_();
+  });
 }
 
 void Host::detach_vm(VmId id) {
   for (auto it = vms_.begin(); it != vms_.end(); ++it) {
     if ((*it)->id() == id) {
+      (*it)->guest().processes().set_on_change({});
       vms_.erase(it);
+      if (on_guest_change_) on_guest_change_();
       return;
     }
   }

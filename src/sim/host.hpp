@@ -50,8 +50,17 @@ class Host {
   // --- VM residency (managed by the Cluster) ------------------------------
   [[nodiscard]] const std::vector<Vm*>& vms() const { return vms_; }
   [[nodiscard]] bool can_host(const VmSpec& vm) const;
+  /// Attach a VM; its guest's process-table changes are reported to the
+  /// guest-change observer until the VM is detached.
   void attach_vm(Vm& vm);
+  /// Detach a VM and report the change to the guest-change observer.
   void detach_vm(VmId id);
+
+  /// Set the one observer (the host's suspend module) of changes that can
+  /// end a "some resident guest runs" verdict: a VM leaving, or what a
+  /// resident guest's kern::ProcessTable::set_on_change reports.  An
+  /// empty function removes it.
+  void set_on_guest_change(std::function<void()> hook) { on_guest_change_ = std::move(hook); }
   [[nodiscard]] int used_vcpus() const;
   [[nodiscard]] int used_memory_mb() const;
 
@@ -153,6 +162,7 @@ class Host {
   std::vector<std::function<void()>> on_wake_;
   std::vector<std::function<void(PowerState, PowerState)>> on_transition_;
   std::vector<std::function<void()>> resume_waiters_;
+  std::function<void()> on_guest_change_;
 };
 
 }  // namespace drowsy::sim

@@ -27,6 +27,9 @@ void RequestFabric::schedule_hour(std::int64_t h) {
   EventQueue& q = cluster_.queue();
   const util::SimTime hour_start = h * util::kMsPerHour;
   assert(hour_start >= q.now());
+  arrivals_.clear();
+  arrival_dst_.clear();
+  arrival_id0_ = next_packet_id_;
   for (const auto& vm : cluster_.vms()) {
     if (cluster_.host_of(vm->id()) == nullptr) continue;
     const double activity = vm->activity_at_hour(h);
@@ -37,14 +40,24 @@ void RequestFabric::schedule_hour(std::int64_t h) {
     for (;;) {
       t_ms += rng_.exponential(expected / static_cast<double>(util::kMsPerHour));
       if (t_ms >= static_cast<double>(util::kMsPerHour)) break;
-      net::Packet p;
-      p.kind = net::PacketKind::Request;
-      p.dst = vm->ip();
-      p.id = next_packet_id_++;
-      q.schedule_at(hour_start + static_cast<util::SimTime>(t_ms),
-                    [this, p] { switch_.inject(p); }, obs::EventTag::Request);
+      const auto k = static_cast<std::uint32_t>(arrival_dst_.size());
+      arrivals_.push_back({hour_start + static_cast<util::SimTime>(t_ms), k});
+      arrival_dst_.push_back(vm->ip());
     }
   }
+  next_packet_id_ += arrival_dst_.size();
+  // Each VM's arrivals are already in time order; sorting by (at, k) is
+  // the (at, seq) order that queuing them one by one would give.
+  std::sort(arrivals_.begin(), arrivals_.end());
+  q.set_stream(arrivals_, *this, obs::EventTag::Request);
+}
+
+void RequestFabric::fire(std::uint32_t k) {
+  net::Packet p;
+  p.kind = net::PacketKind::Request;
+  p.dst = arrival_dst_[k];
+  p.id = arrival_id0_ + k;
+  switch_.inject(p);
 }
 
 void RequestFabric::deliver(HostId host_id, const net::Packet& packet) {
@@ -67,8 +80,11 @@ void RequestFabric::deliver(HostId host_id, const net::Packet& packet) {
   // delivers in the same millisecond, leaving legacy runs untouched.
   const util::SimTime arrival =
       packet.sent_at >= 0 ? packet.sent_at : cluster_.queue().now();
-  const bool asleep = host->state() != PowerState::S0;
-  host->when_awake([this, arrival, asleep] { complete(arrival, asleep); });
+  if (host->state() == PowerState::S0) {
+    complete(arrival, false);
+  } else {
+    host->when_awake([this, arrival] { complete(arrival, true); });
+  }
 }
 
 void RequestFabric::complete(util::SimTime arrival, bool woke) {

@@ -44,7 +44,12 @@ struct RequestStats {
 };
 
 /// Drives request traffic for every VM of a cluster through a switch.
-class RequestFabric {
+///
+/// An hour's arrivals are all drawn when the hour is scheduled, so they go
+/// to the event queue as one pre-sequenced stream (EventQueue::set_stream)
+/// rather than as an event each: a reused buffer of {at, k} entries sorted
+/// by (at, k), beside the k-ordered destinations.
+class RequestFabric final : private EventQueue::StreamHandler {
  public:
   RequestFabric(Cluster& cluster, net::SdnSwitch& sw, RequestConfig config = {});
 
@@ -54,7 +59,8 @@ class RequestFabric {
   /// does not take that hook itself so the controller can compose it).
   void wire_ports();
 
-  /// Schedule the Poisson arrivals of hour `h` for every placed VM.
+  /// Schedule the Poisson arrivals of hour `h` for every placed VM.  The
+  /// previous hour's arrivals must all have dispatched.
   void schedule_hour(std::int64_t h);
 
   [[nodiscard]] const RequestStats& stats() const { return stats_; }
@@ -71,6 +77,8 @@ class RequestFabric {
   }
 
  private:
+  /// Inject the hour's k-th arrival (in draw order) into the switch.
+  void fire(std::uint32_t k) override;
   void deliver(HostId host_id, const net::Packet& packet);
   void complete(util::SimTime arrival, bool woke);
 
@@ -80,6 +88,11 @@ class RequestFabric {
   util::Rng rng_;
   RequestStats stats_;
   std::uint64_t next_packet_id_ = 1;
+  // The scheduled hour: arrival k goes to arrival_dst_[k] as packet
+  // arrival_id0_ + k; arrivals_ is the queue's stream.
+  std::vector<EventQueue::StreamEntry> arrivals_;
+  std::vector<net::Ipv4> arrival_dst_;
+  std::uint64_t arrival_id0_ = 0;
   std::vector<std::function<void(util::SimTime, double, bool)>> on_complete_;
 };
 

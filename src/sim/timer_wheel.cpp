@@ -122,6 +122,16 @@ void TimerWheel::refill_from_far() {
   }
 }
 
+void TimerWheel::spill_to_l0(std::uint32_t chain) {
+  while (chain != kNoEvent) {
+    const std::uint32_t next = slab_[chain].next;
+    slab_[chain].next = kNoEvent;
+    assert(slab_[chain].at >= l0_base() && slab_[chain].at < l0_end_);
+    push_l0(chain, slab_[chain].at);
+    chain = next;
+  }
+}
+
 std::uint32_t TimerWheel::take_due_chain(util::SimTime bound) {
   for (;;) {
     // Nearest tier first: the lowest set L0 bit is the earliest deadline.
@@ -151,13 +161,7 @@ std::uint32_t TimerWheel::take_due_chain(util::SimTime bound) {
       // first — they cannot land in L0 (their deadlines sit at or beyond
       // the old horizon), so the cascade chain keeps bucket seq order.
       refill_from_far();
-      while (chain != kNoEvent) {
-        const std::uint32_t next = slab_[chain].next;
-        slab_[chain].next = kNoEvent;
-        assert(slab_[chain].at >= block_time && slab_[chain].at < l0_end_);
-        push_l0(chain, slab_[chain].at);
-        chain = next;
-      }
+      spill_to_l0(chain);
       continue;
     }
     // Both wheels empty: jump the windows to the far heap's front.
@@ -166,6 +170,31 @@ std::uint32_t TimerWheel::take_due_chain(util::SimTime bound) {
     ++stats_.re_anchors;
     refill_from_far();
   }
+}
+
+void TimerWheel::advance_to(util::SimTime t) {
+  if (t < l0_end_) return;
+  assert(!any_bit(l0_bits_) && "an L0 event is due before t");
+  const std::int64_t block = t >> kLog0;
+  std::uint32_t chain = kNoEvent;
+  if (block - (l0_end_ >> kLog0) < static_cast<std::int64_t>(kSlots1)) {
+    // Blocks before t's are empty (nothing is due by t); t's own block
+    // holds only later deadlines and moves down into L0.
+    const unsigned slot = static_cast<unsigned>(block & (kSlots1 - 1));
+    if (test_bit(l1_bits_, slot)) {
+      chain = l1_head_[slot];
+      clear_bit(l1_bits_, slot);
+      ++stats_.cascades;
+    }
+  } else {
+    assert(!any_bit(l1_bits_) && "an L1 event is due before t");
+  }
+  l0_end_ = align_up(t);
+  ++stats_.re_anchors;
+  // As in a cascade: far events newly covered sit at or beyond the old L1
+  // horizon, hence (when t was inside it) beyond L0 too.
+  refill_from_far();
+  spill_to_l0(chain);
 }
 
 }  // namespace drowsy::sim

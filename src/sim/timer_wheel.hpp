@@ -1,7 +1,7 @@
 // Hierarchical timing wheel + far-future heap over slab event records.
 //
-// The ordering structure of the rebuilt event core (ROADMAP item 2).
-// Three tiers, nearest first:
+// The ordering structure of the event core for everything not known a
+// batch ahead.  Three tiers, nearest first:
 //
 //   L0  1024 slots x 1 ms   (~1 s)    one slot == one exact timestamp;
 //                                      insertion is O(1) list append
@@ -11,12 +11,15 @@
 //   far  binary heap on (at, seq)      everything beyond the L1 horizon
 //                                      (hour boundaries, next-day work)
 //
-// Why this shape: the dominant tags in every profiled scenario
-// (heartbeat, netsim-frame, suspend-check — see BENCH_sim.json) are
-// timers seconds-or-less ahead, which land in L0/L1 and never touch the
-// heap, turning the per-event O(log n) sift of the old binary heap into
-// O(1) appends.  Events are identified by EventSlab indices and chained
-// through their records' `next` links — the wheel owns no storage.
+// Why this shape: what stays on the wheel is mostly seconds-or-less
+// ahead — switch frame deliveries at the current instant, suspend checks
+// one interval out, resume and suspend transitions — so it lands in
+// L0/L1 and never touches the heap: O(1) appends instead of an O(log n)
+// sift per event.  The one bulk source that was an hour ahead, request
+// arrivals, goes to EventQueue's stream instead; the heap keeps the
+// hour-boundary and long-timer remainder.  Events are identified by
+// EventSlab indices and chained through their records' `next` links —
+// the wheel owns no storage.
 //
 // Exact (time, seq) dispatch order — the repo-wide determinism contract —
 // is preserved structurally:
@@ -25,7 +28,8 @@
 //     cascade redistributes an (already seq-sorted) L1 chain in order,
 //     and far-heap refills pop in (at, seq) order;
 //   * a timestamp enters a bucket's coverage exactly once (windows only
-//     move forward), so refilled events (older seqs) always land before
+//     move forward, whether by a cascade, a jump to the far heap or
+//     advance_to), so refilled events (older seqs) always land before
 //     later direct inserts;
 // hence every L0 slot chain is (at fixed time) seq-sorted, and scanning
 // slots in time order yields the exact heap order.  The differential
@@ -53,10 +57,11 @@ class TimerWheel {
   static constexpr util::SimTime kSpan1 = util::SimTime{1} << (kLog0 + kLog1);
 
   /// Structural counters (deterministic — they count slab/wheel
-  /// operations, not wall time).  Surfaced by bench_micro_sim_throughput.
+  /// operations, not wall time).  Surfaced by EventQueue::core_stats.
   struct Stats {
     std::uint64_t cascades = 0;     ///< L1 blocks redistributed into L0
-    std::uint64_t re_anchors = 0;   ///< empty-wheel jumps straight to the far heap
+    std::uint64_t re_anchors = 0;   ///< window jumps: to the far heap's front
+                                    ///< on an empty wheel, or by advance_to
     std::uint64_t far_events = 0;   ///< events that entered the far heap
     std::uint64_t far_refills = 0;  ///< events moved heap -> wheel on window advance
   };
@@ -74,6 +79,12 @@ class TimerWheel {
   /// bounded caller (run_until) leaves the windows at positions the clock
   /// will actually reach.
   [[nodiscard]] std::uint32_t take_due_chain(util::SimTime bound);
+
+  /// Move L0's window forward to cover `t`, cascading the L1 block that
+  /// holds `t` and refilling from the far heap as a cascade does.
+  /// Precondition: nothing pending at or before `t` — the caller is
+  /// about to dispatch an event at `t` from outside the wheel.
+  void advance_to(util::SimTime t);
 
   [[nodiscard]] bool empty() const {
     return !any_bit(l0_bits_) && !any_bit(l1_bits_) && far_.empty();
@@ -119,6 +130,8 @@ class TimerWheel {
   /// Pop every far-heap event now covered by the (advanced) L1 horizon
   /// into the wheel, in (at, seq) order.
   void refill_from_far();
+  /// File a detached L1 chain, which the current L0 window covers, into L0.
+  void spill_to_l0(std::uint32_t chain);
 
   EventSlab& slab_;
   util::SimTime l0_end_;  ///< L0 covers [l0_end - kSpan0, l0_end); always kSpan0-aligned

@@ -1,10 +1,12 @@
-// The suspend-check chain parks while its host sleeps.  The oracle below
-// is the always-on chain it replaced, frozen: an event every
-// check_interval from start() that runs check() whatever the host's power
-// state.  Each case drives both through the same script on its own queue
-// and requires the same (instant, host, outcome) for every check of an
-// awake host, the same SuspendStats apart from `checks`, and the same
-// suspend/resume counts, state times and energy per host.
+// The suspend-check chain parks while its host sleeps and while it is
+// busy.  The oracle below is the always-on chain it replaced, frozen: an
+// event every check_interval from start() that runs check() whatever the
+// host's power state.  Each case drives both through the same script on
+// its own queue and requires the same (instant, host, outcome) for every
+// check of an awake host that did not end blocked_by_running, the same
+// SuspendStats apart from `checks` and `blocked_by_running`, and the same
+// suspend/resume counts, state times and energy per host.  (A busy chain
+// parks precisely to skip the checks that repeat a running verdict.)
 //
 // Checks of different hosts at one instant are compared as a set: a
 // re-armed check may run after another host's check it used to precede,
@@ -12,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/suspend_module.hpp"
@@ -87,6 +91,13 @@ struct World {
     }
   }
 
+  /// Run `fn` outside dispatch once every event at or before `at` has
+  /// run — where the controller does its hour-boundary work.  Checks that
+  /// run in (at - 1, at] are logged at `at`.
+  void between(u::SimTime at, std::function<void()> fn) {
+    boundaries.emplace_back(at, std::move(fn));
+  }
+
   void start(std::size_t i) { oracle ? chains[i]->start() : modules[i]->start(); }
   void stop(std::size_t i) { oracle ? chains[i]->stop() : modules[i]->stop(); }
   s::Host& host(std::size_t i) { return *cluster.host(static_cast<s::HostId>(i)); }
@@ -97,6 +108,7 @@ struct World {
   c::ModelBuilder models;
   std::vector<std::unique_ptr<c::SuspendModule>> modules;
   std::vector<std::unique_ptr<AlwaysOnChain>> chains;
+  std::vector<std::pair<u::SimTime, std::function<void()>>> boundaries;
   bool oracle;
 };
 
@@ -104,7 +116,7 @@ using Entry = std::tuple<u::SimTime, std::size_t, std::string>;
 
 /// What one run leaves behind.
 struct Outcome {
-  std::vector<Entry> log;  ///< checks of awake hosts, sorted
+  std::vector<Entry> log;  ///< checks of awake hosts but running verdicts, sorted
   std::vector<std::vector<double>> per_host;
   std::uint64_t checks = 0;
   std::uint64_t decisions = 0;  ///< suspends + every blocked_by_*
@@ -128,28 +140,46 @@ std::uint64_t decisions(const c::SuspendStats& st) {
 using Script = std::function<void(World&)>;
 
 /// Builds a world, lets `script` queue its actions, then steps the queue
-/// up to `end`, attributing every stats change to the event that made it.
+/// up to `end`, attributing every stats change to the event that made it
+/// (or, around a World::between action, to its instant).
 Outcome run(std::size_t hosts, c::SuspendConfig config, bool quick_resume, bool use_oracle,
             u::SimTime end, const Script& script) {
   World w(hosts, config, quick_resume, use_oracle);
   bool done = false;
   w.q.schedule_at(end, [&done] { done = true; });
   script(w);
+  // A marker 1 ms before each between() action; once it has run, the
+  // harness finishes the instant with run_until and acts outside dispatch.
+  std::size_t boundary = w.boundaries.size();
+  for (std::size_t b = 0; b < w.boundaries.size(); ++b) {
+    assert(w.boundaries[b].first > 0 && w.boundaries[b].first < end);
+    w.q.schedule_at(w.boundaries[b].first - 1, [&boundary, b] { boundary = b; });
+  }
   std::vector<c::SuspendStats> before(hosts);
   for (std::size_t i = 0; i < hosts; ++i) before[i] = w.modules[i]->stats();
   Outcome out;
-  while (!done && w.q.step()) {
+  const auto attribute = [&] {
     for (std::size_t i = 0; i < hosts; ++i) {
       const c::SuspendStats& now = w.modules[i]->stats();
       if (now.checks != before[i].checks) {
         std::string what = classify(before[i], now);
         // A check that changed nothing else ran on a sleeping host —
         // unless the host is up, e.g. a check the script ran by hand.
-        if (what != "none" || w.host(i).state() == s::PowerState::S0) {
+        if (what != "running" && (what != "none" || w.host(i).state() == s::PowerState::S0)) {
           out.log.emplace_back(w.q.now(), i, std::move(what));
         }
       }
       before[i] = now;
+    }
+  };
+  while (!done && w.q.step()) {
+    attribute();
+    if (boundary < w.boundaries.size()) {
+      auto& [at, action] = w.boundaries[boundary];
+      boundary = w.boundaries.size();
+      w.q.run_until(at);
+      attribute();
+      action();
     }
   }
   std::sort(out.log.begin(), out.log.end());
@@ -163,7 +193,6 @@ Outcome run(std::size_t hosts, c::SuspendConfig config, bool quick_resume, bool 
                             static_cast<double>(h.time_in(s::PowerState::S3)),
                             h.energy().joules(), static_cast<double>(st.suspends),
                             static_cast<double>(st.blocked_by_grace),
-                            static_cast<double>(st.blocked_by_running),
                             static_cast<double>(st.blocked_by_io),
                             static_cast<double>(st.blocked_by_sessions),
                             static_cast<double>(st.blocked_by_imminent_timer)});
@@ -199,12 +228,14 @@ class SuspendChainDifferential : public ::testing::TestWithParam<ChainParams> {
 
   /// Runs the script under both chains, with and without grace time, and
   /// compares everything the parked chain must preserve.
-  void expect_same(std::size_t hosts, u::SimTime end, const Script& script) {
+  void expect_same(std::size_t hosts, u::SimTime end, const Script& script,
+                   bool only_empty_hosts = false) {
     for (const bool grace : {true, false}) {
       SCOPED_TRACE(grace ? "grace on" : "grace off");
       c::SuspendConfig cfg;
       cfg.check_interval = interval();
       cfg.use_grace_time = grace;
+      cfg.only_empty_hosts = only_empty_hosts;
       const Outcome oracle = run(hosts, cfg, GetParam().quick_resume, true, end, script);
       const Outcome parked = run(hosts, cfg, GetParam().quick_resume, false, end, script);
       EXPECT_EQ(parked.log, oracle.log);
@@ -382,6 +413,139 @@ TEST_P(SuspendChainDifferential, RandomWakeScripts) {
       }
     });
   }
+}
+
+/// Make VM `i` busy (or idle) by an event queued now for instant `at`.
+void busy_at(World& w, std::size_t i, u::SimTime at, bool busy = true) {
+  w.q.schedule_at(at, [&w, i, busy] { w.vm(i).set_service_active(busy); });
+}
+
+TEST_P(SuspendChainDifferential, BusyIdleFlipsOnAndOffTheGrid) {
+  // A busy host parks its chain; each phase wakes the host, keeps it busy
+  // for a while and ends the spell with a different kind of idle flip.
+  const std::int64_t k = asleep_k();
+  const u::SimTime iv = interval();
+  expect_same(1, grid(16 * k), [&, this, iv](World& w) {
+    busy_at(w, 0, 0);
+    w.start(0);
+    // On a grid point, queued before the park: that instant's check sees it.
+    busy_at(w, 0, grid(3), false);
+    // Off the grid.
+    wake_at(w, 0, grid(2 * k) + 5);
+    busy_at(w, 0, grid(2 * k) + 6);
+    busy_at(w, 0, grid(2 * k + 3) + iv / 3, false);
+    // On a grid point, queued within the interval before it: that
+    // instant's check ran first, the next one sees it.
+    wake_at(w, 0, grid(4 * k) + 5);
+    busy_at(w, 0, grid(4 * k) + 6);
+    w.q.schedule_at(grid(4 * k + 3) - iv + 1,
+                    [&w, at = grid(4 * k + 3)] { busy_at(w, 0, at, false); });
+    // On a grid point, queued after the park but more than an interval
+    // ahead: that instant's check sees it.
+    wake_at(w, 0, grid(6 * k) + 5);
+    busy_at(w, 0, grid(6 * k) + 6);
+    w.q.schedule_at(grid(6 * k + 2) + 3,
+                    [&w, at = grid(6 * k + 5)] { busy_at(w, 0, at, false); });
+    // Idle and busy again within one grid instant: the check sees busy.
+    wake_at(w, 0, grid(8 * k) + 5);
+    busy_at(w, 0, grid(8 * k) + 6);
+    busy_at(w, 0, grid(8 * k + 3), false);
+    busy_at(w, 0, grid(8 * k + 3));
+    busy_at(w, 0, grid(8 * k + 5) + 1, false);
+    // Busy just before a grid point, idle on it right after the check
+    // that parks the chain there.
+    wake_at(w, 0, grid(10 * k) - iv / 2);
+    busy_at(w, 0, grid(10 * k) - 1);
+    w.q.schedule_at(grid(10 * k) - 1, [&w, at = grid(10 * k)] { busy_at(w, 0, at, false); });
+    // Busy just before a grid point; an event there, ahead of the check
+    // that parks the chain, queues the idle flip one interval later.
+    wake_at(w, 0, grid(12 * k) - iv / 2);
+    busy_at(w, 0, grid(12 * k) - 1);
+    w.q.schedule_at(grid(12 * k), [&w, at = grid(12 * k + 1)] { busy_at(w, 0, at, false); });
+  });
+}
+
+TEST_P(SuspendChainDifferential, BusyIdleFlipsOutsideDispatch) {
+  // The controller's hour-boundary work flips run states after run_until:
+  // on a grid point, that instant's check has already run.
+  const std::int64_t k = asleep_k();
+  const u::SimTime iv = interval();
+  expect_same(1, grid(10 * k), [&, this, iv](World& w) {
+    busy_at(w, 0, 0);
+    w.start(0);
+    s::Vm& vm = w.vm(0);
+    w.between(grid(3), [&vm] { vm.set_service_active(false); });
+    wake_at(w, 0, grid(2 * k) + 5);
+    w.between(grid(2 * k) + 7, [&vm] { vm.set_service_active(true); });
+    w.between(grid(2 * k + 3) + iv / 2, [&vm] { vm.set_service_active(false); });
+    wake_at(w, 0, grid(4 * k) + 5);
+    w.between(grid(4 * k + 1), [&vm] { vm.set_service_active(true); });
+    w.between(grid(4 * k + 4), [&vm] { vm.set_service_active(false); });
+    // Idle then busy again at one boundary: nothing to see.
+    wake_at(w, 0, grid(6 * k) + 5);
+    busy_at(w, 0, grid(6 * k) + 6);
+    w.between(grid(6 * k + 2), [&vm] {
+      vm.set_service_active(false);
+      vm.set_service_active(true);
+    });
+    w.between(grid(6 * k + 4), [&vm] { vm.set_service_active(false); });
+  });
+}
+
+TEST_P(SuspendChainDifferential, VmMigratesOffABusyHost) {
+  // Host 0 runs a busy VM and parks; the VM leaves (inside dispatch on
+  // and off the grid, and outside it), so host 0 may sleep while host 1
+  // takes the busy VM and parks in turn; then it comes back.
+  const std::int64_t k = asleep_k();
+  for (const bool only_empty : {false, true}) {
+    SCOPED_TRACE(only_empty ? "only empty hosts" : "any idle host");
+    expect_same(
+        2, grid(12 * k),
+        [&, this](World& w) {
+          const s::VmId v = w.vm(0).id();
+          const auto move = [&w, v](s::HostId to) { return [&w, v, to] { w.cluster.migrate(v, to); }; };
+          busy_at(w, 0, 0);
+          w.start(0);
+          w.start(1);
+          w.q.schedule_at(grid(2), move(1));
+          wake_at(w, 0, grid(3 * k) + 3);
+          wake_at(w, 1, grid(3 * k) + 3);
+          w.q.schedule_at(grid(3 * k + 1) + 7, move(0));
+          wake_at(w, 1, grid(6 * k) + 3);
+          w.between(grid(6 * k + 2), move(1));
+          wake_at(w, 0, grid(9 * k) + 3);
+          wake_at(w, 1, grid(9 * k) + 3);
+          w.q.schedule_at(grid(9 * k + 2) - interval() + 1,
+                          [&w, v, at = grid(9 * k + 2)] {
+                            w.q.schedule_at(at, [&w, v] { w.cluster.migrate(v, 0); });
+                          });
+        },
+        only_empty);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST_P(SuspendChainDifferential, BlockerInAnEarlierGuestEndsARunningVerdict) {
+  // Two VMs on host 0: the later one runs, then the earlier one blocks on
+  // I/O or opens a session, which the check reports ahead of the running
+  // one, and finally the later one stops.
+  const std::int64_t k = asleep_k();
+  expect_same(2, grid(8 * k), [&, this](World& w) {
+    w.cluster.migrate(w.vm(1).id(), 0);
+    kn::GuestOs& first = w.vm(0).guest();
+    const kn::Pid pid = w.vm(0).service_pid();
+    busy_at(w, 1, 0);
+    w.start(0);
+    w.q.schedule_at(grid(3) + 1, [&first, pid] {
+      first.processes().set_state(pid, kn::ProcState::BlockedIo);
+    });
+    w.q.schedule_at(grid(5) + 1, [&first, pid] {
+      first.processes().set_state(pid, kn::ProcState::Sleeping);
+    });
+    w.q.schedule_at(grid(8), [&first, pid] { first.open_session(pid); });
+    w.q.schedule_at(grid(11), [&first, pid] { first.close_session(pid); });
+    w.between(grid(14), [&w] { w.vm(1).set_service_active(false); });
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace n = drowsy::net;
+namespace u = drowsy::util;
 
 namespace {
+
+/// Keeps every scheduled callback instead of running it, so a test can
+/// inspect how it is stored and run it later.
+class RecordingDispatcher final : public n::Dispatcher {
+ public:
+  using Dispatcher::schedule_after;
+  void schedule_after(u::SimTime /*delay*/, u::InlineFn fn) override {
+    queued.push_back(std::move(fn));
+  }
+  [[nodiscard]] u::SimTime now() const override { return 0; }
+
+  std::vector<u::InlineFn> queued;
+};
 
 struct SwitchFixture : ::testing::Test {
   n::ImmediateDispatcher dispatcher;
@@ -127,4 +142,31 @@ TEST_F(SwitchFixture, LookupIp) {
   EXPECT_EQ(*sw.lookup_ip(vm_ip), mac_a);
   sw.unbind_ip(vm_ip);
   EXPECT_EQ(sw.lookup_ip(vm_ip), nullptr);
+}
+
+TEST(SwitchFrames, DeliveriesFitInlineAndSurviveADetach) {
+  // Every forwarded frame becomes one queued delivery; none may need a
+  // heap allocation, and one queued before its port detaches still runs.
+  RecordingDispatcher dispatcher;
+  n::SdnSwitch sw{dispatcher};
+  const n::MacAddress mac = n::MacAddress::for_host(0);
+  std::vector<n::Packet> received;
+  sw.attach_port(mac, [&received](const n::Packet& p) { received.push_back(p); });
+  sw.bind_ip(n::Ipv4::for_vm(0), mac);
+  n::Packet request;
+  request.dst = n::Ipv4::for_vm(0);
+  request.id = 7;
+  ASSERT_TRUE(sw.inject(request));
+  n::Packet wol;
+  wol.kind = n::PacketKind::WakeOnLan;
+  wol.dst_mac = mac;
+  ASSERT_TRUE(sw.inject(wol));
+  ASSERT_EQ(dispatcher.queued.size(), 2u);
+  for (const u::InlineFn& fn : dispatcher.queued) EXPECT_TRUE(fn.is_inline());
+
+  sw.detach_port(mac);
+  for (u::InlineFn& fn : dispatcher.queued) fn();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0].id, 7u);
+  EXPECT_EQ(received[1].kind, n::PacketKind::WakeOnLan);
 }

@@ -2,10 +2,10 @@
 //
 // Where test_differential.cpp checks the new engine against the frozen
 // oracle on "realistic" schedules, this suite hammers the op surface
-// itself: arbitrary interleavings of schedule_at / schedule_after / step
-// / run_until / run_all (budgeted, SIZE_MAX, and empty-queue calls),
-// with times chosen adversarially for the wheel — slot-boundary values,
-// window-edge offsets, far-future jumps.  Every run is checked against
+// itself: arbitrary interleavings of schedule_at / schedule_after /
+// set_stream / step / run_until / run_all (budgeted, SIZE_MAX, and
+// empty-queue calls), with times chosen adversarially for the wheel —
+// slot-boundary values, window-edge offsets, far-future jumps.  Every run is checked against
 // the oracle AND against cheap invariants that hold regardless of
 // schedule (clock monotonicity, executed + pending conservation).
 //
@@ -16,12 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "reference_queue.hpp"
 #include "sim/event_queue.hpp"
+#include "stream_feed.hpp"
 #include "util/sim_time.hpp"
 
 namespace s = drowsy::sim;
@@ -43,10 +46,10 @@ constexpr std::size_t kSeamCount = sizeof(kSeamOffsets) / sizeof(kSeamOffsets[0]
 /// `sched_counter` (nullable) tracks the conservation model: children
 /// count as scheduled only when the parent actually spawns them.
 template <typename Q>
-void schedule_leaf(Q& q, std::vector<LogEntry>& log, std::uint64_t id,
-                   u::SimTime at, bool spawn_child, u::SimTime child_offset,
-                   std::uint64_t* sched_counter) {
-  q.schedule_at(at, [&q, &log, id, spawn_child, child_offset, sched_counter] {
+std::function<void()> leaf_body(Q& q, std::vector<LogEntry>& log, std::uint64_t id,
+                                bool spawn_child, u::SimTime child_offset,
+                                std::uint64_t* sched_counter) {
+  return [&q, &log, id, spawn_child, child_offset, sched_counter] {
     log.emplace_back(id, q.now());
     if (spawn_child) {
       const std::uint64_t cid = id | 0x8000'0000'0000'0000ULL;
@@ -54,7 +57,14 @@ void schedule_leaf(Q& q, std::vector<LogEntry>& log, std::uint64_t id,
       q.schedule_at(q.now() + child_offset,
                     [&q, &log, cid] { log.emplace_back(cid, q.now()); });
     }
-  });
+  };
+}
+
+template <typename Q>
+void schedule_leaf(Q& q, std::vector<LogEntry>& log, std::uint64_t id,
+                   u::SimTime at, bool spawn_child, u::SimTime child_offset,
+                   std::uint64_t* sched_counter) {
+  q.schedule_at(at, leaf_body(q, log, id, spawn_child, child_offset, sched_counter));
 }
 
 void fuzz_one(std::uint64_t seed, int n_ops) {
@@ -65,11 +75,12 @@ void fuzz_one(std::uint64_t seed, int n_ops) {
   std::mt19937_64 rng(seed);
   std::uint64_t next_id = 1;
   std::uint64_t scheduled = 0;  // model count: roots + spawned children
+  drowsy::testing::StreamFeed stream;
 
   for (int i = 0; i < n_ops; ++i) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << i);
     const u::SimTime before = qn.now();
-    switch (rng() % 12) {
+    switch (rng() % 13) {
       case 0:
       case 1:
       case 2: {  // schedule_at on a wheel seam
@@ -129,6 +140,25 @@ void fuzz_one(std::uint64_t seed, int n_ops) {
         qn.run_all();
         qr.run_all();
         ASSERT_EQ(qn.pending(), 0u);
+        break;
+      }
+      case 11: {  // a stream batch on seams, entries spawning seam children
+        if (!stream.drained()) break;
+        std::vector<u::SimTime> times(rng() % 10);
+        for (u::SimTime& t : times) t = qn.now() + kSeamOffsets[rng() % kSeamCount];
+        std::vector<std::pair<bool, u::SimTime>> kids;
+        for (std::size_t k = 0; k < times.size(); ++k) {
+          kids.emplace_back(rng() % 2 == 0, kSeamOffsets[rng() % kSeamCount]);
+        }
+        const std::uint64_t first = next_id;
+        next_id += times.size();
+        scheduled += times.size();
+        stream.feed(qn, qr, times, drowsy::obs::EventTag::Request,
+                    [&](auto& q, std::uint32_t k) {
+                      constexpr bool kProd = std::is_same_v<std::decay_t<decltype(q)>, s::EventQueue>;
+                      return leaf_body(q, kProd ? ln : lr, first + k, kids[k].first,
+                                       kids[k].second, kProd ? &scheduled : nullptr);
+                    });
         break;
       }
       default: {  // empty-queue run_until (clock pin with nothing due)
