@@ -7,12 +7,16 @@
 //   timer …/sec heartbeat-shaped load: thousands of self-rescheduling
 //               periodic chains (the event class PR 8's profiling showed
 //               dominates netsim scenarios).
-//   frame …/sec netsim-frame-shaped load: same-timestamp bursts, the
-//               batch-dispatch case.
+//   frame …/sec netsim-frame-shaped load: same-timestamp bursts.
 //   runs/sec    full run_one() over a registry scenario (netsim-failover:
 //               one simulated day plus pretraining, heartbeats and the
 //               wake fabric in the loop) — the unit the BatchRunner and
 //               the shard daemons parallelize.
+//
+// The three synthetic phases keep 2,048–4,096 events pending, far more
+// than any sweep does (the paper catalogue never exceeds 13), so their
+// rates price the event queue's heap at a depth the simulator does not
+// reach.  The runs/sec phase is the one that reflects real workloads.
 //
 // Unlike the other micro_* benches this is self-timed (steady_clock, no
 // Google Benchmark dependency): its numbers feed BENCH_sim.json, the
@@ -77,8 +81,8 @@ double event_phase(std::size_t count) {
 /// staggered phases, run for `count` total dispatches.  This is the
 /// profile PR 8 measured as dominant on netsim-failover (heartbeat +
 /// hrtimer events, ~80% of the simulated day): a steady sliding window
-/// of near-future deadlines — the timing wheel's home turf, and the
-/// binary heap's worst case short of random scatter.
+/// of near-future deadlines, 4096 deep — a full log-depth sift on every
+/// pop, the binary heap's worst case short of random scatter.
 double timer_phase(std::size_t count, std::size_t timers) {
   drowsy::sim::EventQueue queue;
   volatile std::size_t sink = 0;
@@ -110,8 +114,8 @@ double timer_phase(std::size_t count, std::size_t timers) {
 
 /// Netsim-frame burst load: frames arrive in same-timestamp clumps (a
 /// wake storm's switch egress), `burst` events per instant.  Measures
-/// same-timestamp batch dispatch — the queue should detach a whole
-/// clump at once instead of paying ordering cost per frame.
+/// same-timestamp dispatch: every frame pays its own heap pop, ties
+/// broken by sequence number.
 double frame_phase(std::size_t count, std::size_t burst) {
   drowsy::sim::EventQueue queue;
   volatile std::size_t sink = 0;

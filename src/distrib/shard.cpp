@@ -47,22 +47,11 @@ std::vector<JobKey> job_keys(const std::vector<sc::BatchJob>& jobs) {
 
 // --- planning ------------------------------------------------------------------
 
-const char* to_string(ShardStrategy s) {
-  switch (s) {
-    case ShardStrategy::Contiguous: return "contiguous";
-    case ShardStrategy::Strided: return "strided";
-    case ShardStrategy::Balanced: return "balanced";
-  }
-  return "?";
-}
+const char* to_string(ShardStrategy /*s*/) { return "balanced"; }
 
 ShardStrategy shard_strategy_from_string(const std::string& name) {
-  for (const ShardStrategy s :
-       {ShardStrategy::Contiguous, ShardStrategy::Strided, ShardStrategy::Balanced}) {
-    if (name == to_string(s)) return s;
-  }
-  throw DistribError("unknown shard strategy \"" + name +
-                     "\" (known: contiguous, strided, balanced)");
+  if (name == "balanced") return ShardStrategy::Balanced;
+  throw DistribError("unknown shard strategy \"" + name + "\" (known: balanced)");
 }
 
 double estimate_job_cost(const sc::BatchJob& job) {
@@ -96,51 +85,30 @@ std::vector<std::vector<std::size_t>> plan_shards(const std::vector<sc::BatchJob
 
 std::vector<std::vector<std::size_t>> plan_shards(const std::vector<sc::BatchJob>& jobs,
                                                   std::size_t shard_count,
-                                                  ShardStrategy strategy,
+                                                  ShardStrategy /*strategy*/,
                                                   const std::vector<double>& costs) {
   if (shard_count == 0) throw DistribError("shard count must be at least 1");
   if (costs.size() != jobs.size()) {
     throw DistribError("cost vector has " + std::to_string(costs.size()) +
                        " entries for a " + std::to_string(jobs.size()) + "-job grid");
   }
-  std::vector<std::vector<std::size_t>> shards(shard_count);
   const std::size_t n = jobs.size();
-  switch (strategy) {
-    case ShardStrategy::Contiguous: {
-      // ceil-sized blocks first, so shard s covers a contiguous range and
-      // every shard's size differs by at most one.
-      const std::size_t base = n / shard_count;
-      const std::size_t extra = n % shard_count;
-      std::size_t next = 0;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        const std::size_t size = base + (s < extra ? 1 : 0);
-        for (std::size_t i = 0; i < size; ++i) shards[s].push_back(next++);
-      }
-      break;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return costs[a] > costs[b];  // cost desc; stable keeps index asc on ties
+  });
+  std::vector<std::vector<std::size_t>> shards(shard_count);
+  std::vector<double> load(shard_count, 0.0);
+  for (const std::size_t i : order) {
+    std::size_t lightest = 0;
+    for (std::size_t s = 1; s < shard_count; ++s) {
+      if (load[s] < load[lightest]) lightest = s;
     }
-    case ShardStrategy::Strided: {
-      for (std::size_t i = 0; i < n; ++i) shards[i % shard_count].push_back(i);
-      break;
-    }
-    case ShardStrategy::Balanced: {
-      std::vector<std::size_t> order(n);
-      for (std::size_t i = 0; i < n; ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return costs[a] > costs[b];  // cost desc; stable keeps index asc on ties
-      });
-      std::vector<double> load(shard_count, 0.0);
-      for (const std::size_t i : order) {
-        std::size_t lightest = 0;
-        for (std::size_t s = 1; s < shard_count; ++s) {
-          if (load[s] < load[lightest]) lightest = s;
-        }
-        shards[lightest].push_back(i);
-        load[lightest] += costs[i];
-      }
-      for (auto& shard : shards) std::sort(shard.begin(), shard.end());
-      break;
-    }
+    shards[lightest].push_back(i);
+    load[lightest] += costs[i];
   }
+  for (auto& shard : shards) std::sort(shard.begin(), shard.end());
   return shards;
 }
 

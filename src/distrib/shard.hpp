@@ -61,9 +61,9 @@ struct JobKey {
 
 // --- planning ------------------------------------------------------------------
 
+/// How a grid is split.  Balanced is the one strategy; the type stays so
+/// the manifest's `strategy` key keeps naming it.
 enum class ShardStrategy {
-  Contiguous,  ///< equal-count index blocks, in grid order
-  Strided,     ///< round-robin by index (shard k gets i ≡ k mod N)
   Balanced,    ///< greedy longest-processing-time on estimated job cost
 };
 
@@ -82,15 +82,15 @@ enum class ShardStrategy {
 /// Balanced uses deterministic LPT: jobs sorted by (cost desc, index asc)
 /// go to the currently lightest shard (ties to the lowest shard id).
 /// Shards may be empty when shard_count > jobs.size().
-/// Uses estimate_job_cost() for Balanced; free of I/O and thread-safe.
+/// Uses estimate_job_cost(); free of I/O and thread-safe.
 [[nodiscard]] std::vector<std::vector<std::size_t>> plan_shards(
     const std::vector<scenario::BatchJob>& jobs, std::size_t shard_count,
     ShardStrategy strategy);
 
-/// Same split, but Balanced weighs jobs by the caller's `costs` vector
+/// Same split, but weighing jobs by the caller's `costs` vector
 /// (e.g. CostModel::price() over prior-run journals) instead of the
 /// static heuristic.  `costs` must parallel `jobs` (DistribError
-/// otherwise); Contiguous/Strided ignore it by construction.
+/// otherwise).
 [[nodiscard]] std::vector<std::vector<std::size_t>> plan_shards(
     const std::vector<scenario::BatchJob>& jobs, std::size_t shard_count,
     ShardStrategy strategy, const std::vector<double>& costs);

@@ -46,40 +46,26 @@ void EventQueue::run_event(util::SimTime at, std::uint64_t seq, util::SimTime qu
 
 bool EventQueue::dispatch_next(util::SimTime bound) {
   const bool stream_due = stream_pos_ != stream_end_ && stream_pos_->at <= bound;
-  if (ready_head_ == kNoEvent) {
-    // Detach no chain later than a due stream head: that entry runs first
-    // and may schedule ahead of the chain.
-    ready_head_ = wheel_.take_due_chain(stream_due ? stream_pos_->at : bound);
-    if (ready_head_ != kNoEvent) ++batches_;
-  }
-  if (ready_head_ != kNoEvent) {
-    // A chain left over from an earlier call sits at now(), so it is due.
-    EventRecord& rec = slab_[ready_head_];
-    assert(rec.at <= bound);
-    if (!stream_due || rec.at < stream_pos_->at ||
-        (rec.at == stream_pos_->at && rec.seq < stream_base_ + stream_pos_->k)) {
-      const std::uint32_t idx = ready_head_;
-      ready_head_ = rec.next;
-      const util::SimTime at = rec.at;
-      const std::uint64_t seq = rec.seq;
-      const util::SimTime queued_at = at - rec.lead;
+  if (!heap_.empty() && heap_.front().at <= bound) {
+    const Key& top = heap_.front();
+    if (!stream_due || top.at < stream_pos_->at ||
+        (top.at == stream_pos_->at && top.seq < stream_base_ + stream_pos_->k)) {
+      std::pop_heap(heap_.begin(), heap_.end(), &later);
+      const Key key = heap_.back();
+      heap_.pop_back();
+      EventRecord& rec = slab_[key.idx];
       const obs::EventTag tag = rec.tag;
       // Move the payload out and recycle the slot *before* invoking: the
       // handler may schedule (growing or reusing the slab) without
       // touching the running callback.
       util::InlineFn fn = std::move(rec.fn);
-      slab_.free(idx);
-      --pending_;
-      run_event(at, seq, queued_at, tag, fn);
+      slab_.free(key.idx);
+      run_event(key.at, key.seq, key.at - key.lead, tag, fn);
       return true;
     }
-  } else if (!stream_due) {
-    return false;
   }
+  if (!stream_due) return false;
   const StreamEntry entry = *stream_pos_++;
-  // Nothing in the wheel is due at or before the entry: re-anchor L0 on
-  // its instant, so what the handler schedules there lands in L0.
-  if (ready_head_ == kNoEvent) wheel_.advance_to(entry.at);
   run_event(entry.at, stream_base_ + entry.k, stream_queued_at_, stream_tag_,
             [this, k = entry.k] { stream_handler_->fire(k); });
   return true;
@@ -102,13 +88,7 @@ void EventQueue::run_all(std::size_t max_events) {
 }
 
 EventQueue::CoreStats EventQueue::core_stats() const {
-  const TimerWheel::Stats& w = wheel_.stats();
   CoreStats s;
-  s.cascades = w.cascades;
-  s.re_anchors = w.re_anchors;
-  s.far_events = w.far_events;
-  s.far_refills = w.far_refills;
-  s.batches = batches_;
   s.slab_slots = slab_.high_water();
   s.slab_chunks = slab_.chunk_count();
   return s;

@@ -4,28 +4,27 @@
 // number) executed in order.  Implements net::Dispatcher so the network
 // layer schedules frame deliveries on the same timeline.
 //
-// Engine: tagged slab events on a hierarchical timing wheel, plus one
-// pre-sequenced stream beside it.
+// Engine: one binary min-heap of small POD keys over slab events, plus
+// one pre-sequenced stream beside it.
 // Each scheduled event becomes an EventRecord — small enum tag + a
-// payload union (util::InlineFn: inline capture buffer or heap pointer
-// for the rare oversized callback) — in chunked slab storage, filed into
-// a two-level timing wheel with a far-future heap behind it
-// (sim/timer_wheel.hpp).  Dispatch detaches one exact timestamp's chain
-// at a time, so bursts of same-instant events (wake storms, switch
-// egress batches) run without re-consulting the ordering structure per
-// event.
+// payload (util::InlineFn: inline capture buffer or heap pointer for the
+// rare oversized callback) — in chunked slab storage (sim/event_slab.hpp),
+// and a 24-byte key {at, seq, idx, lead} in a std::vector heap ordered by
+// (at, seq).  A sift moves keys only; a callback is relocated once, when
+// its event is popped.  The simulator keeps few events pending (the
+// catalogue never more than 13), so the heap stays a few levels deep.
 //
 // Events known a whole batch ahead (an hour's request arrivals) skip the
-// wheel: set_stream() takes them as a sorted array of small POD entries
+// heap: set_stream() takes them as a sorted array of small POD entries
 // under one reserved block of sequence numbers, and every pop takes the
-// smaller of the wheel head and the stream head by (time, seq).
+// smaller of the heap top and the stream head by (time, seq).  This is
+// what keeps the heap shallow: an hour's arrivals never enter it.
 //
-// Semantics are bit-for-bit those of the original binary-heap queue:
-// strict (time, seq) order, FIFO within a timestamp, including events
-// scheduled during dispatch.
+// Semantics: strict (time, seq) order, FIFO within a timestamp, including
+// events scheduled during dispatch.
 //
-// The original binary-heap queue survives once, frozen, as the test-only
-// differential oracle for randomized schedules
+// The original std::priority_queue engine survives once, frozen, as the
+// test-only differential oracle for randomized schedules
 // (tests/sim/reference_queue.hpp); the checked-in goldens pin whole
 // sweeps' outputs byte for byte.
 //
@@ -49,7 +48,6 @@
 #include "util/sim_time.hpp"
 
 #include "sim/event_slab.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace drowsy::obs {
 class EventProfile;
@@ -60,8 +58,7 @@ namespace drowsy::sim {
 /// The simulation clock and event loop.
 class EventQueue final : public net::Dispatcher {
  public:
-  explicit EventQueue(util::SimTime start = 0)
-      : now_(start), wheel_(slab_, start) {}
+  explicit EventQueue(util::SimTime start = 0) : now_(start) {}
 
   /// Current simulated instant.
   [[nodiscard]] util::SimTime now() const override { return now_; }
@@ -76,13 +73,12 @@ class EventQueue final : public net::Dispatcher {
     assert(at >= now_ && "cannot schedule in the past");
     const std::uint32_t idx = slab_.alloc();
     EventRecord& rec = slab_[idx];
-    rec.at = at;
-    rec.seq = next_seq_++;
-    rec.lead = static_cast<std::uint32_t>(std::min<util::SimTime>(at - now_, UINT32_MAX));
     rec.tag = tag;
     rec.fn.emplace(std::forward<F>(fn));
-    wheel_.insert(idx);
-    ++pending_;
+    const auto lead =
+        static_cast<std::uint32_t>(std::min<util::SimTime>(at - now_, UINT32_MAX));
+    heap_.push_back(Key{at, next_seq_++, idx, lead});
+    std::push_heap(heap_.begin(), heap_.end(), &later);
   }
 
   /// Schedule `fn` after `delay` of simulated time.
@@ -154,7 +150,7 @@ class EventQueue final : public net::Dispatcher {
 
   /// Events not yet dispatched, stream entries included.
   [[nodiscard]] std::size_t pending() const {
-    return pending_ + static_cast<std::size_t>(stream_end_ - stream_pos_);
+    return heap_.size() + static_cast<std::size_t>(stream_end_ - stream_pos_);
   }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
@@ -169,21 +165,39 @@ class EventQueue final : public net::Dispatcher {
   /// Sequence number the next scheduled event will take.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Deterministic structural counters of the slab/wheel engine.  Bench
-  /// surfaces these; they never feed back into simulation state.
+  /// Deterministic structural counters of the slab engine.  Bench
+  /// surfaces these; they never feed back into simulation state.  The
+  /// first five counted timing-wheel work; the heap engine has none of
+  /// it, so they always read 0.  They stay only because the perfbench
+  /// harness reads them by name until its replacement drops them.
   struct CoreStats {
     std::uint64_t cascades = 0;
-    std::uint64_t re_anchors = 0;   ///< window jumps: to the far heap or a stream entry
+    std::uint64_t re_anchors = 0;
     std::uint64_t far_events = 0;
     std::uint64_t far_refills = 0;
-    std::uint64_t batches = 0;      ///< same-timestamp chains detached
-    std::uint64_t slab_slots = 0;   ///< slab high-water mark
+    std::uint64_t batches = 0;
+    std::uint64_t slab_slots = 0;   ///< slab high-water mark: the most events ever pending
     std::uint64_t slab_chunks = 0;
   };
   [[nodiscard]] CoreStats core_stats() const;
 
  private:
-  /// Dispatch the next event with deadline <= bound, from the wheel or
+  /// One pending event's place in the heap: its order (at, seq), its slab
+  /// slot, and how far ahead of `at` it was queued (saturated at
+  /// UINT32_MAX ms).
+  struct Key {
+    util::SimTime at;
+    std::uint64_t seq;
+    std::uint32_t idx;
+    std::uint32_t lead;
+  };
+  /// std::push_heap/pop_heap comparator: a max-heap under "later" keeps
+  /// the smallest (at, seq) at the front.
+  [[nodiscard]] static bool later(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+
+  /// Dispatch the next event with deadline <= bound, from the heap or
   /// the stream, whichever is first by (time, seq); false if none is due.
   bool dispatch_next(util::SimTime bound);
   /// Run one handler as the event (at, seq, queued_at), with the
@@ -201,10 +215,7 @@ class EventQueue final : public net::Dispatcher {
   util::SimTime current_queued_at_ = 0;
 
   EventSlab slab_;
-  TimerWheel wheel_;
-  std::uint32_t ready_head_ = kNoEvent;  ///< detached chain at one timestamp
-  std::size_t pending_ = 0;
-  std::uint64_t batches_ = 0;
+  std::vector<Key> heap_;
 
   // The stream: [stream_pos_, stream_end_) of the caller's sorted buffer.
   const StreamEntry* stream_pos_ = nullptr;

@@ -7,9 +7,9 @@
 // for the lifetime of the queue (handlers executing out of a record can
 // schedule new events, growing the slab, without invalidating anything),
 // and freed slots are recycled through an intrusive free list threaded
-// through the records' `next` links.  The same `next` field links records
-// into timer-wheel buckets while they are pending, so a record costs no
-// out-of-band node allocation in either state.
+// through the records' `next` links.  A record's dispatch order lives in
+// the event queue's heap key, not here, so heap sifts move small keys and
+// never relocate a callback.
 #pragma once
 
 #include <cstdint>
@@ -22,20 +22,14 @@
 
 namespace drowsy::sim {
 
-/// Sentinel slab index: "no record" / end of chain.
+/// Sentinel slab index: "no record" / end of the free list.
 inline constexpr std::uint32_t kNoEvent = UINT32_MAX;
 
-/// One scheduled event.  (at, seq) is the total dispatch order the whole
-/// repo's determinism rests on; `next` chains records into a wheel bucket
-/// (pending) or the free list (recycled); `lead` is how far ahead of its
-/// deadline the event was queued (saturated at UINT32_MAX ms, and stored
-/// in what would otherwise be padding); `tag` feeds the optional
-/// obs::EventProfile attribution.
+/// One scheduled event's payload: what the queue's heap key does not
+/// hold.  `tag` feeds the optional obs::EventProfile attribution; `next`
+/// links a recycled record into the free list.
 struct EventRecord {
-  util::SimTime at = 0;
-  std::uint64_t seq = 0;
   std::uint32_t next = kNoEvent;
-  std::uint32_t lead = 0;
   obs::EventTag tag = obs::EventTag::Other;
   util::InlineFn fn;
 };

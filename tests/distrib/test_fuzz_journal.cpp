@@ -24,6 +24,7 @@
 #include "expctl/json.hpp"
 #include "expctl/runs_io.hpp"
 #include "expctl/spec_io.hpp"
+#include "json_mutator.hpp"
 
 namespace dt = drowsy::distrib;
 namespace ec = drowsy::expctl;
@@ -56,67 +57,6 @@ dt::JournalEntry sample_entry(std::uint64_t seed) {
   return e;
 }
 
-/// A value of a different JSON type than `v`, picked by `pick`.
-ec::Json swapped_type(const ec::Json& v, std::uint64_t pick) {
-  std::vector<ec::Json> candidates = {
-      ec::Json(nullptr),
-      ec::Json(true),
-      ec::Json(std::int64_t{-7}),
-      ec::Json(~std::uint64_t{0}),
-      ec::Json(-0.5),
-      ec::Json(1e308),
-      ec::Json("text"),
-      ec::Json::array(),
-      ec::Json::object(),
-  };
-  std::vector<ec::Json> other;
-  for (ec::Json& c : candidates) {
-    if (c.type() != v.type()) other.push_back(std::move(c));
-  }
-  return other[pick % other.size()];
-}
-
-/// Rebuild `j` with one randomly chosen key (at any depth of nested
-/// objects) dropped or its value type-swapped.
-ec::Json mutate_tree(const ec::Json& j, std::mt19937_64& rng, bool drop) {
-  if (!j.is_object() || j.size() == 0) return j;
-  const auto& items = j.items();
-  const std::size_t target = rng() % items.size();
-  // Recurse into a nested object half the time, when there is one.
-  const bool descend = items[target].second.is_object() && rng() % 2 == 0;
-  ec::Json out = ec::Json::object();
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const auto& [key, value] = items[k];
-    if (k != target) {
-      out.set(key, value);
-    } else if (descend) {
-      out.set(key, mutate_tree(value, rng, drop));
-    } else if (!drop) {
-      out.set(key, swapped_type(value, rng()));
-    }
-  }
-  return out;
-}
-
-std::string mutate(const std::string& row, std::mt19937_64& rng) {
-  switch (rng() % 4) {
-    case 0: {  // flip 1-4 bytes to arbitrary values
-      std::string text = row;
-      const int flips = 1 + static_cast<int>(rng() % 4);
-      for (int f = 0; f < flips; ++f) {
-        text[rng() % text.size()] = static_cast<char>(rng() % 256);
-      }
-      return text;
-    }
-    case 1:  // truncate anywhere
-      return row.substr(0, rng() % row.size());
-    case 2:
-      return mutate_tree(ec::Json::parse(row), rng, /*drop=*/true).dump(0);
-    default:
-      return mutate_tree(ec::Json::parse(row), rng, /*drop=*/false).dump(0);
-  }
-}
-
 /// Parse one row text.  Returns true when it yields a valid entry, false
 /// on a typed error; any other exception escapes and fails the test.
 bool parse_row(const std::string& text) {
@@ -134,13 +74,6 @@ bool parse_row(const std::string& text) {
   return false;
 }
 
-void write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
-  std::fclose(f);
-}
-
 }  // namespace
 
 TEST(JournalFuzz, MutatedRowsParseOrFailTyped) {
@@ -151,7 +84,7 @@ TEST(JournalFuzz, MutatedRowsParseOrFailTyped) {
     const std::string row = dt::to_json(sample_entry(seed)).dump(0);
     ASSERT_TRUE(parse_row(row));
     for (int n = 0; n < 1500; ++n) {
-      const std::string text = mutate(row, rng);
+      const std::string text = drowsy::testing::mutate(row, rng);
       SCOPED_TRACE(text);
       (parse_row(text) ? valid : rejected) += 1;
     }
@@ -168,7 +101,7 @@ TEST(JournalFuzz, MutatedJournalFilesReadOrFailTyped) {
   std::size_t torn = 0;
   std::size_t refused = 0;
   for (int n = 0; n < 400; ++n) {
-    const std::string bad = mutate(good.substr(0, good.size() - 1), rng);
+    const std::string bad = drowsy::testing::mutate(good.substr(0, good.size() - 1), rng);
     // The damaged row sits at the tail (newline-less or terminated) or
     // between two good rows.
     std::string text;
@@ -177,7 +110,7 @@ TEST(JournalFuzz, MutatedJournalFilesReadOrFailTyped) {
       case 1: text = good + bad + "\n"; break;
       default: text = good + bad + "\n" + other; break;
     }
-    write_file(path, text);
+    drowsy::testing::write_file(path, text);
     SCOPED_TRACE(text);
     try {
       const dt::JournalContents contents = dt::read_journal(path);

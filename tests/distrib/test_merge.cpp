@@ -60,10 +60,9 @@ struct SmokeFixture : ::testing::Test {
   }
 
   /// plan + run every shard into temp journals, returning all entries.
-  static std::vector<dt::JournalEntry> run_sharded(dt::ShardStrategy strategy,
-                                                   std::size_t shard_count,
+  static std::vector<dt::JournalEntry> run_sharded(std::size_t shard_count,
                                                    const char* tag) {
-    const auto plan = dt::plan_shards(grid(), shard_count, strategy);
+    const auto plan = dt::plan_shards(grid(), shard_count, dt::ShardStrategy::Balanced);
     std::vector<dt::JournalEntry> entries;
     for (std::size_t s = 0; s < plan.size(); ++s) {
       const std::string path =
@@ -82,7 +81,7 @@ struct SmokeFixture : ::testing::Test {
 }  // namespace
 
 TEST_F(SmokeFixture, ShardedMergeIsByteIdenticalToSingleProcess) {
-  const auto entries = run_sharded(dt::ShardStrategy::Balanced, 3, "identity");
+  const auto entries = run_sharded(3, "identity");
   const auto merged = dt::merge_journals(grid(), entries);
 
   // The per-run, per-stat and per-verdict CSVs — the artifacts users
@@ -97,7 +96,7 @@ TEST_F(SmokeFixture, ResumeAfterTruncatedJournalConvergesByteIdentically) {
   // One shard owning the whole grid: run it, tear its journal mid-row,
   // then resume.  Completed jobs must be skipped and the merged output
   // must still match the reference exactly.
-  const auto plan = dt::plan_shards(grid(), 1, dt::ShardStrategy::Contiguous);
+  const auto plan = dt::plan_shards(grid(), 1, dt::ShardStrategy::Balanced);
   const dt::ShardManifest manifest = manifest_for(plan[0], 0, 1);
   const std::string path = temp_journal("resume.jsonl");
   static_cast<void>(dt::run_shard(grid(), manifest, path, 2));
@@ -139,7 +138,7 @@ TEST_F(SmokeFixture, ResumeRejectsRowWithoutWallMsAndKeepsTheJournal) {
   // A finished row without wall_ms is not this schema.  Resume must stop
   // with a typed error rather than count or re-run it, and must leave
   // the journal's bytes alone for the operator to inspect.
-  const auto plan = dt::plan_shards(grid(), 1, dt::ShardStrategy::Contiguous);
+  const auto plan = dt::plan_shards(grid(), 1, dt::ShardStrategy::Balanced);
   const dt::ShardManifest manifest = manifest_for(plan[0], 0, 1);
   const std::string path = temp_journal("no_wall_ms.jsonl");
   const auto keys = dt::job_keys(grid());
@@ -218,7 +217,7 @@ TEST_F(SmokeFixture, ResumeAccountsDuplicateJobKeysPerSlot) {
 }
 
 TEST_F(SmokeFixture, RunShardIsIdempotentOnceComplete) {
-  const auto plan = dt::plan_shards(grid(), 2, dt::ShardStrategy::Strided);
+  const auto plan = dt::plan_shards(grid(), 2, dt::ShardStrategy::Balanced);
   const dt::ShardManifest manifest = manifest_for(plan[0], 0, 2);
   const std::string path = temp_journal("idempotent.jsonl");
   static_cast<void>(dt::run_shard(grid(), manifest, path, 2));
@@ -231,7 +230,7 @@ TEST_F(SmokeFixture, RunShardIsIdempotentOnceComplete) {
 }
 
 TEST_F(SmokeFixture, MergeRejectsMissingDuplicateAndForeignRows) {
-  const auto entries = run_sharded(dt::ShardStrategy::Strided, 2, "reject");
+  const auto entries = run_sharded(2, "reject");
   ASSERT_EQ(entries.size(), grid().size());
 
   // Missing: drop one row.

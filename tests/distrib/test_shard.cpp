@@ -48,30 +48,15 @@ void expect_partition(const std::vector<std::vector<std::size_t>>& shards, std::
 
 }  // namespace
 
-TEST(Shard, StrategiesPartitionTheGrid) {
+TEST(Shard, BalancedPartitionsTheGrid) {
   const auto jobs = uneven_grid(11);
-  for (const auto strategy : {dt::ShardStrategy::Contiguous, dt::ShardStrategy::Strided,
-                              dt::ShardStrategy::Balanced}) {
-    for (const std::size_t shards : {1u, 3u, 4u, 16u}) {
-      const auto plan = dt::plan_shards(jobs, shards, strategy);
-      ASSERT_EQ(plan.size(), shards) << dt::to_string(strategy);
-      expect_partition(plan, jobs.size());
-    }
+  for (const std::size_t shards : {1u, 3u, 4u, 16u}) {
+    const auto plan = dt::plan_shards(jobs, shards, dt::ShardStrategy::Balanced);
+    ASSERT_EQ(plan.size(), shards);
+    expect_partition(plan, jobs.size());
   }
-  EXPECT_THROW(static_cast<void>(dt::plan_shards(jobs, 0, dt::ShardStrategy::Contiguous)),
+  EXPECT_THROW(static_cast<void>(dt::plan_shards(jobs, 0, dt::ShardStrategy::Balanced)),
                dt::DistribError);
-}
-
-TEST(Shard, ContiguousAndStridedShapes) {
-  const auto jobs = uneven_grid(7);
-  const auto contiguous = dt::plan_shards(jobs, 3, dt::ShardStrategy::Contiguous);
-  EXPECT_EQ(contiguous[0], (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(contiguous[1], (std::vector<std::size_t>{3, 4}));
-  EXPECT_EQ(contiguous[2], (std::vector<std::size_t>{5, 6}));
-  const auto strided = dt::plan_shards(jobs, 3, dt::ShardStrategy::Strided);
-  EXPECT_EQ(strided[0], (std::vector<std::size_t>{0, 3, 6}));
-  EXPECT_EQ(strided[1], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(strided[2], (std::vector<std::size_t>{2, 5}));
 }
 
 TEST(Shard, BalancedEvensOutEstimatedCost) {
@@ -86,8 +71,8 @@ TEST(Shard, BalancedEvensOutEstimatedCost) {
     total += cost;
   }
   const double target = total / 3.0;
-  // Contiguous on this grid puts all the fat jobs in the last shard
-  // (~2.1x the mean); balanced LPT must stay close to the mean.
+  // Equal-count blocks in grid order would put all the fat jobs in the
+  // last shard (~2.1x the mean); balanced LPT must stay close to the mean.
   for (const double cost : load) {
     EXPECT_GT(cost, 0.6 * target);
     EXPECT_LT(cost, 1.4 * target);
@@ -160,7 +145,6 @@ TEST(Shard, ManifestRoundTripAndValidation) {
   m.sweep_hash = ec::fnv1a64("file-bytes");
   m.shard_index = 1;
   m.shard_count = 3;
-  m.strategy = dt::ShardStrategy::Strided;
   m.total_jobs = 9;
   m.job_indices = {1, 4, 7};
 
@@ -169,7 +153,8 @@ TEST(Shard, ManifestRoundTripAndValidation) {
   EXPECT_EQ(back.sweep_name, m.sweep_name);
   EXPECT_EQ(back.sweep_hash, m.sweep_hash);
   EXPECT_EQ(back.shard_index, 1u);
-  EXPECT_EQ(back.strategy, dt::ShardStrategy::Strided);
+  EXPECT_EQ(back.strategy, dt::ShardStrategy::Balanced);
+  EXPECT_EQ(j.at("strategy").as_string(), "balanced");
   EXPECT_EQ(back.job_indices, m.job_indices);
   EXPECT_EQ(dt::to_json(back).dump(), j.dump());
 
@@ -200,4 +185,10 @@ TEST(Shard, ManifestParseIsStrict) {
 
   EXPECT_THROW(static_cast<void>(dt::shard_strategy_from_string("diagonal")),
                dt::DistribError);
+  // "balanced" is the only strategy a manifest may name.
+  for (const char* retired : {"contiguous", "strided"}) {
+    ec::Json old = dt::to_json(m);
+    old.set("strategy", retired);
+    EXPECT_THROW(static_cast<void>(dt::manifest_from_json(old)), dt::DistribError) << retired;
+  }
 }

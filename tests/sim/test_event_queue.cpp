@@ -199,9 +199,8 @@ TEST(EventQueue, OversizedCaptureTakesHeapPathCorrectly) {
 }
 
 TEST(EventQueue, FarFutureEventsDispatchInOrder) {
-  // Deadlines beyond the wheel's covered horizon (> ~17.5 simulated
-  // minutes out) park in the far-future heap and must re-enter the
-  // wheels in (time, seq) order as the clock approaches.
+  // Deadlines hours out, queued out of order and mixed with a near one,
+  // dispatch in (time, seq) order.
   s::EventQueue q;
   std::vector<int> order;
   q.schedule_at(u::hours(3.0), [&] { order.push_back(3); });

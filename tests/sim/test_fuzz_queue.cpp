@@ -4,9 +4,9 @@
 // oracle on "realistic" schedules, this suite hammers the op surface
 // itself: arbitrary interleavings of schedule_at / schedule_after /
 // set_stream / step / run_until / run_all (budgeted, SIZE_MAX, and
-// empty-queue calls), with times chosen adversarially for the wheel —
-// slot-boundary values, window-edge offsets, far-future jumps.  Every run is checked against
-// the oracle AND against cheap invariants that hold regardless of
+// empty-queue calls), with times chosen adversarially — same-instant
+// ties, power-of-two edges, far-future jumps.  Every run is checked
+// against the oracle AND against cheap invariants that hold regardless of
 // schedule (clock monotonicity, executed + pending conservation).
 //
 // Deterministic and bounded: a fixed seed list, a fixed op budget per
@@ -34,9 +34,10 @@ namespace {
 
 using LogEntry = std::pair<std::uint64_t, u::SimTime>;
 
-/// Offsets chosen to sit on wheel seams: 0 (same instant), 1 (adjacent
-/// slot), 1023/1024/1025 (L0 window edge), 1 << 20 ± 1 (L1 span edge),
-/// plus a couple of unaligned fillers.
+/// Offsets on power-of-two seams, where the timing wheel the queue once
+/// used changed tier, kept as inputs: 0 (same instant), 1 (next
+/// millisecond), 1023/1024/1025, 1 << 20 ± 1, plus a couple of unaligned
+/// fillers.
 constexpr u::SimTime kSeamOffsets[] = {
     0, 1, 2, 511, 1023, 1024, 1025, 4096, 65'535, 65'536,
     (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3'000'000, 13,
@@ -83,7 +84,7 @@ void fuzz_one(std::uint64_t seed, int n_ops) {
     switch (rng() % 13) {
       case 0:
       case 1:
-      case 2: {  // schedule_at on a wheel seam
+      case 2: {  // schedule_at on a seam
         const u::SimTime at = qn.now() + kSeamOffsets[rng() % kSeamCount];
         const bool child = (rng() % 2) == 0;
         const u::SimTime coff = kSeamOffsets[rng() % kSeamCount];
@@ -124,7 +125,7 @@ void fuzz_one(std::uint64_t seed, int n_ops) {
         ASSERT_EQ(qn.now(), until);
         break;
       }
-      case 8: {  // run_until far ahead — drains windows, re-anchors
+      case 8: {  // run_until far ahead — drains the queue, jumps the clock
         const u::SimTime until = qn.now() + 2'500'000 + static_cast<u::SimTime>(rng() % 1'000'000);
         qn.run_until(until);
         qr.run_until(until);
@@ -230,8 +231,8 @@ TEST(EventQueueFuzz, BudgetZeroIsANoOp) {
 
 TEST(EventQueueFuzz, BudgetStopsMidSameTimestampChain) {
   // Park a budgeted drain in the middle of an equal-timestamp batch, then
-  // resume in pieces.  Exercises the partially drained ready-chain path
-  // in the wheel engine (the chain survives across public calls).
+  // resume in pieces: the rest of the instant stays queued in FIFO order
+  // across public calls.
   s::EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) {

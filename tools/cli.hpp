@@ -105,7 +105,7 @@ Flag positive(std::string name, std::string metavar, T& target, bool required = 
           false, required};
 }
 
-/// "shard plan <sweep.json> --shards N [--strategy S] [--costs J]..."
+/// "shard plan <sweep.json> --shards N [--out-dir D] [--costs J]..."
 inline std::string usage_line(const Command& cmd) {
   std::string line = cmd.name;
   if (!cmd.operand.empty()) line += " " + cmd.operand;

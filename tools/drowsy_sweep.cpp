@@ -120,7 +120,6 @@ struct Options {
   std::string trace_out;     ///< directory for per-run Perfetto timelines
   std::string metrics_json;  ///< worker metrics snapshot, flushed per run
   std::size_t shards = 0;
-  dt::ShardStrategy strategy = dt::ShardStrategy::Balanced;
   std::string out_dir = ".";
   std::vector<std::string> costs;
   std::vector<std::string> journals;
@@ -229,7 +228,7 @@ int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
                 opts.costs.size(), priced.measured, priced.scenario, priced.heuristic);
   }
   const std::vector<double>& plan_costs = use_measured ? priced.cost : static_costs;
-  const auto plan = dt::plan_shards(jobs, opts.shards, opts.strategy, plan_costs);
+  const auto plan = dt::plan_shards(jobs, opts.shards, dt::ShardStrategy::Balanced, plan_costs);
 
   if (mkdir(opts.out_dir.c_str(), 0777) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "cannot create %s\n", opts.out_dir.c_str());
@@ -237,7 +236,7 @@ int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
   }
 
   std::printf("== %s: %zu jobs -> %zu shard(s), %s ==\n", loaded.sweep.name.c_str(),
-              jobs.size(), opts.shards, dt::to_string(opts.strategy));
+              jobs.size(), opts.shards, dt::to_string(dt::ShardStrategy::Balanced));
   bool ok = true;
   const std::vector<double> planned_totals = dt::shard_costs(plan, plan_costs);
   const std::vector<double> static_totals = dt::shard_costs(plan, static_costs);
@@ -248,7 +247,6 @@ int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
     manifest.sweep_hash = ec::fnv1a64(loaded.bytes);
     manifest.shard_index = s;
     manifest.shard_count = opts.shards;
-    manifest.strategy = opts.strategy;
     manifest.total_jobs = jobs.size();
     manifest.job_indices = plan[s];
 
@@ -266,7 +264,8 @@ int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
     // Would the old plan have balanced as well?  Evaluate both layouts
     // under the measured model: the static-heuristic plan re-priced with
     // measured costs is what the fleet would actually have experienced.
-    const auto static_plan = dt::plan_shards(jobs, opts.shards, opts.strategy, static_costs);
+    const auto static_plan =
+        dt::plan_shards(jobs, opts.shards, dt::ShardStrategy::Balanced, static_costs);
     std::printf("predicted balance (max/min shard cost, measured model):\n"
                 "  measured-cost plan    %.3f\n"
                 "  static-heuristic plan %.3f\n",
@@ -650,8 +649,6 @@ std::vector<cli::Command> commands(Options& o) {
       {"dump", Any, "[<scenario>...]", {}, cmd_dump},
       {"shard plan", One, "<sweep.json>",
        {cli::positive("--shards", "N", o.shards, /*required=*/true),
-        {"--strategy", "S",
-         [&o](const std::string& v) { o.strategy = dt::shard_strategy_from_string(v); }},
         cli::text("--out-dir", "D", o.out_dir), cli::list("--costs", "J", o.costs)},
        [&o](const Args& a) { return cmd_shard_plan(o, a[0]); }},
       {"shard run", One, "<manifest.json>", {threads},
