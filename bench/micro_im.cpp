@@ -50,6 +50,8 @@ void BM_ObserveHourNoWeightLearning(benchmark::State& state) {
 }
 BENCHMARK(BM_ObserveHourNoWeightLearning);
 
+// The argument is weight_descent_steps, an upper bound: the descent also
+// ends at |e| < 1e-15 or when a step leaves the weights' bits unchanged.
 void BM_ObserveHourWithDescentSteps(benchmark::State& state) {
   core::IdlenessModelConfig cfg;
   cfg.weight_descent_steps = static_cast<std::size_t>(state.range(0));

@@ -11,7 +11,9 @@
 //   runs/sec    full run_one() over a registry scenario (netsim-failover:
 //               one simulated day plus pretraining, heartbeats and the
 //               wake fabric in the loop) — the unit the BatchRunner and
-//               the shard daemons parallelize.
+//               the shard daemons parallelize.  Runs repeat until at
+//               least 1 s of wall has passed and at least --runs (default
+//               3) are done; "runs" in the JSON record is the count.
 //
 // The three synthetic phases keep 2,048–4,096 events pending, far more
 // than any sweep does (the paper catalogue never exceeds 13), so their
@@ -30,7 +32,7 @@
 // the bare queue; the breakdown is additive in the JSON record
 // ("event_profile"), so older baseline parsers keep working.
 //
-//   micro_sim_throughput [--events N] [--runs N] [--bench-json F]
+//   micro_sim_throughput [--events N] [--runs MIN] [--bench-json F]
 #include <sys/resource.h>
 
 #include <chrono>
@@ -146,7 +148,7 @@ double peak_rss_mb() {
 
 int main(int argc, char** argv) {
   std::size_t event_count = 2'000'000;
-  std::size_t run_count = 3;
+  std::size_t min_runs = 3;
   std::string bench_json;
   for (int i = 1; i < argc; ++i) {
     const auto value = [&](const char* flag) -> const char* {
@@ -159,12 +161,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--events") == 0) {
       event_count = static_cast<std::size_t>(std::atoll(value("--events")));
     } else if (std::strcmp(argv[i], "--runs") == 0) {
-      run_count = static_cast<std::size_t>(std::atoll(value("--runs")));
+      min_runs = static_cast<std::size_t>(std::atoll(value("--runs")));
     } else if (std::strcmp(argv[i], "--bench-json") == 0) {
       bench_json = value("--bench-json");
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--events N] [--runs N] [--bench-json F]\n", argv[0]);
+                   "usage: %s [--events N] [--runs MIN] [--bench-json F]\n", argv[0]);
       return 2;
     }
   }
@@ -192,11 +194,15 @@ int main(int argc, char** argv) {
   namespace sc = drowsy::scenario;
   const char* scenario_name = "netsim-failover";
   const sc::ScenarioSpec& spec = sc::ScenarioRegistry::builtin().at(scenario_name);
+  // One run takes tens of milliseconds: a fixed handful is too short a
+  // window to time, so repeat until it spans at least a second.
+  constexpr double kMinRunWallS = 1.0;
   const auto runs_start = Clock::now();
   std::uint64_t requests = 0;
-  for (std::size_t r = 0; r < run_count; ++r) {
+  std::size_t run_count = 0;
+  for (; run_count < min_runs || seconds_since(runs_start) < kMinRunWallS; ++run_count) {
     const sc::RunResult result =
-        sc::run_one(spec, sc::Policy::DrowsyDc, sc::mix_seed(spec.seed, r));
+        sc::run_one(spec, sc::Policy::DrowsyDc, sc::mix_seed(spec.seed, run_count));
     requests += result.requests;
   }
   const double run_wall_s = seconds_since(runs_start);

@@ -40,8 +40,9 @@ struct IdlenessModelConfig {
   /// Damping of the line-searched steepest-descent step for the weight
   /// update (eq. 8); 1.0 jumps straight onto the wᵀ·SI = IP' hyperplane.
   double weight_learning_rate = 0.3;
-  /// Descent iterations per hourly weight correction; "its precision can
-  /// be set to not incur any overhead".
+  /// At most this many descent iterations per hourly weight correction;
+  /// "its precision can be set to not incur any overhead".  The descent
+  /// ends sooner when a step leaves the weights' bits unchanged.
   std::size_t weight_descent_steps = 4;
   /// Disable weight learning (ablation: fixed uniform weights).
   bool learn_weights = true;

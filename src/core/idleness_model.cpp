@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -19,7 +20,8 @@ IdlenessModel::IdlenessModel(IdlenessModelConfig config)
       si_day_(u::kHoursPerDay, 0.0),
       si_week_(u::kHoursPerDay * u::kDaysPerWeek, 0.0),
       si_month_(u::kHoursPerDay * u::kDaysPerMonth, 0.0),
-      si_year_(u::kHoursPerYear, 0.0) {
+      si_year_(u::kHoursPerYear, 0.0),
+      damping_at_zero_(u::logistic_damping(0.0, config_.alpha, config_.beta)) {
   weights_.fill(1.0 / static_cast<double>(kScaleCount));
 }
 
@@ -74,8 +76,12 @@ void IdlenessModel::observe_hour(const util::CalendarTime& c, double activity_le
   std::array<double*, kScaleCount> slots = {&si_day_[idx[0]], &si_week_[idx[1]],
                                             &si_month_[idx[2]], &si_year_[idx[3]]};
   for (double* s : slots) {
-    // Eq. (4): damping from the current score magnitude.
-    const double damping = u::logistic_damping(std::abs(*s), config_.alpha, config_.beta);
+    // Eq. (4): damping from the current score magnitude.  A zero score
+    // of either sign (abs(-0.0) is +0.0) takes u(0), computed once per
+    // model; every slot's first touch starts there.
+    const double damping = *s == 0.0 ? damping_at_zero_
+                                     : u::logistic_damping(std::abs(*s), config_.alpha,
+                                                           config_.beta);
     // Eq. (5): the update value, added when idle, removed when active.
     const double v = a_star * damping;
     *s = u::clamp(was_idle ? *s + v : *s - v, -1.0, 1.0);
@@ -189,9 +195,16 @@ void IdlenessModel::learn_weights(const std::array<double, kScaleCount>& si_befo
   // Δw = e·SI / |SI|² with e = IP' − wᵀ·SI; a fixed learning rate would
   // either stall (SI magnitudes are ~σ = 1/8760) or diverge, whereas the
   // line-searched step is scale-free.  The damping factor and iteration
-  // count set the "precision" knob the paper says "can be set to not
+  // bound set the "precision" knob the paper says "can be set to not
   // incur any overhead"; each step is followed by the simplex projection
   // that keeps IP a convex combination of SI scores.
+  //
+  // The descent ends early at |e| < 1e-15 or at its bitwise fixed point.
+  // A step is a pure function of (w, IP', SI, |SI|², rate), so once one
+  // leaves the projected weights' bits unchanged every later step would
+  // too.  Bits, not ==: +0.0 == -0.0, yet the two are different inputs
+  // and save() prints the sign.  Models on a simplex vertex stop after
+  // one step.
   //
   // Every operation below is bit-for-bit the reference order (see
   // docs/architecture.md): the step divides by denom, never multiplies by
@@ -201,10 +214,12 @@ void IdlenessModel::learn_weights(const std::array<double, kScaleCount>& si_befo
   for (std::size_t step = 0; step < config_.weight_descent_steps; ++step) {
     const double e = ip_prime - u::dot(weights_, si_before);
     if (std::abs(e) < 1e-15) break;
+    const auto before = weights_;
     for (std::size_t i = 0; i < kScaleCount; ++i) {
       weights_[i] += config_.weight_learning_rate * e * si_before[i] / denom;
     }
     u::project_to_simplex(weights_);
+    if (std::memcmp(before.data(), weights_.data(), sizeof weights_) == 0) break;
   }
 }
 

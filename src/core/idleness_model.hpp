@@ -99,6 +99,7 @@ class IdlenessModel {
   std::vector<double> si_month_;  // 24*31
   std::vector<double> si_year_;   // 24*365
   std::array<double, kScaleCount> weights_;
+  double damping_at_zero_;  // u(0) of eq. 4 for this config
   double active_level_sum_ = 0.0;
   std::uint64_t active_hours_ = 0;
   std::uint64_t observed_hours_ = 0;

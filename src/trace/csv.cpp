@@ -1,5 +1,7 @@
 #include "trace/csv.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -41,6 +43,23 @@ void scrub_line(std::string& line, bool first) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
+/// One activity level: the whole cell must be a plain decimal number (no
+/// whitespace, sign prefix '+' or trailing junk) that is finite and in
+/// [0, 1].  write_csv's output always is.
+double parse_level(const std::string& cell, std::size_t line_no, std::size_t col,
+                   const std::string& name) {
+  double v = 0.0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0.0 || v > 1.0) {
+    throw std::runtime_error("CSV row " + std::to_string(line_no) + " column " +
+                             std::to_string(col + 1) + " ('" + name +
+                             "'): activity level '" + cell +
+                             "' is not a number in [0, 1]");
+  }
+  return v;
+}
+
 }  // namespace
 
 std::vector<ActivityTrace> read_csv(std::istream& in) {
@@ -67,14 +86,7 @@ std::vector<ActivityTrace> read_csv(std::istream& in) {
       if (col >= columns.size()) {
         throw std::runtime_error("CSV row " + std::to_string(line_no) + " has extra columns");
       }
-      if (!cell.empty()) {
-        try {
-          columns[col].push_back(std::stod(cell));
-        } catch (const std::exception&) {
-          throw std::runtime_error("CSV row " + std::to_string(line_no) +
-                                   ": bad number '" + cell + "'");
-        }
-      }
+      if (!cell.empty()) columns[col].push_back(parse_level(cell, line_no, col, names[col]));
       ++col;
     }
   }

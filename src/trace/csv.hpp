@@ -16,8 +16,9 @@ void write_csv(std::ostream& out, const std::vector<ActivityTrace>& traces);
 /// Save to a file.  Throws std::runtime_error on I/O failure.
 void save_csv(const std::string& path, const std::vector<ActivityTrace>& traces);
 
-/// Parse the column format produced by write_csv.  Throws
-/// std::runtime_error on malformed input.
+/// Parse the column format produced by write_csv.  Every non-empty cell
+/// must parse whole to a finite activity level in [0, 1].  Throws
+/// std::runtime_error on malformed input, naming the row and column.
 [[nodiscard]] std::vector<ActivityTrace> read_csv(std::istream& in);
 
 /// Load from a file.  Throws std::runtime_error on I/O failure.

@@ -16,10 +16,12 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
 #include "core/idleness_model.hpp"
+#include "trace/generators.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
@@ -174,16 +176,28 @@ std::vector<double> mixed_trace(std::uint64_t seed, std::size_t hours) {
 
 double filtered(double raw) { return raw > kNoiseFloor ? raw : 0.0; }
 
+/// Hours that ended with the frozen model's weights clipped to zero: at
+/// least one (`clipped`), or all but one, i.e. on a simplex vertex
+/// (`vertex`).
+struct BoundaryHours {
+  std::size_t clipped = 0;
+  std::size_t vertex = 0;
+};
+
 /// Feeds `trace` (noise-filtered, wrapping) to a production model and the
 /// frozen one for `hours` hours, comparing the next hour's IP bitwise
-/// after every update and the saved state at the end.  Returns the number
-/// of hours that ended with a weight clipped to zero.
-std::size_t expect_bitwise(const std::vector<double>& trace, std::size_t hours,
-                           c::IdlenessModelConfig cfg) {
-  c::IdlenessModel model(cfg);
-  ref::Model oracle(cfg);
-  std::size_t clipped_hours = 0;
+/// after every update and the saved state at the end.  Before hour
+/// `restore_at` the production model is replaced by a save()/load()
+/// round trip of itself, under the same config.
+BoundaryHours expect_bitwise(c::IdlenessModel model, ref::Model oracle,
+                             const std::vector<double>& trace, std::size_t hours,
+                             std::size_t restore_at = std::numeric_limits<std::size_t>::max()) {
+  BoundaryHours boundary;
   for (std::size_t h = 0; h < hours; ++h) {
+    if (h == restore_at) {
+      std::istringstream in(saved(model));
+      model = c::IdlenessModel::load(in, oracle.config);
+    }
     const auto when = cal(static_cast<std::int64_t>(h));
     const double a = filtered(trace[h % trace.size()]);
     model.observe_hour(when, a);
@@ -192,14 +206,29 @@ std::size_t expect_bitwise(const std::vector<double>& trace, std::size_t hours,
     if (bits(model.ip(next).raw) != bits(oracle.ip(next))) {
       ADD_FAILURE() << "IP differs after hour " << h << ": " << model.ip(next).raw << " vs "
                     << oracle.ip(next);
-      return clipped_hours;
+      return boundary;
     }
-    if (std::find(oracle.weights.begin(), oracle.weights.end(), 0.0) != oracle.weights.end()) {
-      ++clipped_hours;
-    }
+    const auto zeros = std::count(oracle.weights.begin(), oracle.weights.end(), 0.0);
+    if (zeros > 0) ++boundary.clipped;
+    if (zeros == 3) ++boundary.vertex;
   }
   EXPECT_EQ(saved(model), oracle.save());
-  return clipped_hours;
+  return boundary;
+}
+
+/// The same, from fresh models.
+BoundaryHours expect_bitwise(const std::vector<double>& trace, std::size_t hours,
+                             c::IdlenessModelConfig cfg,
+                             std::size_t restore_at = std::numeric_limits<std::size_t>::max()) {
+  return expect_bitwise(c::IdlenessModel(cfg), ref::Model(cfg), trace, hours, restore_at);
+}
+
+/// The same, from a crafted state: the frozen model starts as `start`
+/// and the production one loads its saved text.
+void expect_bitwise_from(const ref::Model& start, const std::vector<double>& trace,
+                         std::size_t hours) {
+  std::istringstream in(start.save());
+  expect_bitwise(c::IdlenessModel::load(in, start.config), start, trace, hours);
 }
 
 c::IdlenessModelConfig with_steps(std::size_t steps) {
@@ -246,7 +275,8 @@ TEST(IdlenessOracle, MixedTracesAtEveryStepCount) {
   for (const std::size_t steps : {0u, 1u, 4u, 8u}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE(testing::Message() << "steps " << steps << " seed " << seed);
-      clipped_hours += expect_bitwise(mixed_trace(seed, 24 * 365), 24 * 365, with_steps(steps));
+      clipped_hours +=
+          expect_bitwise(mixed_trace(seed, 24 * 365), 24 * 365, with_steps(steps)).clipped;
     }
   }
   // The frozen update must have been driven onto the simplex boundary.
@@ -274,6 +304,86 @@ TEST(IdlenessOracle, AlwaysActive) {
     SCOPED_TRACE(testing::Message() << "steps " << steps);
     expect_bitwise(busy, 24 * 365 * 2, with_steps(steps));
   }
+}
+
+// A periodic VM drives the weights onto a simplex vertex, where one
+// descent step leaves their bits unchanged: the fixed-point exit fires on
+// most of the two years' hours.
+TEST(IdlenessOracle, PeriodicTracesSitOnAVertex) {
+  t::GenOptions o;
+  o.years = 1;
+  const std::pair<const char*, t::ActivityTrace> traces[] = {
+      {"office_hours", t::office_hours(o)}, {"daily_backup", t::daily_backup(o)}};
+  for (const auto& [name, trace] : traces) {
+    for (const std::size_t steps : {1u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << name << " steps " << steps);
+      const std::size_t hours = 2 * 24 * 365;
+      const auto boundary = expect_bitwise(trace.hours(), hours, with_steps(steps));
+      EXPECT_GT(boundary.vertex, hours / 2);
+    }
+  }
+}
+
+TEST(IdlenessOracle, FullLearningRate) {
+  c::IdlenessModelConfig cfg = with_steps(8);
+  cfg.weight_learning_rate = 1.0;
+  t::GenOptions o;
+  o.years = 1;
+  expect_bitwise(mixed_trace(13, 24 * 365), 24 * 365, cfg);
+  expect_bitwise(t::office_hours(o).hours(), 2 * 24 * 365, cfg);
+}
+
+// u(0) is precomputed per model; it must come from the model's own
+// alpha and beta.
+TEST(IdlenessOracle, NonDefaultDamping) {
+  c::IdlenessModelConfig cfg;
+  cfg.alpha = 1.3;
+  cfg.beta = 0.2;
+  t::GenOptions o;
+  o.years = 1;
+  expect_bitwise(mixed_trace(17, 24 * 365), 24 * 365, cfg);
+  expect_bitwise(t::daily_backup(o).hours(), 2 * 24 * 365, cfg);
+}
+
+TEST(IdlenessOracle, RestoredMidTraceMatchesOracleContinuing) {
+  c::IdlenessModelConfig damped;
+  damped.alpha = 1.3;
+  damped.beta = 0.2;
+  t::GenOptions o;
+  o.years = 1;
+  for (const auto& cfg : {with_steps(4), damped}) {
+    SCOPED_TRACE(testing::Message() << "alpha " << cfg.alpha);
+    expect_bitwise(mixed_trace(19, 24 * 365), 24 * 365, cfg, 24 * 200 + 7);
+    expect_bitwise(t::office_hours(o).hours(), 2 * 24 * 365, cfg, 24 * 365 + 13);
+  }
+}
+
+// A file saved with fewer digits restores weights that sum to 1 only
+// within load()'s 1e-9.  At learning rate 0 the step leaves them as they
+// are, yet the projection after it still moves them onto the simplex;
+// an exit that compared before projecting would skip that.
+TEST(IdlenessOracle, ZeroRateStillProjectsRestoredWeights) {
+  c::IdlenessModelConfig cfg;
+  cfg.weight_learning_rate = 0.0;
+  ref::Model start(cfg);
+  start.weights = {0.5, 0.5 + 1e-10, 0.0, 0.0};
+  expect_bitwise_from(start, mixed_trace(23, 24 * 30), 24 * 30);
+}
+
+// Weights (0.5, 0.5, 0, 0) over scores (0.25, -0.25, 0, 0): the step
+// moves the two weights by exactly opposite amounts, so the stepped
+// weights already lie on the simplex and the projection leaves them
+// alone, but the descent has not converged.  An exit that compared the
+// projected weights with the stepped ones would stop here.
+TEST(IdlenessOracle, MirroredStepLandsOnTheSimplex) {
+  ref::Model start(with_steps(4));
+  start.weights = {0.5, 0.5, 0.0, 0.0};
+  const auto idx = start.slots(cal(0));
+  start.day[idx[0]] = 0.25;
+  start.week[idx[1]] = -0.25;
+  std::vector<double> trace = mixed_trace(29, 24 * 7);
+  trace[0] = 0.5;
+  expect_bitwise_from(start, trace, 24 * 7);
 }
 
 namespace {

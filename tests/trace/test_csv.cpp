@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace t = drowsy::trace;
 
@@ -39,6 +41,31 @@ TEST(TraceCsv, EmptyInputThrows) {
 TEST(TraceCsv, BadNumberThrows) {
   std::stringstream ss("a,b\n0.1,zzz\n");
   EXPECT_THROW((void)t::read_csv(ss), std::runtime_error);
+}
+
+TEST(TraceCsv, MalformedLevelThrowsNamingRowAndColumn) {
+  for (const char* cell : {"0.5x", "nan", "inf", "-inf", "-0.2", "1.5", "1e999", " 0.5",
+                           "+0.5", "0.5 ", "0x1p-1", "."}) {
+    SCOPED_TRACE(cell);
+    std::stringstream ss(std::string("a,b\n0.1,0.2\n0.3,") + cell + "\n");
+    try {
+      (void)t::read_csv(ss);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("column 2"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(TraceCsv, AcceptsEveryLevelWriteCsvProduces) {
+  std::stringstream ss("a,b,c\n0,1,1e-05\n0.5,0.999999,2.5e-300\n");
+  const auto loaded = t::read_csv(ss);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[0].hours(), (std::vector<double>{0.0, 0.5}));
+  EXPECT_EQ(loaded[1].hours(), (std::vector<double>{1.0, 0.999999}));
+  EXPECT_EQ(loaded[2].hours(), (std::vector<double>{1e-05, 2.5e-300}));
 }
 
 TEST(TraceCsv, ExtraColumnThrows) {
