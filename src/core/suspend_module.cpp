@@ -166,9 +166,6 @@ void SuspendModule::on_guest_change() {
 void SuspendModule::check() {
   ++stats_.checks;
   if (!config_.enabled || host_.state() != sim::PowerState::S0) return;
-  // A heartbeat-partitioned host must stay up: its NIC could not deliver
-  // the WoL frame that would ever bring it back from S3.
-  if (!host_.reachable()) return;
   if (config_.only_empty_hosts && !host_.vms().empty()) {
     ++stats_.blocked_by_running;
     return;

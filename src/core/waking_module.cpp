@@ -16,7 +16,7 @@ WakingModule::WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, WakingConf
       wol_(sw) {}
 
 void WakingModule::install_analyzer() {
-  switch_.add_analyzer([this](const net::Packet& p) { return analyze(p); });
+  switch_.add_analyzer([this](const net::Packet& p) { analyze(p); });
 }
 
 sim::Host* WakingModule::host_by_mac(const net::MacAddress& mac) {
@@ -24,11 +24,9 @@ sim::Host* WakingModule::host_by_mac(const net::MacAddress& mac) {
   return it == mac_index_.end() ? nullptr : cluster_.host(it->second);
 }
 
-net::AnalyzerVerdict WakingModule::analyze(const net::Packet& packet) {
+void WakingModule::analyze(const net::Packet& packet) {
   ++stats_.analyzed_packets;
-  if (!active_ || packet.kind != net::PacketKind::Request) {
-    return net::AnalyzerVerdict::Forward;
-  }
+  if (!active_ || packet.kind != net::PacketKind::Request) return;
   // The paper's fast path: one hashmap probe on the destination IP.
   auto it = vm_to_host_.find(packet.dst);
   if (it != vm_to_host_.end()) {
@@ -42,7 +40,6 @@ net::AnalyzerVerdict WakingModule::analyze(const net::Packet& packet) {
       send_wol(it->second);
     }
   }
-  return net::AnalyzerVerdict::Forward;  // the frame itself is never consumed
 }
 
 void WakingModule::on_host_suspending(const sim::Host& host, util::SimTime wake_date) {

@@ -71,7 +71,7 @@ class WakingModule {
   [[nodiscard]] std::size_t vm_map_size() const { return vm_to_host_.size(); }
 
  private:
-  net::AnalyzerVerdict analyze(const net::Packet& packet);
+  void analyze(const net::Packet& packet);
   void fire_scheduled(util::SimTime due, net::MacAddress mac);
   void send_wol(net::MacAddress mac);
   [[nodiscard]] sim::Host* host_by_mac(const net::MacAddress& mac);

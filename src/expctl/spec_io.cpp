@@ -285,12 +285,6 @@ Json to_json(const sc::ScenarioSpec& spec) {
     net.set("enabled", spec.net.enabled);
     net.set("port_latency_ms", spec.net.port_latency);
     net.set("serialization_ms", spec.net.serialization);
-    net.set("heartbeat", spec.net.heartbeat);
-    net.set("hb_interval_ms", spec.net.hb_interval);
-    net.set("hb_miss_threshold", spec.net.hb_miss_threshold);
-    net.set("nic_fail_host", spec.net.nic_fail_host);
-    net.set("nic_fail_hour", spec.net.nic_fail_hour);
-    net.set("nic_recover_hour", spec.net.nic_recover_hour);
     net.set("wake_max_in_flight", spec.net.wake_max_in_flight);
     net.set("wake_stagger_ms", spec.net.wake_stagger);
     net.set("wake_admission_window_ms", spec.net.wake_admission_window);
@@ -379,29 +373,13 @@ sc::ScenarioSpec scenario_spec_from_json(const Json& j) {
     const std::string net_path = where + ".net";
     require_object(*net, net_path);
     check_keys(*net, net_path,
-               {"enabled", "port_latency_ms", "serialization_ms", "heartbeat",
-                "hb_interval_ms", "hb_miss_threshold", "nic_fail_host", "nic_fail_hour",
-                "nic_recover_hour", "wake_max_in_flight", "wake_stagger_ms",
-                "wake_admission_window_ms"});
+               {"enabled", "port_latency_ms", "serialization_ms", "wake_max_in_flight",
+                "wake_stagger_ms", "wake_admission_window_ms"});
     spec.net.enabled = get_bool(*net, "enabled", spec.net.enabled, net_path);
     spec.net.port_latency =
         get_duration_ms(*net, "port_latency_ms", spec.net.port_latency, net_path);
     spec.net.serialization =
         get_duration_ms(*net, "serialization_ms", spec.net.serialization, net_path);
-    spec.net.heartbeat = get_bool(*net, "heartbeat", spec.net.heartbeat, net_path);
-    spec.net.hb_interval =
-        get_duration_ms(*net, "hb_interval_ms", spec.net.hb_interval, net_path);
-    spec.net.hb_miss_threshold =
-        get_int(*net, "hb_miss_threshold", spec.net.hb_miss_threshold, net_path);
-    spec.net.nic_fail_host = get_int(*net, "nic_fail_host", spec.net.nic_fail_host, net_path);
-    spec.net.nic_fail_hour = at_path(net_path + ".nic_fail_hour", [&] {
-      const Json* v = net->find("nic_fail_hour");
-      return v == nullptr ? spec.net.nic_fail_hour : v->as_int();
-    });
-    spec.net.nic_recover_hour = at_path(net_path + ".nic_recover_hour", [&] {
-      const Json* v = net->find("nic_recover_hour");
-      return v == nullptr ? spec.net.nic_recover_hour : v->as_int();
-    });
     spec.net.wake_max_in_flight =
         get_int(*net, "wake_max_in_flight", spec.net.wake_max_in_flight, net_path);
     spec.net.wake_stagger =

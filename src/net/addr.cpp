@@ -36,7 +36,6 @@ const char* to_string(PacketKind k) {
     case PacketKind::Request: return "request";
     case PacketKind::Response: return "response";
     case PacketKind::WakeOnLan: return "wol";
-    case PacketKind::Heartbeat: return "heartbeat";
   }
   return "?";
 }

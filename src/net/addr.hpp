@@ -43,7 +43,6 @@ enum class PacketKind {
   Request,    ///< client request destined to a VM
   Response,   ///< VM reply to a client
   WakeOnLan,  ///< magic packet, wakes the destination host
-  Heartbeat,  ///< waking-module liveness beacon
 };
 
 [[nodiscard]] const char* to_string(PacketKind k);

@@ -4,49 +4,6 @@
 
 namespace drowsy::net {
 
-HeartbeatMonitor::HeartbeatMonitor(Dispatcher& dispatcher, HeartbeatConfig config,
-                                   std::function<void()> on_failover)
-    : dispatcher_(dispatcher), config_(config), on_failover_(std::move(on_failover)) {}
-
-void HeartbeatMonitor::start() {
-  if (running_) return;
-  running_ = true;
-  failed_over_ = false;
-  misses_ = 0;
-  beat_since_check_ = false;
-  const std::uint64_t gen = ++generation_;
-  dispatcher_.schedule_after(
-      config_.interval, [this, gen] { if (generation_ == gen && running_) check(); },
-      obs::EventTag::Heartbeat);
-}
-
-void HeartbeatMonitor::stop() {
-  running_ = false;
-  ++generation_;
-}
-
-void HeartbeatMonitor::beat_received() { beat_since_check_ = true; }
-
-void HeartbeatMonitor::check() {
-  if (beat_since_check_) {
-    misses_ = 0;
-  } else {
-    ++misses_;
-  }
-  beat_since_check_ = false;
-  if (misses_ >= config_.miss_threshold) {
-    running_ = false;
-    failed_over_ = true;
-    DROWSY_LOG_INFO("heartbeat", "peer declared dead after %d misses; failing over", misses_);
-    if (on_failover_) on_failover_();
-    return;
-  }
-  const std::uint64_t gen = generation_;
-  dispatcher_.schedule_after(
-      config_.interval, [this, gen] { if (generation_ == gen && running_) check(); },
-      obs::EventTag::Heartbeat);
-}
-
 MirroredPair::MirroredPair(Dispatcher& dispatcher, HeartbeatConfig config,
                            std::function<void()> on_promote_standby)
     : dispatcher_(dispatcher),

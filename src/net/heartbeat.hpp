@@ -5,17 +5,15 @@
 // this way, when a waking module is defective, it is replaced with an
 // identical version." (paper §V)
 //
-// A HeartbeatMonitor expects a beat every `interval`; after
-// `miss_threshold` consecutive misses it declares the peer dead and invokes
-// the failover action.  The netsim wake fabric runs one per host on real
-// switch frames.  A MirroredPair couples a primary waking module and its
-// standby with the same timing contract, computed in closed form instead
-// of simulated beat by beat.
+// A MirroredPair couples a primary waking module and its standby: the
+// standby expects a beat every `interval` and, after `miss_threshold`
+// consecutive misses, declares the primary dead and promotes itself.  The
+// timing is computed in closed form instead of simulated beat by beat;
+// tests/net/reference_heartbeat_monitor.hpp holds the beat-by-beat
+// monitor it is checked against.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <string>
 
 #include "net/sdn_switch.hpp"
 #include "util/sim_time.hpp"
@@ -28,40 +26,10 @@ struct HeartbeatConfig {
   int miss_threshold = 3;  ///< consecutive missed beats before failover
 };
 
-/// Observes heartbeats from a peer and triggers failover when they stop.
-class HeartbeatMonitor {
- public:
-  HeartbeatMonitor(Dispatcher& dispatcher, HeartbeatConfig config,
-                   std::function<void()> on_failover);
-
-  /// Start watching.  Checks run every `interval` until failover fires or
-  /// stop() is called.
-  void start();
-  void stop();
-
-  /// Record a beat from the peer (called by the transport on delivery).
-  void beat_received();
-
-  [[nodiscard]] bool failed_over() const { return failed_over_; }
-  [[nodiscard]] int consecutive_misses() const { return misses_; }
-
- private:
-  void check();
-
-  Dispatcher& dispatcher_;
-  HeartbeatConfig config_;
-  std::function<void()> on_failover_;
-  bool running_ = false;
-  bool failed_over_ = false;
-  bool beat_since_check_ = false;
-  int misses_ = 0;
-  std::uint64_t generation_ = 0;  ///< invalidates stale scheduled checks
-};
-
 /// A primary/standby pair, event-free while the primary lives.
 ///
 /// It models a primary beating at every tick t0 + k·interval (t0 = the
-/// start() instant) and a HeartbeatMonitor on the standby checking on the
+/// start() instant) and a heartbeat monitor on the standby checking on the
 /// same grid, without simulating either: kill_primary() schedules the one
 /// promotion event at the instant the fatal check would fire,
 /// L + (miss_threshold + 1)·interval, with L the last tick at or before the

@@ -4,11 +4,6 @@
 
 namespace drowsy::net {
 
-void ImmediateDispatcher::schedule_after(util::SimTime delay, util::InlineFn fn) {
-  (void)delay;
-  fn();
-}
-
 SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency)
     : dispatcher_(dispatcher), port_latency_(port_latency) {}
 
@@ -34,12 +29,7 @@ void SdnSwitch::add_analyzer(PacketAnalyzer analyzer) {
 bool SdnSwitch::inject(const Packet& packet) {
   Packet stamped = packet;
   if (stamped.sent_at < 0) stamped.sent_at = dispatcher_.now();
-  for (const auto& analyzer : analyzers_) {
-    if (analyzer(stamped) == AnalyzerVerdict::Drop) {
-      ++dropped_;
-      return false;
-    }
-  }
+  for (const auto& analyzer : analyzers_) analyzer(stamped);
   if (stamped.kind == PacketKind::WakeOnLan) {
     return deliver_to_mac(stamped.dst_mac, stamped);
   }

@@ -23,11 +23,10 @@
 namespace drowsy::net {
 
 /// Deferred-execution interface the network uses to model latency.  The
-/// discrete-event simulator implements this; unit tests use an immediate
-/// executor.  Callbacks travel as util::InlineFn (the event core's
-/// small-buffer payload type) so a frame delivery scheduled through this
-/// interface lands in the slab event record without a std::function
-/// allocation; lambdas convert implicitly.
+/// discrete-event simulator implements this.  Callbacks travel as
+/// util::InlineFn (the event core's small-buffer payload type) so a frame
+/// delivery scheduled through this interface lands in the slab event
+/// record without a std::function allocation; lambdas convert implicitly.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
@@ -35,7 +34,7 @@ class Dispatcher {
   virtual void schedule_after(util::SimTime delay, util::InlineFn fn) = 0;
   /// Tagged variant for event-core profiling (obs::EventTag attribution).
   /// Default drops the tag and forwards, so dispatchers that don't
-  /// profile (ImmediateDispatcher) need no changes; sim::EventQueue and
+  /// profile need no changes; sim::EventQueue and
   /// netsim::EventQueueDispatcher override it to carry the tag through.
   virtual void schedule_after(util::SimTime delay, util::InlineFn fn,
                               obs::EventTag /*tag*/) {
@@ -45,28 +44,15 @@ class Dispatcher {
   [[nodiscard]] virtual util::SimTime now() const = 0;
 };
 
-/// Runs everything inline at a fixed time (for unit tests).
-class ImmediateDispatcher final : public Dispatcher {
- public:
-  using Dispatcher::schedule_after;  // keep the tagged overload visible
-  void schedule_after(util::SimTime delay, util::InlineFn fn) override;
-  [[nodiscard]] util::SimTime now() const override { return now_; }
-  void set_now(util::SimTime t) { now_ = t; }
-
- private:
-  util::SimTime now_ = 0;
-};
-
 /// A switch port: frames addressed to `mac` are handed to `deliver`.
 struct Port {
   MacAddress mac{};
   std::function<void(const Packet&)> deliver;
 };
 
-/// Packet analyzers run before forwarding; returning Drop consumes the
-/// frame (the waking module never drops — it observes and lets through).
-enum class AnalyzerVerdict { Forward, Drop };
-using PacketAnalyzer = std::function<AnalyzerVerdict(const Packet&)>;
+/// Packet analyzers observe every frame before it is forwarded; none can
+/// consume it (the waking module observes and lets through).
+using PacketAnalyzer = std::function<void(const Packet&)>;
 
 /// The SDN switch.
 class SdnSwitch {
@@ -93,6 +79,7 @@ class SdnSwitch {
   bool inject(const Packet& packet);
 
   [[nodiscard]] std::uint64_t forwarded_count() const { return forwarded_; }
+  /// Frames with no route (unbound IP) or no port (unknown MAC).
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
 
  private:

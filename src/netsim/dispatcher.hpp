@@ -35,8 +35,8 @@ class EventQueueDispatcher final : public net::Dispatcher {
   /// now.  The frame additionally waits for the serializing pipe: it
   /// starts when the pipe frees up and occupies it for `serialization`.
   /// Untagged calls default to NetsimFrame — everything through this
-  /// dispatcher is switch traffic; callers with better attribution
-  /// (heartbeat probes) use the tagged overload.
+  /// dispatcher is switch traffic; the tagged overload keeps the
+  /// caller's tag.
   void schedule_after(util::SimTime delay, util::InlineFn fn) override;
   void schedule_after(util::SimTime delay, util::InlineFn fn,
                       obs::EventTag tag) override;

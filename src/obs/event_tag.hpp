@@ -5,8 +5,8 @@
 // wall-time to the handful of workload families the simulator generates.
 // The set is deliberately small and stable: it mirrors the scheduling
 // sites that exist today (guest hrtimers, the suspend checker, request
-// arrivals, wake/resume transitions, heartbeats, switch frame
-// deliveries), with Other as the catch-all so tag counts always sum to
+// arrivals, wake/resume transitions, mirrored waking-module failover,
+// switch frame deliveries), with Other as the catch-all so tag counts always sum to
 // the total event count.
 //
 // This header is dependency-free (included by sim/ and net/ which sit
@@ -24,7 +24,7 @@ enum class EventTag : unsigned char {
   SuspendCheck,  ///< per-host suspend-daemon idle checks
   Request,       ///< request arrivals injected at the switch
   Wake,          ///< suspend/resume transitions, WoL sends, planned wakes
-  Heartbeat,     ///< heartbeat beats, timeouts and mirror probes
+  Heartbeat,     ///< mirrored waking-module promotions (net::MirroredPair)
   NetsimFrame,   ///< switch frame deliveries (port latency / egress pipe)
 };
 

@@ -26,8 +26,8 @@ std::string trace_file_name(const ScenarioSpec& spec, Policy policy,
 
 namespace {
 
-/// Records power transitions, WoL frames, SLA violations and heartbeat
-/// losses into a TraceWriter, then flushes the file after harvest.
+/// Records power transitions, WoL frames and SLA violations into a
+/// TraceWriter, then flushes the file after harvest.
 class TimelineObserver final : public RunObserver {
  public:
   TimelineObserver(const ScenarioSpec& spec, Policy policy, std::uint64_t seed,
@@ -50,17 +50,11 @@ class TimelineObserver final : public RunObserver {
     }
     requests_track_ = writer_.add_track("requests");
 
-    // WoL frames: observe at the switch, after every previously installed
-    // analyzer — a frame stamped here survived the waking module and the
-    // fabric's NIC-down drop, i.e. it actually went out on the wire.
+    // WoL frames: observe at the switch, where every frame passes.
     run.sdn.add_analyzer([this](const net::Packet& p) {
-      if (p.kind == net::PacketKind::WakeOnLan) {
-        auto it = mac_track_.find(p.dst_mac);
-        if (it != mac_track_.end()) {
-          writer_.add_instant(it->second, "wol", run_.queue.now());
-        }
-      }
-      return net::AnalyzerVerdict::Forward;
+      if (p.kind != net::PacketKind::WakeOnLan) return;
+      auto it = mac_track_.find(p.dst_mac);
+      if (it != mac_track_.end()) writer_.add_instant(it->second, "wol", run_.queue.now());
     });
 
     // SLA violations, stamped at completion with the measured latency.
@@ -73,16 +67,6 @@ class TimelineObserver final : public RunObserver {
           args.set("woke_host", expctl::Json(woke));
           writer_.add_instant(requests_track_, "sla-violation", at, std::move(args));
         });
-
-    // Heartbeat losses and recoveries (only when a wake fabric exists).
-    if (run.net) {
-      run.net->add_on_reachability([this](sim::HostId id, bool reachable) {
-        auto it = host_track_.find(id);
-        if (it == host_track_.end()) return;
-        writer_.add_instant(it->second, reachable ? "reachable" : "unreachable",
-                            run_.queue.now());
-      });
-    }
   }
 
   void on_finished(const RunResult& result) override {

@@ -5,12 +5,11 @@
 //
 //   * timeline_probe(dir) — writes one Chrome-trace/Perfetto JSON file
 //     per run into `dir`, recording host power transitions (duration
-//     slices per power state), WoL frames traversing the switch, SLA
-//     violations (request latency above the spec's bound), and
-//     heartbeat losses/recoveries — all stamped in sim time, so the file
-//     is byte-identical at any batch thread count.  File names embed
-//     (scenario, policy, seed, spec-hash) and are collision-free across
-//     a sweep grid.
+//     slices per power state), WoL frames traversing the switch and SLA
+//     violations (request latency above the spec's bound) — all stamped
+//     in sim time, so the file is byte-identical at any batch thread
+//     count.  File names embed (scenario, policy, seed, spec-hash) and
+//     are collision-free across a sweep grid.
 //   * profile_probe(aggregate, mutex-free) — attaches an obs::EventProfile
 //     to the run's event queue and folds it into a shared aggregate when
 //     the run finishes.  The aggregate carries dispatch *wall* time, so

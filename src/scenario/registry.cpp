@@ -389,43 +389,6 @@ ScenarioSpec wake_storm_net() {
   return s;
 }
 
-/// Heartbeat/failover probe: one host's NIC dies at 06:00 and heals at
-/// 12:00.  The fabric's monitors declare it unreachable (frames to it
-/// drop on the wire), placement avoids it until the first post-recovery
-/// beat, and the run reports the partition as host-unreachable seconds.
-/// The fleet is packed slot-for-slot (16 VMs on 4x4 slots) so the
-/// failing host always carries resident VMs — consolidation can never
-/// empty it ahead of the fault, which would make the outage invisible.
-ScenarioSpec netsim_failover() {
-  ScenarioSpec s;
-  s.name = "netsim-failover";
-  s.description = "one host's NIC fails 06:00-12:00: heartbeat loss excludes it until recovery";
-  s.hosts = 4;
-  s.host_template = {"", 8, 16384, 4};
-  s.vms = {
-      {.name_prefix = "steady",
-       .count = 12,
-       .memory_mb = 4096,
-       .workload = {.kind = TraceKind::LlmuConstant, .noise = 0.02, .level = 0.5}},
-      {.name_prefix = "night",
-       .count = 4,
-       .memory_mb = 4096,
-       .workload = {.kind = TraceKind::DailyBackup, .hour = 2, .span_hours = 3}},
-  };
-  s.pretrain_days = 7;
-  s.duration_days = 1;
-  s.request_rate_per_hour = 60.0;
-  s.seed = 53;
-  s.net.enabled = true;
-  s.net.port_latency = 1;
-  s.net.heartbeat = true;
-  s.net.hb_interval = util::seconds(5);
-  s.net.nic_fail_host = 1;
-  s.net.nic_fail_hour = 6;
-  s.net.nic_recover_hour = 12;
-  return s;
-}
-
 /// Fig. 3 (1b) oscillation probe: a mostly-idle fleet whose requests
 /// arrive minutes apart — inside the grace band.  Without grace time a
 /// host re-suspends the moment each request drains and the next one
@@ -542,7 +505,6 @@ const ScenarioRegistry& ScenarioRegistry::builtin() {
     r.add(idle_fleet_sla_burst());
     r.add(wake_storm());
     r.add(wake_storm_net());
-    r.add(netsim_failover());
     r.add(fig3_oscillation());
     r.add(replay_azure_sample());
     r.add(replay_mixed());

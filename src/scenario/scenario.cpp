@@ -162,24 +162,6 @@ std::string ScenarioSpec::validate() const {
   if (grace_max < grace_min) return name + ": grace_max must be >= grace_min";
   if (net.port_latency < 0) return name + ": net.port_latency must be >= 0";
   if (net.serialization < 0) return name + ": net.serialization must be >= 0";
-  if (net.hb_interval <= 0) return name + ": net.hb_interval must be positive";
-  if (net.hb_miss_threshold < 1) return name + ": net.hb_miss_threshold must be >= 1";
-  if (net.nic_fail_host >= hosts) {
-    return name + ": net.nic_fail_host beyond the fleet";
-  }
-  if (net.nic_fail_host >= 0 && !net.heartbeat) {
-    return name + ": NIC fault injection needs net.heartbeat (nothing would"
-           " ever notice the partition)";
-  }
-  if (net.nic_fail_host >= 0 && net.nic_fail_hour < 0) {
-    return name + ": net.nic_fail_host needs a net.nic_fail_hour";
-  }
-  if (net.nic_recover_hour >= 0 && net.nic_recover_hour <= net.nic_fail_hour) {
-    return name + ": net.nic_recover_hour must come after net.nic_fail_hour";
-  }
-  if ((net.heartbeat || net.nic_fail_host >= 0) && !net.enabled) {
-    return name + ": heartbeat/fault knobs need net.enabled";
-  }
   if (net.wake_max_in_flight < 1) {
     return name + ": net.wake_max_in_flight must be >= 1";
   }
@@ -338,36 +320,22 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
   if (run->baseline) run->controller->set_policy(run->baseline.get());
   run->controller->install();
 
-  // The wake fabric rides on top of the installed deployment: its drop
-  // analyzer must run after the waking module's (the real switch gives
-  // the waking module first look), and its wake observer chains onto the
-  // suspend checker's hook.
-  if (spec.net.enabled || policy == Policy::DrowsyNetBatch) {
+  if (policy == Policy::DrowsyNetBatch) {
     netsim::FabricConfig fc;
-    fc.heartbeat = spec.net.heartbeat;
-    fc.hb_interval = spec.net.hb_interval;
-    fc.hb_miss_threshold = spec.net.hb_miss_threshold;
-    fc.nic_fail_host = spec.net.nic_fail_host;
-    fc.nic_fail_hour = spec.net.nic_fail_hour;
-    fc.nic_recover_hour = spec.net.nic_recover_hour;
-    fc.planner = policy == Policy::DrowsyNetBatch;
     fc.wake_max_in_flight = spec.net.wake_max_in_flight;
     fc.wake_stagger = spec.net.wake_stagger;
     fc.wake_admission_window = spec.net.wake_admission_window;
-    run->net = std::make_unique<netsim::WakeFabric>(run->cluster, run->sdn, fc);
-    if (fc.planner) {
-      // Pre-wake when any resident VM's idleness model leans active for
-      // the coming hour (negative raw IP, the §III convention).
-      run->net->set_activity_predictor(
-          [ctl = run->controller.get()](const sim::Host& host, std::int64_t hour) {
-            const util::CalendarTime c = util::calendar_of(hour * util::kMsPerHour);
-            for (const sim::Vm* vm : host.vms()) {
-              if (ctl->models().vm_ip(vm->id(), c).raw < 0.0) return true;
-            }
-            return false;
-          });
-    }
-    run->net->install();
+    // Pre-wake when any resident VM's idleness model leans active for
+    // the coming hour (negative raw IP, the §III convention).
+    run->net = std::make_unique<netsim::WakeFabric>(
+        run->cluster, run->sdn, fc,
+        [ctl = run->controller.get()](const sim::Host& host, std::int64_t hour) {
+          const util::CalendarTime c = util::calendar_of(hour * util::kMsPerHour);
+          for (const sim::Vm* vm : host.vms()) {
+            if (ctl->models().vm_ip(vm->id(), c).raw < 0.0) return true;
+          }
+          return false;
+        });
   }
   return run;
 }
@@ -409,15 +377,12 @@ RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {
 
   // Wake-fabric metrics.  WoL frames count every magic packet injected:
   // the waking modules' (packet- and schedule-triggered) plus the
-  // fabric's own (planner pre-wakes, recovery retransmits).
+  // planner's pre-wakes.
   r.switch_queue_delay_p99_ms = run.dispatcher.queue_delay_p99_ms();
   const core::WakingStats& wp = run.controller->waking_primary().stats();
   const core::WakingStats& ws = run.controller->waking_standby()->stats();
   r.wol_frames = wp.packet_wakes + wp.scheduled_wakes + ws.packet_wakes + ws.scheduled_wakes;
-  if (run.net) {
-    r.wol_frames += run.net->wol_frames();
-    r.host_unreachable_s = run.net->host_unreachable_s();
-  }
+  if (run.net) r.wol_frames += run.net->wol_frames();
   return r;
 }
 

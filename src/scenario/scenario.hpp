@@ -107,14 +107,6 @@ struct NetSpec {
   bool enabled = false;
   util::SimTime port_latency = 1;   ///< per-frame propagation, ms
   util::SimTime serialization = 0;  ///< switch egress occupancy per frame, ms
-  // Heartbeat reachability tracking.
-  bool heartbeat = false;
-  util::SimTime hb_interval = util::seconds(5);
-  int hb_miss_threshold = 3;
-  // Declarative NIC fault injection; -1 disables.
-  int nic_fail_host = -1;
-  std::int64_t nic_fail_hour = -1;
-  std::int64_t nic_recover_hour = -1;
   // DrowsyNetBatch staggered-wake admission knobs.
   int wake_max_in_flight = 2;
   util::SimTime wake_stagger = 200;
@@ -191,7 +183,7 @@ struct ScenarioRun {
   /// so fiat-wake runs keep their historical event ordering bit-for-bit.
   netsim::EventQueueDispatcher dispatcher;
   net::SdnSwitch sdn;
-  std::unique_ptr<netsim::WakeFabric> net;  ///< null without a wake fabric
+  std::unique_ptr<netsim::WakeFabric> net;  ///< planner; null unless DrowsyNetBatch
   std::unique_ptr<core::ConsolidationPolicy> baseline;  ///< null = Drowsy-DC
   std::unique_ptr<core::Controller> controller;
   Policy policy;
@@ -240,7 +232,10 @@ struct RunResult {
   // Wake-fabric metrics.  Zero for fiat-wake runs.
   double switch_queue_delay_p99_ms = 0.0;  ///< p99 frame wait at the switch
   std::uint64_t wol_frames = 0;            ///< WoL magic packets injected
-  double host_unreachable_s = 0.0;         ///< host-seconds lost to partitions
+  /// Always 0: nothing models a host cut off from the switch.  The field
+  /// and its runs-CSV/journal column stay until the next schema change,
+  /// as perfbench's `netsim.host_unreachable_s` still reads it.
+  double host_unreachable_s = 0.0;
 };
 
 /// Collect a RunResult from a finished deployment.
@@ -250,8 +245,8 @@ struct RunResult {
 
 /// Per-run observer created by a RunProbe.  Constructed after build()
 /// (its constructor installs hooks on the freshly built ScenarioRun:
-/// host transition observers, queue profiling, fabric reachability
-/// hooks), notified once after harvest, destroyed before the run is —
+/// host transition observers, queue profiling, switch analyzers),
+/// notified once after harvest, destroyed before the run is —
 /// so its destructor may still touch run state (e.g. detach the queue
 /// profile, flush a trace file).
 class RunObserver {

@@ -76,11 +76,6 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
   std::unordered_map<VmId, HostId> final_map = placement_;
   for (const auto& [vm_id, host_id] : targets) {
     assert(vm(vm_id) != nullptr && host(host_id) != nullptr);
-    // All-or-nothing backstop: a *move* onto a heartbeat-partitioned host
-    // is refused outright (VMs already resident may stay put).
-    auto cur = placement_.find(vm_id);
-    const bool moves = cur == placement_.end() || cur->second != host_id;
-    if (moves && !host(host_id)->reachable()) return false;
     final_map[vm_id] = host_id;
   }
   // Validate capacity of the final state per host.

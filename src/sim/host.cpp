@@ -16,7 +16,6 @@ Host::Host(HostId id, HostSpec spec, PowerModel model, EventQueue& queue)
       last_account_(queue.now()) {}
 
 bool Host::can_host(const VmSpec& vm) const {
-  if (!reachable_) return false;  // no placements onto a partitioned host
   if (spec_.max_vms > 0 && static_cast<int>(vms_.size()) >= spec_.max_vms) return false;
   return used_vcpus() + vm.vcpus <= spec_.cpu_capacity &&
          used_memory_mb() + vm.memory_mb <= spec_.memory_mb;

@@ -107,8 +107,8 @@ class Host {
 
   /// Append a hook invoked whenever the host completes a resume (any
   /// trigger).  Hooks run in installation order and compose: installing a
-  /// second observer (e.g. the netsim wake fabric) never drops an earlier
-  /// one (e.g. the suspend checker's grace-time hook).
+  /// second observer never drops an earlier one (e.g. the suspend
+  /// checker's grace-time hook).
   void add_on_wake(std::function<void()> hook) {
     on_wake_.push_back(std::move(hook));
   }
@@ -124,15 +124,6 @@ class Host {
   void add_on_transition(std::function<void(PowerState from, PowerState to)> hook) {
     on_transition_.push_back(std::move(hook));
   }
-
-  // --- reachability ---------------------------------------------------------
-  /// Network reachability as observed by the fabric's heartbeat monitors.
-  /// An unreachable host cannot accept placements (can_host fails) and the
-  /// suspend daemon refuses to park it — a dead NIC could never deliver
-  /// the WoL frame that would bring it back.  Defaults to reachable, so
-  /// deployments without a wake fabric are unaffected.
-  void set_reachable(bool reachable) { reachable_ = reachable; }
-  [[nodiscard]] bool reachable() const { return reachable_; }
 
  private:
   void enter_state(PowerState next);
@@ -158,7 +149,6 @@ class Host {
   util::SimTime resume_done_at_ = 0;
   int suspend_count_ = 0;
   int resume_count_ = 0;
-  bool reachable_ = true;
   std::vector<std::function<void()>> on_wake_;
   std::vector<std::function<void(PowerState, PowerState)>> on_transition_;
   std::vector<std::function<void()>> resume_waiters_;

@@ -242,8 +242,8 @@ class SuspendChainDifferential : public ::testing::TestWithParam<ChainParams> {
       EXPECT_EQ(parked.per_host, oracle.per_host);
       EXPECT_FALSE(oracle.log.empty());
       EXPECT_LE(parked.checks, oracle.checks);
-      // Parked, only awake hosts are checked, and every such check of a
-      // reachable host ends in exactly one decision.
+      // Parked, only awake hosts are checked, and every such check ends
+      // in exactly one decision.
       if (parks()) {
         EXPECT_EQ(parked.checks, parked.decisions);
       }

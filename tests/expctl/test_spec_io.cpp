@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "expctl/runs_io.hpp"
 #include "scenario/registry.hpp"
 
@@ -140,11 +143,6 @@ TEST(SpecIo, NetSpecEmitsOnlyWhenSetAndRoundTrips) {
   net.net.enabled = true;
   net.net.port_latency = 2;
   net.net.serialization = 5;
-  net.net.heartbeat = true;
-  net.net.hb_interval = drowsy::util::seconds(7);
-  net.net.nic_fail_host = 1;
-  net.net.nic_fail_hour = 6;
-  net.net.nic_recover_hour = 12;
   net.net.wake_max_in_flight = 4;
   const sc::ScenarioSpec back = ec::scenario_spec_from_json(ec::to_json(net));
   EXPECT_TRUE(back.net == net.net);
@@ -162,27 +160,22 @@ TEST(SpecIo, NetSpecValidationErrors) {
   };
   const std::string base =
       R"("hosts": 2, "vms": [{"name_prefix": "v", "count": 2}])";
-  // Fault injection without heartbeat would be an unobservable partition.
-  EXPECT_THROW(
-      static_cast<void>(parse(
-          R"({"name": "x", )" + base +
-          R"(, "net": {"enabled": true, "nic_fail_host": 1, "nic_fail_hour": 2}})")),
-      ec::SpecError);
-  // Heartbeat knobs without the fabric enabled.
-  EXPECT_THROW(static_cast<void>(parse(R"({"name": "x", )" + base +
-                                       R"(, "net": {"heartbeat": true}})")),
-               ec::SpecError);
-  // Recovery must come after the fault.
-  EXPECT_THROW(
-      static_cast<void>(parse(
-          R"({"name": "x", )" + base +
-          R"(, "net": {"enabled": true, "heartbeat": true, "nic_fail_host": 1,
-                       "nic_fail_hour": 6, "nic_recover_hour": 6}})")),
-      ec::SpecError);
-  // Unknown net key (typo detection).
-  EXPECT_THROW(static_cast<void>(parse(R"({"name": "x", )" + base +
-                                       R"(, "net": {"serialisation_ms": 5}})")),
-               ec::SpecError);
+  // Unknown net keys: a typo, and knobs of the per-host heartbeat and NIC
+  // fault injection, which no longer exist.
+  const std::pair<std::string, std::string> unknown[] = {
+      {"serialisation_ms", R"({"serialisation_ms": 5})"},
+      {"heartbeat", R"({"heartbeat": false})"},
+      {"nic_fail_host", R"({"nic_fail_host": 1})"}};
+  for (const auto& [key, net] : unknown) {
+    try {
+      static_cast<void>(parse(R"({"name": "x", )" + base + R"(, "net": )" + net + "}"));
+      ADD_FAILURE() << net << " was accepted";
+    } catch (const ec::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SpecIo, ReplaySpecValidationErrors) {

@@ -45,5 +45,4 @@ TEST(Addr, PacketKindNames) {
   EXPECT_STREQ(n::to_string(n::PacketKind::Request), "request");
   EXPECT_STREQ(n::to_string(n::PacketKind::Response), "response");
   EXPECT_STREQ(n::to_string(n::PacketKind::WakeOnLan), "wol");
-  EXPECT_STREQ(n::to_string(n::PacketKind::Heartbeat), "heartbeat");
 }

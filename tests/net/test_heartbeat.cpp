@@ -2,17 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_heartbeat_monitor.hpp"
 #include "sim/event_queue.hpp"
 
 namespace n = drowsy::net;
 namespace s = drowsy::sim;
 namespace u = drowsy::util;
+using drowsy::testing::HeartbeatMonitor;
 
 TEST(Heartbeat, NoFailoverWhileBeatsArrive) {
   s::EventQueue q;
   bool failed = false;
   n::HeartbeatConfig cfg;
-  n::HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
+  HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
   monitor.start();
   // Feed beats slightly faster than the check interval for 30 seconds.
   for (int i = 1; i <= 40; ++i) {
@@ -29,7 +31,7 @@ TEST(Heartbeat, FailoverAfterConsecutiveMisses) {
   n::HeartbeatConfig cfg;
   cfg.interval = u::seconds(1);
   cfg.miss_threshold = 3;
-  n::HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
+  HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
   monitor.start();
   q.run_until(u::seconds(10));
   EXPECT_TRUE(failed);
@@ -40,7 +42,7 @@ TEST(Heartbeat, FailoverAfterConsecutiveMisses) {
 TEST(Heartbeat, StopPreventsFailover) {
   s::EventQueue q;
   bool failed = false;
-  n::HeartbeatMonitor monitor(q, n::HeartbeatConfig{}, [&failed] { failed = true; });
+  HeartbeatMonitor monitor(q, n::HeartbeatConfig{}, [&failed] { failed = true; });
   monitor.start();
   monitor.stop();
   q.run_until(u::seconds(30));
@@ -53,7 +55,7 @@ TEST(Heartbeat, SingleMissedBeatTolerated) {
   n::HeartbeatConfig cfg;
   cfg.interval = u::seconds(1);
   cfg.miss_threshold = 3;
-  n::HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
+  HeartbeatMonitor monitor(q, cfg, [&failed] { failed = true; });
   monitor.start();
   // Beats at 0.5s, then a gap (miss at checks 2,3 would trigger at 3
   // consecutive), then resume beats: no failover.

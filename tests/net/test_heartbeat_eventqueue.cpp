@@ -1,6 +1,5 @@
-// HeartbeatMonitor driven by the real simulation EventQueue (the unit
-// tests elsewhere use ImmediateDispatcher; the wake fabric runs monitors
-// on the shared queue, so the timing contract must hold there too).
+// The reference HeartbeatMonitor driven by the real simulation EventQueue:
+// its timing contract, then net::MirroredPair checked against it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +10,13 @@
 #include <vector>
 
 #include "net/heartbeat.hpp"
+#include "reference_heartbeat_monitor.hpp"
 #include "sim/event_queue.hpp"
 
 namespace n = drowsy::net;
 namespace s = drowsy::sim;
 namespace u = drowsy::util;
+using drowsy::testing::HeartbeatMonitor;
 
 TEST(HeartbeatOnEventQueue, FailoverFiresAtTheExactSimulatedInstant) {
   // Checks run at interval, 2*interval, ...; with no beats the third
@@ -26,7 +27,7 @@ TEST(HeartbeatOnEventQueue, FailoverFiresAtTheExactSimulatedInstant) {
   cfg.interval = u::seconds(5);
   cfg.miss_threshold = 3;
   u::SimTime fired_at = -1;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
+  HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
   monitor.start();
   q.run_until(u::minutes(5));
   EXPECT_EQ(fired_at, 3 * u::seconds(5));
@@ -42,7 +43,7 @@ TEST(HeartbeatOnEventQueue, ABeatResetsTheMissCountdown) {
   cfg.interval = u::seconds(5);
   cfg.miss_threshold = 3;
   u::SimTime fired_at = -1;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
+  HeartbeatMonitor monitor(q, cfg, [&] { fired_at = q.now(); });
   monitor.start();
   q.schedule_at(u::seconds(7), [&] { monitor.beat_received(); });
   q.run_until(u::minutes(5));
@@ -61,7 +62,7 @@ TEST(HeartbeatOnEventQueue, StopBeforeTheFatalCheckSuppressesFailover) {
   cfg.interval = u::seconds(5);
   cfg.miss_threshold = 3;
   bool fired = false;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
+  HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
   monitor.start();
   q.schedule_at(u::seconds(12), [&] { monitor.stop(); });
   q.run_until(u::minutes(5));
@@ -81,7 +82,7 @@ TEST(HeartbeatOnEventQueue, SameInstantStopRacesResolveBySequence) {
     // exists, so at 5 s the check runs first and failover fires.
     s::EventQueue q;
     bool fired = false;
-    n::HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
+    HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
     monitor.start();
     q.schedule_at(u::seconds(5), [&] { monitor.stop(); });
     q.run_all();
@@ -93,7 +94,7 @@ TEST(HeartbeatOnEventQueue, SameInstantStopRacesResolveBySequence) {
     // a no-op.
     s::EventQueue q;
     bool fired = false;
-    n::HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
+    HeartbeatMonitor monitor(q, cfg, [&] { fired = true; });
     q.schedule_at(u::seconds(5), [&] { monitor.stop(); });
     q.schedule_at(0, [&] { monitor.start(); });
     q.run_all();
@@ -102,14 +103,14 @@ TEST(HeartbeatOnEventQueue, SameInstantStopRacesResolveBySequence) {
 }
 
 TEST(HeartbeatOnEventQueue, RestartAfterFailoverReArms) {
-  // The wake fabric restarts a monitor on recovery; a fresh start() must
-  // clear failed_over and run a full new countdown.
+  // A fresh start() after failover must clear failed_over and run a full
+  // new countdown.
   s::EventQueue q;
   n::HeartbeatConfig cfg;
   cfg.interval = u::seconds(5);
   cfg.miss_threshold = 2;
   int fail_count = 0;
-  n::HeartbeatMonitor monitor(q, cfg, [&] { ++fail_count; });
+  HeartbeatMonitor monitor(q, cfg, [&] { ++fail_count; });
   monitor.start();
   q.run_until(u::minutes(1));
   EXPECT_EQ(fail_count, 1);
@@ -157,7 +158,7 @@ class BeatChainPair {
 
   n::Dispatcher& dispatcher_;
   n::HeartbeatConfig config_;
-  n::HeartbeatMonitor monitor_;
+  HeartbeatMonitor monitor_;
   bool alive_ = true;
   bool started_ = false;
 };

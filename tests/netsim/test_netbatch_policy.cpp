@@ -47,11 +47,11 @@ TEST(NetBatchPolicy, StaggeredPreWakesRecoverSlaAtSameEnergy) {
 }
 
 TEST(NetBatchPolicy, NetScenariosAreByteIdenticalAcrossThreadCounts) {
-  // The determinism contract extends to the wake fabric: heartbeats,
-  // drops and planner decisions all advance on the one event queue, so a
-  // 1-thread and a 4-thread batch must agree byte for byte.
+  // The determinism contract extends to the wake fabric: switch
+  // contention and planner decisions all advance on the one event queue,
+  // so a 1-thread and a 4-thread batch must agree byte for byte.
   const sc::ScenarioRegistry& reg = sc::ScenarioRegistry::builtin();
-  const std::vector<sc::ScenarioSpec> specs = {reg.at("netsim-failover")};
+  const std::vector<sc::ScenarioSpec> specs = {reg.at("wake-storm-net")};
   const std::vector<sc::Policy> policies = {sc::Policy::DrowsyDc,
                                             sc::Policy::DrowsyNetBatch};
   const auto jobs = sc::cross(specs, policies, 2);

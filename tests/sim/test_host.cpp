@@ -152,14 +152,6 @@ TEST_F(HostFixture, OnWakeHooksChainInInstallOrder) {
   EXPECT_EQ(order.size(), 6u);
 }
 
-TEST_F(HostFixture, UnreachableHostRefusesPlacementAndStaysUp) {
-  EXPECT_TRUE(host.reachable());
-  host.set_reachable(false);
-  EXPECT_FALSE(host.can_host(s::VmSpec{"vm", 1, 1024}));
-  host.set_reachable(true);
-  EXPECT_TRUE(host.can_host(s::VmSpec{"vm", 1, 1024}));
-}
-
 TEST_F(HostFixture, EnergyAccountingIdleHour) {
   q.run_until(u::hours(1.0));
   host.account_now();

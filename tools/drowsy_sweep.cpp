@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -116,7 +115,6 @@ bool emit_results(const std::vector<sc::RunResult>& results, const EmitOptions& 
 struct Options {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   EmitOptions emit;
-  std::string bench_json;
   std::string trace_out;     ///< directory for per-run Perfetto timelines
   std::string metrics_json;  ///< worker metrics snapshot, flushed per run
   std::size_t shards = 0;
@@ -168,12 +166,9 @@ int cmd_run(const Options& opts, const std::string& sweep_path) {
   const sc::RunProbe probe =
       probes.empty() ? sc::RunProbe{} : sc::combine_probes(std::move(probes));
 
-  const auto start = std::chrono::steady_clock::now();
   const auto results = runner.run(jobs, on_complete, probe);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-  bool ok = emit_results(results, opts.emit);
+  const bool ok = emit_results(results, opts.emit);
   std::printf("\ntraces materialized: %llu (reused %llu times)\n",
               static_cast<unsigned long long>(runner.last_trace_misses()),
               static_cast<unsigned long long>(runner.last_trace_hits()));
@@ -186,17 +181,6 @@ int cmd_run(const Options& opts, const std::string& sweep_path) {
     snap.trace_cache_hits = runner.last_trace_hits();
     snap.trace_cache_misses = runner.last_trace_misses();
     flush_metrics_locked();
-  }
-
-  if (!opts.bench_json.empty()) {
-    ec::Json bench = ec::Json::object();
-    bench.set("sweep", loaded.sweep.name);
-    bench.set("runs", static_cast<std::uint64_t>(jobs.size()));
-    bench.set("threads", static_cast<std::uint64_t>(runner.thread_count()));
-    bench.set("wall_clock_seconds", wall_seconds);
-    bench.set("trace_cache_hits", runner.last_trace_hits());
-    bench.set("trace_cache_misses", runner.last_trace_misses());
-    ok &= sc::write_file(opts.bench_json, bench.dump());
   }
   return ok ? 0 : 1;
 }
@@ -640,8 +624,7 @@ std::vector<cli::Command> commands(Options& o) {
   };
   return {
       {"run", One, "<sweep.json>",
-       join(join({threads}, emit), {cli::text("--bench-json", "F", o.bench_json),
-                                    cli::text("--trace-out", "DIR", o.trace_out),
+       join(join({threads}, emit), {cli::text("--trace-out", "DIR", o.trace_out),
                                     cli::text("--metrics-json", "F", o.metrics_json)}),
        [&o](const Args& a) { return cmd_run(o, a[0]); }},
       {"validate", One, "<sweep.json>", {}, [](const Args& a) { return cmd_validate(a[0]); }},
