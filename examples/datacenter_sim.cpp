@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
       requests.wake_latencies_ms.empty() ? 0.0 : requests.wake_latencies_ms.quantile(0.99);
   std::printf("\ntotal: %.2f kWh, SLA(<=%.0f ms) %.2f%%, wake p99 %.0f ms, %llu requests, "
               "%llu wakes, %d migrations\n",
-              cluster.total_kwh(), sla_ms, 100.0 * requests.sla_attainment(sla_ms),
+              cluster.total_kwh(), sla_ms, 100.0 * requests.sla_attainment(),
               wake_p99_ms, static_cast<unsigned long long>(requests.total),
               static_cast<unsigned long long>(requests.woke_host), cluster.total_migrations());
   std::printf("\nwaking module: %llu packet wakes, %llu scheduled wakes\n",

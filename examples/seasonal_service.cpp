@@ -11,6 +11,7 @@
 
 #include "core/drowsy.hpp"
 #include "trace/generators.hpp"
+#include "util/stats.hpp"
 
 namespace core = drowsy::core;
 namespace sim = drowsy::sim;
@@ -40,6 +41,9 @@ int main() {
   opts.requests.base_rate_per_hour = 200;  // the July 20th rush is dense
   core::Controller controller(cluster, sdn, opts);
   controller.install();
+  util::SampleSet latencies_ms;
+  controller.fabric().add_on_complete(
+      [&latencies_ms](util::SimTime, double latency_ms, bool) { latencies_ms.add(latency_ms); });
 
   // One year of history so the SIy scale knows about July 20th.
   controller.pretrain_models(util::kHoursPerYear);
@@ -67,10 +71,10 @@ int main() {
   std::printf("  requests        %llu (%llu woke the host)\n",
               static_cast<unsigned long long>(stats.total),
               static_cast<unsigned long long>(stats.woke_host));
-  if (!stats.latencies_ms.empty()) {
-    std::printf("  latency p50     %.0f ms, p99 %.0f ms, SLA(<=200ms) %.2f%%\n",
-                stats.latencies_ms.quantile(0.5), stats.latencies_ms.quantile(0.99),
-                100.0 * stats.sla_attainment(200.0));
+  if (!latencies_ms.empty()) {
+    std::printf("  latency p50     %.0f ms, p99 %.0f ms, SLA(<=%.0fms) %.2f%%\n",
+                latencies_ms.quantile(0.5), latencies_ms.quantile(0.99),
+                controller.fabric().config().sla_ms, 100.0 * stats.sla_attainment());
   }
 
   // What does the model believe about July 20th next year?  A once-a-year

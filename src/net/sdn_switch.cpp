@@ -50,6 +50,14 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
     return false;
   }
   ++forwarded_;
+  // A request frame that would be the next event anyway is delivered
+  // now, without one.  WoL frames stay events: the waking module's
+  // analyzer injects them midway through another frame's inject.
+  if (packet.kind == PacketKind::Request && port_latency_ == 0 &&
+      dispatcher_.would_run_next()) {
+    (*it->second)(packet);
+    return true;
+  }
   // {shared_ptr, Packet} fits util::InlineFn's buffer: no allocation per
   // frame.  Holding the callback keeps a detached port's delivery valid.
   dispatcher_.schedule_after(port_latency_,

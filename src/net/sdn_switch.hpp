@@ -42,12 +42,10 @@ class Dispatcher {
   }
   /// Current simulated instant.
   [[nodiscard]] virtual util::SimTime now() const = 0;
-};
-
-/// A switch port: frames addressed to `mac` are handed to `deliver`.
-struct Port {
-  MacAddress mac{};
-  std::function<void(const Packet&)> deliver;
+  /// Whether a callback scheduled now with zero delay would be the very
+  /// next event to run, so running it in place changes nothing.  The
+  /// default never claims so, and every frame is queued.
+  [[nodiscard]] virtual bool would_run_next() const { return false; }
 };
 
 /// Packet analyzers observe every frame before it is forwarded; none can
@@ -76,6 +74,10 @@ class SdnSwitch {
   /// Inject a frame into the switch.  IP-addressed frames resolve through
   /// the forwarding table; WoL frames are L2-addressed via dst_mac.
   /// Returns false if the frame could not be forwarded (unknown address).
+  /// A request frame through a zero-latency port is delivered before
+  /// inject returns when the dispatcher says it would run next
+  /// (Dispatcher::would_run_next), so an event handler that injects a
+  /// request must do it last.
   bool inject(const Packet& packet);
 
   [[nodiscard]] std::uint64_t forwarded_count() const { return forwarded_; }
@@ -90,7 +92,8 @@ class SdnSwitch {
   Dispatcher& dispatcher_;
   util::SimTime port_latency_;
   /// Shared, so a queued delivery keeps its port's callback alive past a
-  /// detach, and captures 16 bytes instead of a whole std::function.
+  /// detach, and captures 16 bytes instead of a whole std::function.  A
+  /// port's callback must not detach its own port.
   std::unordered_map<MacAddress, std::shared_ptr<const Deliver>> ports_;
   std::unordered_map<Ipv4, MacAddress> forwarding_;
   std::vector<PacketAnalyzer> analyzers_;

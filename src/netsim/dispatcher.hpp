@@ -41,6 +41,12 @@ class EventQueueDispatcher final : public net::Dispatcher {
   void schedule_after(util::SimTime delay, util::InlineFn fn,
                       obs::EventTag tag) override;
 
+  /// Only a passthrough lets a frame run in place.
+  [[nodiscard]] bool would_run_next() const override {
+    return serialization_ <= 0 && queue_.would_run_next();
+  }
+
+  /// Frames queued through this dispatcher (not those run in place).
   [[nodiscard]] std::uint64_t frames() const { return frames_; }
   /// Time spent waiting for the pipe, sampled only over frames that found
   /// it busy (excludes the frame's own serialization and port latency).

@@ -353,11 +353,10 @@ RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {
 
   // Energy first: total_kwh() brings every host's accounting up to now.
   r.kwh = run.cluster.total_kwh();
-  const sim::RequestFabric& fabric = run.controller->fabric();
-  const auto& requests = fabric.stats();
+  const auto& requests = run.controller->fabric().stats();
   r.requests = requests.total;
   r.wakes = requests.woke_host;
-  r.sla_attainment = requests.sla_attainment(fabric.config().sla_ms);
+  r.sla_attainment = requests.sla_attainment();
   if (!requests.wake_latencies_ms.empty()) {
     r.wake_latency_p99_ms = requests.wake_latencies_ms.quantile(0.99);
   }

@@ -12,7 +12,7 @@
 // and a 24-byte key {at, seq, idx, lead} in a std::vector heap ordered by
 // (at, seq).  A sift moves keys only; a callback is relocated once, when
 // its event is popped.  The simulator keeps few events pending (the
-// catalogue never more than 13), so the heap stays a few levels deep.
+// catalogue never more than 12), so the heap stays a few levels deep.
 //
 // Events known a whole batch ahead (an hour's request arrivals) skip the
 // heap: set_stream() takes them as a sorted array of small POD entries
@@ -96,6 +96,13 @@ class EventQueue final : public net::Dispatcher {
   void schedule_after(util::SimTime delay, util::InlineFn fn,
                       obs::EventTag tag) override {
     schedule_at(now_ + delay, std::move(fn), tag);
+  }
+
+  /// During dispatch, true when nothing in the heap or the stream is due
+  /// at now(): an event scheduled now for now would run next.
+  [[nodiscard]] bool would_run_next() const override {
+    return dispatching_ && (heap_.empty() || heap_.front().at > now_) &&
+           (stream_pos_ == stream_end_ || stream_pos_->at > now_);
   }
 
   /// One entry of a pre-sequenced stream: the source's k-th event, due

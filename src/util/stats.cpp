@@ -75,15 +75,6 @@ double SampleSet::max() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-double SampleSet::fraction_below(double threshold) const {
-  if (samples_.empty()) return 1.0;
-  std::size_t below = 0;
-  for (double x : samples_) {
-    if (x <= threshold) ++below;
-  }
-  return static_cast<double>(below) / static_cast<double>(samples_.size());
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
   assert(hi > lo && buckets > 0);

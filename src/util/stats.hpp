@@ -48,9 +48,6 @@ class SampleSet {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double max() const;
 
-  /// Fraction of samples <= threshold (e.g. SLA attainment).
-  [[nodiscard]] double fraction_below(double threshold) const;
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;

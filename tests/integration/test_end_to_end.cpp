@@ -185,6 +185,7 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
 
   c::ControllerOptions opts;
   opts.requests.base_rate_per_hour = 120;
+  opts.requests.sla_ms = 5000.0;
   c::Controller controller(cluster, sw, opts);
   controller.install();
 
@@ -213,7 +214,7 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
   EXPECT_EQ(requests.total, 180u);
   EXPECT_EQ(requests.woke_host, 4u);
   EXPECT_EQ(requests.lost, 0u);
-  EXPECT_EQ(requests.sla_attainment(5000.0), 1.0)
+  EXPECT_EQ(requests.sla_attainment(), 1.0)
       << "no request may hang waiting for a dead waking module";
 }
 
@@ -222,6 +223,7 @@ TEST(EndToEnd, SlaHoldsUnderDrowsyDc) {
   c::ControllerOptions opts;
   opts.relocate_all = true;
   opts.requests.base_rate_per_hour = 60;
+  opts.requests.sla_ms = 200.0;
   c::Controller controller(tb.cluster, tb.sw, opts);
   controller.install();
   controller.pretrain_models(14 * 24);
@@ -229,7 +231,7 @@ TEST(EndToEnd, SlaHoldsUnderDrowsyDc) {
   const auto& stats = controller.fabric().stats();
   ASSERT_GT(stats.total, 100u);
   // Paper: >99% of requests within 200 ms; wake-ups cost ≈0.8–1.5 s.
-  EXPECT_GT(stats.sla_attainment(200.0), 0.95);
+  EXPECT_GT(stats.sla_attainment(), 0.95);
   if (!stats.wake_latencies_ms.empty()) {
     EXPECT_LT(stats.wake_latencies_ms.max(), 10'000.0);
   }

@@ -75,12 +75,11 @@ TEST(Harvest, EnergyAndRequestsMatchTheLiveCluster) {
   EXPECT_EQ(r.kwh, run->cluster.total_kwh());
   EXPECT_EQ(r.migrations, run->cluster.total_migrations());
 
-  const s::RequestFabric& fabric = run->controller->fabric();
-  const s::RequestStats& stats = fabric.stats();
+  const s::RequestStats& stats = run->controller->fabric().stats();
   EXPECT_GT(r.requests, 0u);
   EXPECT_EQ(r.requests, stats.total);
   EXPECT_EQ(r.wakes, stats.woke_host);
-  EXPECT_EQ(r.sla_attainment, stats.sla_attainment(fabric.config().sla_ms));
+  EXPECT_EQ(r.sla_attainment, stats.sla_attainment());
   ASSERT_FALSE(stats.wake_latencies_ms.empty());
   EXPECT_EQ(r.wake_latency_p99_ms, stats.wake_latencies_ms.quantile(0.99));
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "trace/trace.hpp"
 
 namespace s = drowsy::sim;
@@ -19,6 +23,7 @@ struct FabricFixture : ::testing::Test {
 
   FabricFixture() {
     cfg.base_rate_per_hour = 500.0;  // plenty of arrivals per active hour
+    cfg.sla_ms = 200.0;
   }
 };
 
@@ -36,7 +41,34 @@ TEST_F(FabricFixture, ActiveVmReceivesRequests) {
   EXPECT_EQ(fabric.stats().woke_host, 0u);
   EXPECT_EQ(fabric.stats().lost, 0u);
   // Awake host, no wake penalty: every request is fast.
-  EXPECT_GT(fabric.stats().sla_attainment(200.0), 0.999);
+  EXPECT_GT(fabric.stats().sla_attainment(), 0.999);
+}
+
+TEST_F(FabricFixture, ArrivalsRunInTimeThenDrawOrder) {
+  // An hour's arrivals dispatch in (instant, draw index) order; the draw
+  // index is the packet id's offset.  Six busy VMs put thousands of pairs
+  // of arrivals in one millisecond, so the tie-break is exercised.
+  auto& host = cluster.add_host(s::HostSpec{"P1", 16, 65536, 6});
+  for (int i = 0; i < 6; ++i) {
+    auto& vm = cluster.add_vm(s::VmSpec{"V", 2, 6144}, t::ActivityTrace({1.0}));
+    cluster.place(vm.id(), host.id());
+  }
+  cfg.base_rate_per_hour = 36'000.0;
+  s::RequestFabric fabric(cluster, sw, cfg);
+  fabric.wire_ports();
+  std::vector<std::pair<u::SimTime, std::uint64_t>> sent;
+  sw.add_analyzer([&](const n::Packet& p) { sent.emplace_back(p.sent_at, p.id); });
+  fabric.schedule_hour(0);
+  q.run_until(u::kMsPerHour);
+  ASSERT_EQ(sent.size(), fabric.stats().total);
+  ASSERT_GT(sent.size(), 200'000u);
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < sent.size(); ++i) {
+    ASSERT_LT(sent[i - 1], sent[i]) << "at arrival " << i;
+    if (sent[i - 1].first == sent[i].first) ++ties;
+  }
+  EXPECT_GT(ties, 1'000u);
+  EXPECT_LT(sent.back().first, u::kMsPerHour);
 }
 
 TEST_F(FabricFixture, IdleVmReceivesNothing) {
@@ -48,6 +80,7 @@ TEST_F(FabricFixture, IdleVmReceivesNothing) {
   fabric.schedule_hour(0);
   q.run_until(u::kMsPerHour);
   EXPECT_EQ(fabric.stats().total, 0u);
+  EXPECT_EQ(fabric.stats().sla_attainment(), 1.0);
 }
 
 TEST_F(FabricFixture, UnplacedVmIgnored) {
@@ -138,4 +171,51 @@ TEST_F(FabricFixture, RatesScaleWithActivity) {
   }
   // busy sees ~500/h, quiet ~50/h; with 20 hours the totals separate.
   EXPECT_GT(fabric.stats().total, 20u * 300u);
+}
+
+namespace {
+
+/// One hour of requests to an awake host whose every latency is exactly
+/// the 60 ms service mean (zero jitter), counted against `sla_ms`.
+struct ExactLatency : FabricFixture {
+  std::vector<double> latencies;
+
+  s::RequestStats run_hour(double sla_ms) {
+    auto& host = cluster.add_host(s::HostSpec{"P1", 8, 16384, 2});
+    auto& vm = cluster.add_vm(s::VmSpec{"V1", 2, 6144}, t::ActivityTrace({0.5}));
+    cluster.place(vm.id(), host.id());
+    cfg.service_ms_mean = 60.0;
+    cfg.service_ms_jitter = 0.0;
+    cfg.sla_ms = sla_ms;
+    s::RequestFabric fabric(cluster, sw, cfg);
+    fabric.add_on_complete(
+        [this](u::SimTime, double latency_ms, bool) { latencies.push_back(latency_ms); });
+    fabric.wire_ports();
+    fabric.schedule_hour(0);
+    q.run_until(u::kMsPerHour);
+    return fabric.stats();
+  }
+};
+
+}  // namespace
+
+TEST_F(ExactLatency, LatencyEqualToTheSlaCountsAsAttained) {
+  const s::RequestStats stats = run_hour(60.0);
+  ASSERT_GT(stats.total, 0u);
+  for (const double latency : latencies) EXPECT_EQ(latency, 60.0);
+  EXPECT_EQ(stats.within_sla, stats.total);
+  EXPECT_EQ(stats.sla_attainment(), 1.0);
+}
+
+TEST_F(ExactLatency, LatencyJustAboveTheSlaMissesIt) {
+  const s::RequestStats stats = run_hour(59.5);
+  ASSERT_GT(stats.total, 0u);
+  EXPECT_EQ(stats.within_sla, 0u);
+  EXPECT_EQ(stats.sla_attainment(), 0.0);
+}
+
+TEST(RequestStats, NoRequestsMeanFullAttainment) {
+  const s::RequestStats stats;
+  EXPECT_EQ(stats.total, 0u);
+  EXPECT_EQ(stats.sla_attainment(), 1.0);
 }
