@@ -83,9 +83,8 @@ void Controller::pretrain_models(std::int64_t hours) {
   const double floor = cluster_.config().noise_floor;
   std::vector<util::CalendarTime> calendar;
   calendar.reserve(static_cast<std::size_t>(hours));
-  for (std::int64_t h = 0; h < hours; ++h) {
-    calendar.push_back(util::calendar_of(h * util::kMsPerHour));
-  }
+  util::CalendarTime next = util::calendar_of(0);
+  for (std::int64_t h = 0; h < hours; ++h, util::advance_hour(next)) calendar.push_back(next);
   // VM-major: every model is independent, so feeding each VM its whole
   // history in turn leaves the same state as the hour-major order.
   for (const auto& vm : cluster_.vms()) {

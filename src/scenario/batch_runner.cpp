@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <unordered_map>
 
 #include "scenario/trace_cache.hpp"
 #include "util/log.hpp"
@@ -37,16 +38,45 @@ std::vector<RunResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
   return run(jobs, on_complete, RunProbe{});
 }
 
+namespace {
+
+/// Plans every job's trace uses on `cache` and returns the execution
+/// order: jobs grouped by the first appearance of their first trace key,
+/// groups in submission order.  The policy arms of a replicate share
+/// that key, so they run back to back and their traces are released
+/// together.  A job with no plannable trace is a group of its own.
+std::vector<std::size_t> plan_order(const std::vector<BatchJob>& jobs, TraceCache& cache) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<TraceKey, std::size_t, TraceKeyHash> group_of;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::vector<TraceKey> keys = cache.plan(jobs[i].spec, jobs[i].resolved_seed());
+    std::size_t group = groups.size();
+    if (!keys.empty()) group = group_of.try_emplace(keys.front(), group).first->second;
+    if (group == groups.size()) groups.emplace_back();
+    groups[group].push_back(i);
+  }
+  std::vector<std::size_t> order;
+  order.reserve(jobs.size());
+  for (const std::vector<std::size_t>& group : groups) {
+    order.insert(order.end(), group.begin(), group.end());
+  }
+  return order;
+}
+
+}  // namespace
+
 std::vector<RunResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
                                         const CompletionCallback& on_complete,
                                         const RunProbe& probe) {
   std::vector<RunResult> results(jobs.size());
   TraceCache trace_cache;  // shared across the batch; every policy arm of a
                            // (scenario, seed) replicate reuses the same traces
+  const std::vector<std::size_t> order = plan_order(jobs, trace_cache);
   std::mutex complete_mutex;
   const RunProbe* probe_ptr = probe ? &probe : nullptr;
   // parallel_for rethrows the first failing run's exception here.
-  util::parallel_for(pool_, jobs.size(), [&](std::size_t i) {
+  util::parallel_for(pool_, jobs.size(), [&](std::size_t k) {
+    const std::size_t i = order[k];
     const BatchJob& job = jobs[i];
     const std::uint64_t seed = job.resolved_seed();
     const auto start = std::chrono::steady_clock::now();

@@ -62,6 +62,14 @@ class BatchRunner {
   /// invalid spec) is rethrown on the caller thread.  Jobs share one
   /// TraceCache for the duration of the call, so the batch materializes
   /// each distinct (TraceSpec, seed) trace once instead of once per run.
+  ///
+  /// Execution order is a deterministic function of the job list: jobs
+  /// are grouped by the first appearance of their first trace key, and
+  /// the groups keep their submission order, so the policy arms of a
+  /// replicate run back to back.  The cache is planned with every job's
+  /// trace uses up front and drops each trace after its last use, so the
+  /// batch holds the traces of the jobs in flight, not of the whole job
+  /// list.
   [[nodiscard]] std::vector<RunResult> run(const std::vector<BatchJob>& jobs);
 
   /// Same, additionally reporting each finished run to `on_complete` —

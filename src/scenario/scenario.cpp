@@ -218,24 +218,7 @@ std::string ScenarioSpec::validate() const {
   return {};
 }
 
-std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
-                                   std::uint64_t seed, TraceCache* trace_cache) {
-  if (std::string problem = spec.validate(); !problem.empty()) {
-    throw std::invalid_argument("invalid scenario: " + problem);
-  }
-
-  sim::ClusterConfig cluster_config;
-  cluster_config.power = spec.power;
-  auto run = std::make_unique<ScenarioRun>(cluster_config, spec.net);
-  run->policy = policy;
-  run->seed = seed;
-
-  for (int i = 0; i < spec.hosts; ++i) {
-    sim::HostSpec host = spec.host_template;
-    host.name = spec.host_prefix + std::to_string(spec.host_first_index + i);
-    run->cluster.add_host(std::move(host));
-  }
-
+void for_each_vm(const ScenarioSpec& spec, std::uint64_t seed, const VmVisitor& visit) {
   std::size_t group_index = 0;
   for (const VmGroup& g : spec.vms) {
     for (int i = 0; i < g.count; ++i) {
@@ -260,18 +243,40 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
       // alias one group's members onto the next group's stream.
       const std::uint64_t fallback =
           mix_seed(mix_seed(seed, group_index + 1), static_cast<std::uint64_t>(member));
-      // The cache hands back a shared immutable trace; copying its hour
-      // vector is a memcpy, far cheaper than re-running the generator.
-      trace::ActivityTrace tr = trace_cache
-                                    ? *trace_cache->get(workload, fallback)
-                                    : materialize(workload, fallback);
-      run->cluster.add_vm(
-          sim::VmSpec{g.name_prefix + std::to_string(g.first_index + i), g.vcpus,
-                      g.memory_mb},
-          std::move(tr));
+      visit(g, i, workload, fallback);
     }
     ++group_index;
   }
+}
+
+std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
+                                   std::uint64_t seed, TraceCache* trace_cache) {
+  if (std::string problem = spec.validate(); !problem.empty()) {
+    throw std::invalid_argument("invalid scenario: " + problem);
+  }
+
+  sim::ClusterConfig cluster_config;
+  cluster_config.power = spec.power;
+  auto run = std::make_unique<ScenarioRun>(cluster_config, spec.net);
+  run->policy = policy;
+  run->seed = seed;
+
+  for (int i = 0; i < spec.hosts; ++i) {
+    sim::HostSpec host = spec.host_template;
+    host.name = spec.host_prefix + std::to_string(spec.host_first_index + i);
+    run->cluster.add_host(std::move(host));
+  }
+
+  for_each_vm(spec, seed, [&](const VmGroup& g, int i, const TraceSpec& workload,
+                              std::uint64_t fallback) {
+    // The cache hands back a shared immutable trace, which every policy
+    // arm of a replicate holds instead of a copy.
+    run->cluster.add_vm(
+        sim::VmSpec{g.name_prefix + std::to_string(g.first_index + i), g.vcpus, g.memory_mb},
+        trace_cache ? trace_cache->get(workload, fallback)
+                    : std::make_shared<const trace::ActivityTrace>(
+                          materialize(workload, fallback)));
+  });
 
   // Interleaved initial placement: classes mixed on every host so the
   // consolidation policy has work to do (every bench did exactly this).

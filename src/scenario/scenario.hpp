@@ -197,6 +197,15 @@ struct ScenarioRun {
 
 class TraceCache;  // scenario/trace_cache.hpp
 
+/// Visits each VM that build(spec, policy, seed) creates, in VM id order,
+/// with its group, its index in the group and the recipe its trace comes
+/// from: materialize(workload, fallback_seed).  build() and
+/// TraceCache::plan() both enumerate VMs through it, so a plan counts
+/// exactly the traces a build gets.
+using VmVisitor = std::function<void(const VmGroup& group, int index,
+                                     const TraceSpec& workload, std::uint64_t fallback_seed)>;
+void for_each_vm(const ScenarioSpec& spec, std::uint64_t seed, const VmVisitor& visit);
+
 /// Instantiate `spec` under `policy`.  Throws std::invalid_argument when
 /// validate() fails.  `seed` replaces spec.seed as the run seed.  A
 /// non-null `trace_cache` memoizes trace materialization across builds

@@ -16,7 +16,7 @@ Host& Cluster::add_host(HostSpec spec) {
   return *hosts_.back();
 }
 
-Vm& Cluster::add_vm(VmSpec spec, trace::ActivityTrace workload) {
+Vm& Cluster::add_vm(VmSpec spec, std::shared_ptr<const trace::ActivityTrace> workload) {
   const VmId id = static_cast<VmId>(vms_.size());
   vms_.push_back(std::make_unique<Vm>(id, std::move(spec), std::move(workload)));
   ip_index_[vms_.back()->ip().value] = id;

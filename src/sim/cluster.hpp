@@ -37,7 +37,11 @@ class Cluster {
 
   // --- topology -------------------------------------------------------------
   Host& add_host(HostSpec spec);
-  Vm& add_vm(VmSpec spec, trace::ActivityTrace workload);
+  Vm& add_vm(VmSpec spec, std::shared_ptr<const trace::ActivityTrace> workload);
+  Vm& add_vm(VmSpec spec, trace::ActivityTrace workload) {
+    return add_vm(std::move(spec),
+                  std::make_shared<const trace::ActivityTrace>(std::move(workload)));
+  }
 
   [[nodiscard]] const std::vector<std::unique_ptr<Host>>& hosts() const { return hosts_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }

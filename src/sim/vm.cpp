@@ -4,14 +4,13 @@
 
 namespace drowsy::sim {
 
-Vm::Vm(VmId id, VmSpec spec, trace::ActivityTrace trace)
+Vm::Vm(VmId id, VmSpec spec, std::shared_ptr<const trace::ActivityTrace> trace)
     : id_(id),
       spec_(std::move(spec)),
       ip_(net::Ipv4::for_vm(id)),
       trace_(std::move(trace)),
-      vm_class_(trace_.classify()),
       guest_(std::make_unique<kern::GuestOs>()) {
-  assert(!trace_.empty() && "a VM needs a workload trace");
+  assert(trace_ != nullptr && !trace_->empty() && "a VM needs a workload trace");
   service_pid_ = guest_->spawn_service(spec_.name + "-service");
 }
 
@@ -51,7 +50,7 @@ kern::Pid Vm::add_scheduled_job(EventQueue& queue, std::string name,
 
 double Vm::activity_at_hour(std::int64_t h) const {
   assert(h >= 0);
-  return trace_.at_hour(static_cast<std::size_t>(h));
+  return trace_->at_hour(static_cast<std::size_t>(h));
 }
 
 void Vm::account_hour(std::int64_t h, double noise_floor) {

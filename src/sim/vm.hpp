@@ -29,15 +29,16 @@ struct VmSpec {
 /// One virtual machine.
 class Vm {
  public:
-  Vm(VmId id, VmSpec spec, trace::ActivityTrace trace);
+  /// `trace` is shared, not copied: every policy arm of a sweep replicate
+  /// reads one immutable trace per VM.
+  Vm(VmId id, VmSpec spec, std::shared_ptr<const trace::ActivityTrace> trace);
 
   [[nodiscard]] VmId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return spec_.name; }
   [[nodiscard]] const VmSpec& spec() const { return spec_; }
   [[nodiscard]] net::Ipv4 ip() const { return ip_; }
 
-  [[nodiscard]] const trace::ActivityTrace& workload() const { return trace_; }
-  [[nodiscard]] trace::VmClass vm_class() const { return vm_class_; }
+  [[nodiscard]] const trace::ActivityTrace& workload() const { return *trace_; }
 
   /// Gross activity level in [0,1] for absolute hour index `h` (the trace
   /// extends periodically).
@@ -78,8 +79,7 @@ class Vm {
   VmId id_;
   VmSpec spec_;
   net::Ipv4 ip_;
-  trace::ActivityTrace trace_;
-  trace::VmClass vm_class_;
+  std::shared_ptr<const trace::ActivityTrace> trace_;
   std::unique_ptr<kern::GuestOs> guest_;
   kern::Pid service_pid_ = 0;
   int migrations_ = 0;

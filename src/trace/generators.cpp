@@ -20,9 +20,8 @@ ActivityTrace generate(std::size_t years, std::string name, LevelFn&& level_of) 
   const std::size_t total = years * u::kHoursPerYear;
   std::vector<double> hours;
   hours.reserve(total);
-  for (std::size_t h = 0; h < total; ++h) {
-    const u::SimTime t = static_cast<u::SimTime>(h) * u::kMsPerHour;
-    const u::CalendarTime c = u::calendar_of(t);
+  u::CalendarTime c = u::calendar_of(0);
+  for (std::size_t h = 0; h < total; ++h, u::advance_hour(c)) {
     hours.push_back(u::clamp(level_of(c, h), 0.0, 1.0));
   }
   return ActivityTrace(std::move(hours), std::move(name));

@@ -45,17 +45,4 @@ VmClass ActivityTrace::classify(std::size_t short_lifetime_hours,
   return idle_fraction() >= llmi_idle_fraction ? VmClass::Llmi : VmClass::Llmu;
 }
 
-ActivityTrace ActivityTrace::extended_to(std::size_t total_hours) const {
-  assert(!hours_.empty());
-  std::vector<double> out;
-  out.reserve(total_hours);
-  for (std::size_t h = 0; h < total_hours; ++h) out.push_back(at_hour(h));
-  return ActivityTrace(std::move(out), name_);
-}
-
-void ActivityTrace::push_back(double level) {
-  assert(level >= 0.0 && level <= 1.0);
-  hours_.push_back(level);
-}
-
 }  // namespace drowsy::trace

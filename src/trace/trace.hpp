@@ -54,13 +54,6 @@ class ActivityTrace {
   [[nodiscard]] VmClass classify(std::size_t short_lifetime_hours = 7 * 24,
                                  double llmi_idle_fraction = 0.5) const;
 
-  /// Tile this trace until it covers `hours` entries (the paper extends
-  /// one-week production traces to three years for Fig. 4).
-  [[nodiscard]] ActivityTrace extended_to(std::size_t total_hours) const;
-
-  /// Append one hour.
-  void push_back(double level);
-
  private:
   std::vector<double> hours_;
   std::string name_;

@@ -42,6 +42,20 @@ CalendarTime calendar_of(SimTime t) {
   return c;
 }
 
+void advance_hour(CalendarTime& c) {
+  ++c.hour_of_year;
+  if (++c.hour < kHoursPerDay) return;
+  c.hour = 0;
+  if (++c.day_of_week == kDaysPerWeek) c.day_of_week = 0;
+  if (++c.day_of_year == kDaysPerYear) {
+    ++c.year;
+    c.day_of_year = c.hour_of_year = c.month = c.day_of_month = 0;
+  } else if (++c.day_of_month == kMonthDays[static_cast<std::size_t>(c.month)]) {
+    c.day_of_month = 0;
+    ++c.month;
+  }
+}
+
 SimTime time_of(int year, int day_of_year, int hour) {
   assert(year >= 0 && day_of_year >= 0 && day_of_year < kDaysPerYear);
   assert(hour >= 0 && hour < kHoursPerDay);

@@ -57,6 +57,11 @@ struct CalendarTime {
 /// Decompose an instant into calendar coordinates.
 [[nodiscard]] CalendarTime calendar_of(SimTime t);
 
+/// Step `c` forward one hour: turns calendar_of(t) into
+/// calendar_of(t + kMsPerHour) without its divisions and month scan, for
+/// loops over consecutive hours.
+void advance_hour(CalendarTime& c);
+
 /// Number of whole hours elapsed since the epoch.
 [[nodiscard]] constexpr std::int64_t hour_index(SimTime t) { return t / kMsPerHour; }
 

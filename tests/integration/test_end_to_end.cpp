@@ -39,14 +39,21 @@ struct Testbed {
     add("V1", llmu1);
     add("V2", llmu2);
     const auto week = t::nutanix_week();
-    add("V3", week[0].extended_to(u::kHoursPerYear));
-    add("V4", week[0].extended_to(u::kHoursPerYear));  // same workload as V3
-    add("V5", week[1].extended_to(u::kHoursPerYear));
-    add("V6", week[2].extended_to(u::kHoursPerYear));
-    add("V7", week[3].extended_to(u::kHoursPerYear));
-    add("V8", week[4].extended_to(u::kHoursPerYear));
+    add("V3", year_of(week[0]));
+    add("V4", year_of(week[0]));  // same workload as V3
+    add("V5", year_of(week[1]));
+    add("V6", year_of(week[2]));
+    add("V7", year_of(week[3]));
+    add("V8", year_of(week[4]));
     // Initial placement: interleaved so consolidation has work to do.
     for (s::VmId id = 0; id < 8; ++id) cluster.place(id, id % 4);
+  }
+
+  /// A week tiled over a year, as the paper extends its production traces.
+  static t::ActivityTrace year_of(const t::ActivityTrace& week) {
+    std::vector<double> hours(u::kHoursPerYear);
+    for (std::size_t h = 0; h < hours.size(); ++h) hours[h] = week.at_hour(h);
+    return t::ActivityTrace(std::move(hours), week.name());
   }
 
   void add(const std::string& name, const t::ActivityTrace& trace) {

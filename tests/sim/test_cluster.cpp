@@ -189,5 +189,5 @@ TEST_F(ClusterFixture, TotalKwhSumsHosts) {
 
 TEST_F(ClusterFixture, VmClassDerivedFromTrace) {
   auto& v = add_vm("V1", std::vector<double>(24 * 30, 0.9));
-  EXPECT_EQ(v.vm_class(), t::VmClass::Llmu);
+  EXPECT_EQ(v.workload().classify(), t::VmClass::Llmu);
 }

@@ -16,7 +16,8 @@ struct HostFixture : ::testing::Test {
 
   s::Vm make_vm(s::VmId id, int mem_mb = 6144) {
     return s::Vm(id, s::VmSpec{"v" + std::to_string(id), 2, mem_mb},
-                 drowsy::trace::ActivityTrace({0.5}));
+                 std::make_shared<const drowsy::trace::ActivityTrace>(
+                     std::vector<double>{0.5}));
   }
 };
 

@@ -51,19 +51,11 @@ TEST(ActivityTrace, ClassifyLlmi) {
   EXPECT_EQ(trace.classify(), t::VmClass::Llmi);
 }
 
-TEST(ActivityTrace, ExtendedToTiles) {
-  t::ActivityTrace week({0.5, 0.0});
-  const t::ActivityTrace year = week.extended_to(100);
-  EXPECT_EQ(year.size(), 100u);
-  EXPECT_DOUBLE_EQ(year.hours()[98], 0.5);
-  EXPECT_DOUBLE_EQ(year.hours()[99], 0.0);
-}
-
-TEST(ActivityTrace, PushBack) {
-  t::ActivityTrace trace;
-  trace.push_back(0.25);
-  EXPECT_EQ(trace.size(), 1u);
-  EXPECT_DOUBLE_EQ(trace.at_hour(0), 0.25);
+TEST(ActivityTrace, ReadsTileTheConstructedHours) {
+  const t::ActivityTrace week({0.5, 0.0});
+  EXPECT_EQ(week.size(), 2u);
+  EXPECT_DOUBLE_EQ(week.at_hour(98), 0.5);
+  EXPECT_DOUBLE_EQ(week.at_hour(99), 0.0);
 }
 
 TEST(VmClass, Names) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace u = drowsy::util;
 
 TEST(SimTime, EpochIsMondayJanuaryFirstMidnight) {
@@ -106,6 +108,21 @@ TEST(SimTime, FormatDuration) {
 TEST(SimTime, CalendarToString) {
   const u::CalendarTime c = u::calendar_of(u::days(200) + u::hours(14.0));
   EXPECT_EQ(c.to_string(), "Y0 Jul 20 14:00 (Fri)");  // day 200 % 7 == 4
+}
+
+TEST(SimTime, AdvanceHourMatchesCalendarOfOverThreeYears) {
+  // Every hour of three years, so every day, week, month and year
+  // boundary in them, plus the first hour of the fourth year.
+  const auto fields = [](const u::CalendarTime& c) {
+    return std::array<int, 7>{c.year, c.month, c.day_of_month, c.day_of_week,
+                              c.day_of_year, c.hour, c.hour_of_year};
+  };
+  u::CalendarTime c = u::calendar_of(0);
+  for (std::int64_t h = 1; h <= 3 * u::kHoursPerYear; ++h) {
+    u::advance_hour(c);
+    ASSERT_EQ(fields(c), fields(u::calendar_of(h * u::kMsPerHour))) << "hour " << h;
+  }
+  EXPECT_EQ(c.year, 3);
 }
 
 class CalendarSweep : public ::testing::TestWithParam<int> {};
