@@ -21,7 +21,7 @@ namespace util = drowsy::util;
 int main() {
   std::printf("== Figure 2: colocation percentage of each VM (7 days, Drowsy-DC) ==\n\n");
   const sc::ScenarioSpec& spec = sc::ScenarioRegistry::builtin().at("paper-testbed");
-  const auto run = sc::build(spec, sc::Policy::DrowsyDc);
+  const auto run = sc::build(spec, sc::Policy::DrowsyDc, spec.seed);
   run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
                                    util::kHoursPerDay);
   drowsy::sim::Cluster& cluster = run->cluster;

@@ -38,17 +38,12 @@ void SuspendModule::start() {
   schedule_check(origin_ + config_.check_interval);
 }
 
-void SuspendModule::stop() {
-  running_ = false;
-  ++generation_;
-}
-
 void SuspendModule::schedule_check(util::SimTime at) {
   const std::uint64_t gen = generation_;
   cluster_.queue().schedule_at(
       at,
       [this, gen] {
-        if (generation_ != gen || !running_) return;
+        if (generation_ != gen) return;
         const std::uint64_t busy = stats_.blocked_by_running;
         check();
         const sim::EventQueue& q = cluster_.queue();
@@ -74,16 +69,6 @@ util::SimTime SuspendModule::grid_after(util::SimTime t) const {
 bool SuspendModule::parks() const {
   const sim::PowerModel& pm = host_.power_model();
   return std::max(pm.resume_latency, pm.quick_resume_latency) < config_.check_interval;
-}
-
-bool SuspendModule::host_idle() const {
-  for (const sim::Vm* vm : host_.vms()) {
-    const kern::GuestOs& guest = vm->guest();
-    if (guest.any_relevant_running(blacklist_)) return false;
-    if (guest.any_blocked_on_io()) return false;
-    if (guest.total_open_sessions() > 0) return false;
-  }
-  return true;
 }
 
 util::SimTime SuspendModule::compute_wake_date() const {

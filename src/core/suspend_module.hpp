@@ -74,11 +74,6 @@ class SuspendModule {
   /// call on_host_wake() on every resume (Controller::install wires it),
   /// or a parked chain never restarts.
   void start();
-  void stop();
-
-  /// The idleness decision, exposed for tests: true when nothing relevant
-  /// runs, nothing waits on I/O and no session is open on any resident VM.
-  [[nodiscard]] bool host_idle() const;
 
   /// Earliest relevant guest timer across resident VMs (kNever if none).
   [[nodiscard]] util::SimTime compute_wake_date() const;
@@ -105,7 +100,7 @@ class SuspendModule {
 
  private:
   enum class Park : std::uint8_t {
-    None,    ///< the chain is scheduled (or stopped)
+    None,    ///< the chain is scheduled (or not started)
     Asleep,  ///< our suspend parked it; the next wake re-arms it
     Busy,    ///< a running verdict parked it; a guest change re-arms it
   };

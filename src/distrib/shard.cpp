@@ -15,14 +15,6 @@ std::string JobKey::encode() const {
   return ec::hex64(spec_hash) + "|" + policy + "|" + std::to_string(seed);
 }
 
-JobKey job_key(const sc::BatchJob& job) {
-  JobKey key;
-  key.spec_hash = ec::spec_hash(job.spec);
-  key.policy = sc::to_string(job.policy);
-  key.seed = job.resolved_seed();
-  return key;
-}
-
 std::vector<JobKey> job_keys(const std::vector<sc::BatchJob>& jobs) {
   std::vector<JobKey> keys;
   keys.reserve(jobs.size());

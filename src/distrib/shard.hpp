@@ -50,13 +50,10 @@ struct JobKey {
   [[nodiscard]] std::string encode() const;
 };
 
-/// Compute the key for one grid entry (hashes the spec; cache-worthy in
-/// bulk paths — see job_keys()).
-[[nodiscard]] JobKey job_key(const scenario::BatchJob& job);
-
-/// Keys for a whole grid.  Hashes each distinct spec once: consecutive
-/// grid entries share specs (policy/seed vary fastest), so this is
-/// near-free for real sweeps.
+/// Keys for a whole grid; key i's spec_hash is expctl::spec_hash of job
+/// i's spec.  Hashes each distinct spec once: consecutive grid entries
+/// share specs (policy/seed vary fastest), so this is near-free for real
+/// sweeps.
 [[nodiscard]] std::vector<JobKey> job_keys(const std::vector<scenario::BatchJob>& jobs);
 
 // --- planning ------------------------------------------------------------------

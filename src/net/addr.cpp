@@ -27,10 +27,6 @@ std::string Ipv4::to_string() const {
   return buf;
 }
 
-Ipv4 Ipv4::for_vm(std::uint32_t index) {
-  return Ipv4{(10u << 24) | (index + 2)};  // 10.0.0.2 upward
-}
-
 const char* to_string(PacketKind k) {
   switch (k) {
     case PacketKind::Request: return "request";

@@ -34,8 +34,10 @@ struct Ipv4 {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// Deterministic address in 10.0.0.0/8 for VM index i.
-  [[nodiscard]] static Ipv4 for_vm(std::uint32_t index);
+  /// Deterministic address in 10.0.0.0/8 for VM index i: 10.0.0.2 upward.
+  [[nodiscard]] static constexpr Ipv4 for_vm(std::uint32_t index) {
+    return Ipv4{(10u << 24) | (index + 2)};
+  }
 };
 
 /// The kinds of frames the simulated fabric carries.

@@ -1,5 +1,7 @@
 #include "net/sdn_switch.hpp"
 
+#include <cassert>
+
 #include "util/log.hpp"
 
 namespace drowsy::net {
@@ -8,19 +10,11 @@ SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency)
     : dispatcher_(dispatcher), port_latency_(port_latency) {}
 
 void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> deliver) {
-  ports_[mac] = std::make_shared<const Deliver>(std::move(deliver));
+  [[maybe_unused]] const bool added = ports_.emplace(mac, std::move(deliver)).second;
+  assert(added && "a MAC takes one port");
 }
-
-void SdnSwitch::detach_port(const MacAddress& mac) { ports_.erase(mac); }
 
 void SdnSwitch::bind_ip(Ipv4 ip, MacAddress host_mac) { forwarding_[ip] = host_mac; }
-
-void SdnSwitch::unbind_ip(Ipv4 ip) { forwarding_.erase(ip); }
-
-const MacAddress* SdnSwitch::lookup_ip(Ipv4 ip) const {
-  auto it = forwarding_.find(ip);
-  return it == forwarding_.end() ? nullptr : &it->second;
-}
 
 void SdnSwitch::add_analyzer(PacketAnalyzer analyzer) {
   analyzers_.push_back(std::move(analyzer));
@@ -55,13 +49,13 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
   // analyzer injects them midway through another frame's inject.
   if (packet.kind == PacketKind::Request && port_latency_ == 0 &&
       dispatcher_.would_run_next()) {
-    (*it->second)(packet);
+    it->second(packet);
     return true;
   }
-  // {shared_ptr, Packet} fits util::InlineFn's buffer: no allocation per
-  // frame.  Holding the callback keeps a detached port's delivery valid.
+  // {pointer, Packet} fits util::InlineFn's buffer: no allocation per
+  // frame.
   dispatcher_.schedule_after(port_latency_,
-                             [deliver = it->second, packet] { (*deliver)(packet); },
+                             [deliver = &it->second, packet] { (*deliver)(packet); },
                              obs::EventTag::NetsimFrame);
   return true;
 }

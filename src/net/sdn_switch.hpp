@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,16 +29,10 @@ namespace drowsy::net {
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
-  /// Run `fn` after `delay` of simulated time.
-  virtual void schedule_after(util::SimTime delay, util::InlineFn fn) = 0;
-  /// Tagged variant for event-core profiling (obs::EventTag attribution).
-  /// Default drops the tag and forwards, so dispatchers that don't
-  /// profile need no changes; sim::EventQueue and
-  /// netsim::EventQueueDispatcher override it to carry the tag through.
+  /// Run `fn` after `delay` of simulated time, attributed to `tag` in
+  /// event-core profiles.
   virtual void schedule_after(util::SimTime delay, util::InlineFn fn,
-                              obs::EventTag /*tag*/) {
-    schedule_after(delay, std::move(fn));
-  }
+                              obs::EventTag tag) = 0;
   /// Current simulated instant.
   [[nodiscard]] virtual util::SimTime now() const = 0;
   /// Whether a callback scheduled now with zero delay would be the very
@@ -57,15 +50,13 @@ class SdnSwitch {
  public:
   explicit SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency = 0);
 
-  /// Attach a port; frames to `mac` are delivered there.
+  /// Attach a port; frames to `mac` are delivered there.  A MAC takes
+  /// one port, for the switch's lifetime.
   void attach_port(MacAddress mac, std::function<void(const Packet&)> deliver);
-  void detach_port(const MacAddress& mac);
 
   /// Bind a VM IP to the MAC of its hosting server.  The paper updates
   /// these mappings "only when a host is suspended" — callers decide when.
   void bind_ip(Ipv4 ip, MacAddress host_mac);
-  void unbind_ip(Ipv4 ip);
-  [[nodiscard]] const MacAddress* lookup_ip(Ipv4 ip) const;
 
   /// Install a packet analyzer (e.g. the waking module); analyzers run in
   /// installation order.
@@ -91,10 +82,9 @@ class SdnSwitch {
 
   Dispatcher& dispatcher_;
   util::SimTime port_latency_;
-  /// Shared, so a queued delivery keeps its port's callback alive past a
-  /// detach, and captures 16 bytes instead of a whole std::function.  A
-  /// port's callback must not detach its own port.
-  std::unordered_map<MacAddress, std::shared_ptr<const Deliver>> ports_;
+  /// Ports never detach and map nodes never move, so a queued delivery
+  /// captures a pointer to its port's callback, not a copy.
+  std::unordered_map<MacAddress, const Deliver> ports_;
   std::unordered_map<Ipv4, MacAddress> forwarding_;
   std::vector<PacketAnalyzer> analyzers_;
   std::uint64_t forwarded_ = 0;

@@ -5,10 +5,6 @@
 
 namespace drowsy::netsim {
 
-void EventQueueDispatcher::schedule_after(util::SimTime delay, util::InlineFn fn) {
-  schedule_after(delay, std::move(fn), obs::EventTag::NetsimFrame);
-}
-
 void EventQueueDispatcher::schedule_after(util::SimTime delay, util::InlineFn fn,
                                           obs::EventTag tag) {
   ++frames_;

@@ -34,10 +34,6 @@ class EventQueueDispatcher final : public net::Dispatcher {
   /// Schedule a frame delivery `delay` (the switch's port latency) from
   /// now.  The frame additionally waits for the serializing pipe: it
   /// starts when the pipe frees up and occupies it for `serialization`.
-  /// Untagged calls default to NetsimFrame — everything through this
-  /// dispatcher is switch traffic; the tagged overload keeps the
-  /// caller's tag.
-  void schedule_after(util::SimTime delay, util::InlineFn fn) override;
   void schedule_after(util::SimTime delay, util::InlineFn fn,
                       obs::EventTag tag) override;
 

@@ -44,16 +44,6 @@ void TraceWriter::add_instant(std::uint32_t track, const std::string& name,
   events_.push_back(std::move(e));
 }
 
-void TraceWriter::add_counter(std::uint32_t track, const std::string& name,
-                              util::SimTime at, const std::string& series,
-                              double value) {
-  expctl::Json e = event_base("C", track, name, at);
-  expctl::Json args = expctl::Json::object();
-  args.set(series, expctl::Json(value));
-  e.set("args", std::move(args));
-  events_.push_back(std::move(e));
-}
-
 std::string TraceWriter::dump() const {
   expctl::Json doc = expctl::Json::object();
   expctl::Json rows = expctl::Json::array();

@@ -44,10 +44,6 @@ class TraceWriter {
   void add_instant(std::uint32_t track, const std::string& name, util::SimTime at,
                    expctl::Json args = expctl::Json());
 
-  /// Counter sample: Perfetto renders these as a stacked area chart.
-  void add_counter(std::uint32_t track, const std::string& name, util::SimTime at,
-                   const std::string& series, double value);
-
   [[nodiscard]] std::size_t events() const { return events_.size(); }
 
   /// Render the full document ({"traceEvents": [...]}, 2-space indent).

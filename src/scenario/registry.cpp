@@ -27,13 +27,6 @@ const ScenarioSpec& ScenarioRegistry::at(const std::string& name) const {
   return *s;
 }
 
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(scenarios_.size());
-  for (const ScenarioSpec& s : scenarios_) out.push_back(s.name);
-  return out;
-}
-
 namespace {
 
 /// §VI-A real-environment testbed: 4 pool hosts (P2-P5, 2 slots each),

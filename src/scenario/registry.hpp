@@ -38,9 +38,6 @@ class ScenarioRegistry {
   [[nodiscard]] const std::vector<ScenarioSpec>& all() const { return scenarios_; }
   [[nodiscard]] std::size_t size() const { return scenarios_.size(); }
 
-  /// Registered names in registration order.
-  [[nodiscard]] std::vector<std::string> names() const;
-
  private:
   std::vector<ScenarioSpec> scenarios_;
 };

@@ -227,8 +227,7 @@ void for_each_vm(const ScenarioSpec& spec, std::uint64_t seed, const VmVisitor& 
       if (!g.shared_workload && (workload.kind == TraceKind::NutanixLike ||
                                  (workload.kind == TraceKind::FileReplay &&
                                   workload.select.empty()))) {
-        // nutanix_like decorrelates by variant internally (seed + variant),
-        // matching the nutanix_week catalogue when the seed stays fixed.
+        // nutanix_like decorrelates by variant internally (seed + variant).
         // FileReplay without an explicit column walks the file's columns
         // the same way (wrapping at the column count).
         workload.variant += static_cast<std::size_t>(i);
@@ -343,10 +342,6 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
         });
   }
   return run;
-}
-
-std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy) {
-  return build(spec, policy, spec.seed);
 }
 
 RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {

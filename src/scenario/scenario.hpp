@@ -215,10 +215,6 @@ void for_each_vm(const ScenarioSpec& spec, std::uint64_t seed, const VmVisitor& 
                                                  Policy policy, std::uint64_t seed,
                                                  TraceCache* trace_cache = nullptr);
 
-/// Convenience overload using spec.seed.
-[[nodiscard]] std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec,
-                                                 Policy policy);
-
 // --- outcomes ----------------------------------------------------------------
 
 /// Aggregate metrics of one finished run (one CSV row).

@@ -19,7 +19,6 @@ Host& Cluster::add_host(HostSpec spec) {
 Vm& Cluster::add_vm(VmSpec spec, std::shared_ptr<const trace::ActivityTrace> workload) {
   const VmId id = static_cast<VmId>(vms_.size());
   vms_.push_back(std::make_unique<Vm>(id, std::move(spec), std::move(workload)));
-  ip_index_[vms_.back()->ip().value] = id;
   return *vms_.back();
 }
 
@@ -30,8 +29,9 @@ Host* Cluster::host(HostId id) {
 Vm* Cluster::vm(VmId id) { return id < vms_.size() ? vms_[id].get() : nullptr; }
 
 Vm* Cluster::vm_by_ip(net::Ipv4 ip) {
-  auto it = ip_index_.find(ip.value);
-  return it == ip_index_.end() ? nullptr : vm(it->second);
+  // VM i has Ipv4::for_vm(i), 10.0.0.2 + i.
+  const std::uint32_t index = ip.value - net::Ipv4::for_vm(0).value;
+  return index < vms_.size() ? vms_[index].get() : nullptr;
 }
 
 bool Cluster::place(VmId vm_id, HostId host_id) {

@@ -47,6 +47,7 @@ class Cluster {
   [[nodiscard]] const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
   [[nodiscard]] Host* host(HostId id);
   [[nodiscard]] Vm* vm(VmId id);
+  /// The VM with address `ip` (Ipv4::for_vm of its id), or nullptr.
   [[nodiscard]] Vm* vm_by_ip(net::Ipv4 ip);
 
   // --- placement --------------------------------------------------------------
@@ -70,8 +71,9 @@ class Cluster {
   [[nodiscard]] const Host* host_of(VmId vm) const;
 
   /// Hook observing every placement change (initial placements and
-  /// migrations) — the SDN forwarding table and the waking module's
-  /// VM-map are maintained through this.
+  /// migrations) — the SDN forwarding table is maintained through this.
+  /// The waking module's VM map is not: it is refreshed only when a host
+  /// suspends (WakingModule::on_host_suspending), as in the paper.
   void set_on_placement(std::function<void(Vm&, Host&)> hook) {
     on_placement_ = std::move(hook);
   }
@@ -103,7 +105,6 @@ class Cluster {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Vm>> vms_;
   std::unordered_map<VmId, HostId> placement_;
-  std::unordered_map<std::uint32_t, VmId> ip_index_;
   std::function<void(Vm&, Host&)> on_placement_;
   int total_migrations_ = 0;
   util::SimTime migration_time_ = 0;

@@ -90,9 +90,6 @@ class EventQueue final : public net::Dispatcher {
   }
 
   /// Dispatcher interface (type-erased path used through net::Dispatcher&).
-  void schedule_after(util::SimTime delay, util::InlineFn fn) override {
-    schedule_at(now_ + delay, std::move(fn));
-  }
   void schedule_after(util::SimTime delay, util::InlineFn fn,
                       obs::EventTag tag) override {
     schedule_at(now_ + delay, std::move(fn), tag);

@@ -100,13 +100,6 @@ const Study& StudyRegistry::at(const std::string& name) const {
   return *s;
 }
 
-std::vector<std::string> StudyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(studies_.size());
-  for (const Study& s : studies_) out.push_back(s.name);
-  return out;
-}
-
 // --- execution -----------------------------------------------------------------
 
 std::vector<scenario::BatchJob> jobs_for(const Study& study,
@@ -124,11 +117,6 @@ StudyOutcome run_study(const Study& study, const StudyParams& params,
   outcome.trace_misses = runner.last_trace_misses();
   outcome.csv = study.reduce(params, outcome.results);
   return outcome;
-}
-
-std::string reduce_study(const Study& study, const StudyParams& params,
-                         const std::vector<scenario::RunResult>& results) {
-  return reduce_study(study, params, jobs_for(study, params), results);
 }
 
 std::string reduce_study(const Study& study, const StudyParams& params,

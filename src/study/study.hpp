@@ -105,7 +105,6 @@ class StudyRegistry {
   [[nodiscard]] const Study* find(const std::string& name) const;
   [[nodiscard]] const Study& at(const std::string& name) const;  ///< throws
   [[nodiscard]] const std::vector<Study>& all() const { return studies_; }
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// The built-in paper-figure catalogue: fig1 workload profiles, the
   /// fig3 grace ablation, fig4 idleness-model efficiency, the Table I
@@ -135,16 +134,13 @@ struct StudyOutcome {
 [[nodiscard]] StudyOutcome run_study(const Study& study, const StudyParams& params,
                                      std::size_t threads = 0);
 
-/// Reduce results produced elsewhere (a shard merge, a cached run).
-/// Verifies that `results` matches the study's grid row for row —
-/// scenario name, policy and resolved seed — so reducing against the
-/// wrong parameter set or a foreign journal is an error, not a wrong
-/// figure.  Throws StudyError naming the first mismatch.
-[[nodiscard]] std::string reduce_study(const Study& study, const StudyParams& params,
-                                       const std::vector<scenario::RunResult>& results);
-
-/// Same, against a grid the caller already expanded (the CLI's reduce
-/// path expands once for the journal merge and reuses it here).
+/// Reduce results produced elsewhere (a shard merge, a cached run)
+/// against the study's grid `jobs` (jobs_for(study, params); the CLI's
+/// reduce path expands once for the journal merge and reuses it here).
+/// Verifies that `results` matches the grid row for row — scenario name,
+/// policy and resolved seed — so reducing against the wrong parameter
+/// set or a foreign journal is an error, not a wrong figure.  Throws
+/// StudyError naming the first mismatch.
 [[nodiscard]] std::string reduce_study(const Study& study, const StudyParams& params,
                                        const std::vector<scenario::BatchJob>& jobs,
                                        const std::vector<scenario::RunResult>& results);

@@ -122,21 +122,6 @@ ActivityTrace nutanix_like(std::size_t variant, const GenOptions& opts) {
                             opts.seed + variant, "real-trace-" + std::to_string(variant + 1));
 }
 
-std::vector<ActivityTrace> nutanix_week(std::uint64_t seed) {
-  std::vector<ActivityTrace> out;
-  out.reserve(5);
-  for (std::size_t v = 0; v < 5; ++v) {
-    GenOptions opts;
-    opts.years = 1;
-    opts.seed = seed;
-    ActivityTrace full = nutanix_like(v, opts);
-    std::vector<double> week(full.hours().begin(),
-                             full.hours().begin() + 7 * u::kHoursPerDay);
-    out.emplace_back(std::move(week), full.name());
-  }
-  return out;
-}
-
 ActivityTrace diploma_results(const GenOptions& opts) {
   u::Rng rng(opts.seed);
   return generate(opts.years, "diploma-results", [&](const u::CalendarTime& c, std::size_t) {
@@ -183,16 +168,6 @@ ActivityTrace google_like_llmu(const GenOptions& opts) {
     const double diurnal = 0.1 * std::sin((static_cast<double>(c.hour) - 6.0) / 24.0 * 6.283);
     return u::clamp(walk + diurnal, 0.1, 1.0);
   });
-}
-
-ActivityTrace slmu_burst(std::size_t lifetime_hours, std::uint64_t seed) {
-  u::Rng rng(seed);
-  std::vector<double> hours;
-  hours.reserve(lifetime_hours);
-  for (std::size_t h = 0; h < lifetime_hours; ++h) {
-    hours.push_back(rng.uniform(0.85, 1.0));  // flat-out, e.g. a MapReduce task
-  }
-  return ActivityTrace(std::move(hours), "slmu-burst");
 }
 
 ActivityTrace random_llmi(std::uint64_t seed, std::size_t years) {

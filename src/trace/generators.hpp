@@ -8,8 +8,7 @@
 //  * Figure 1's example production workloads (bursty LLMI traces with
 //    activity peaking around 10–20 %, where VM3 and VM4 receive the exact
 //    same workload).
-//  * Google-trace-like LLMU series and SLMU bursts for the simulation
-//    study (§VI-B).
+//  * Google-trace-like LLMU series for the simulation study (§VI-B).
 //
 // The authors' Nutanix production traces are proprietary, so we
 // synthesize traces with the same periodic structure at the four scales
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -54,10 +52,6 @@ struct GenOptions {
 /// (the paper's VM3/VM4) receive the exact same workload.
 [[nodiscard]] ActivityTrace nutanix_like(std::size_t variant, const GenOptions& opts = {});
 
-/// All five Fig. 1 reconstructions at once, one week long, in VM order
-/// (paper indices V3..V7 — the monitored production VMs).
-[[nodiscard]] std::vector<ActivityTrace> nutanix_week(std::uint64_t seed = 42);
-
 /// The paper's introduction example: a national diploma-results website,
 /// "mostly used at some specific hours (2 p.m., 3 p.m.) of a specific day
 /// (20th) of one month (July), every year", with faint background traffic.
@@ -73,11 +67,6 @@ struct GenOptions {
 /// Google-trace-like LLMU series: high utilization with stochastic
 /// variation, never idle for long (simulation study §VI-B).
 [[nodiscard]] ActivityTrace google_like_llmu(const GenOptions& opts = {});
-
-/// SLMU burst: a short-lived mostly-used task (e.g. MapReduce) — fully
-/// active for `lifetime_hours`, then the trace ends.
-[[nodiscard]] ActivityTrace slmu_burst(std::size_t lifetime_hours = 6,
-                                       std::uint64_t seed = 42);
 
 /// A randomized LLMI trace for population studies: picks a random periodic
 /// template (hour-of-day/day-of-week/day-of-month pattern) per `seed`.

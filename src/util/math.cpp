@@ -93,6 +93,4 @@ double logistic_damping(double x, double alpha, double beta) {
   return 1.0 / (1.0 + std::exp(alpha * (x - beta)));
 }
 
-double l2_norm(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
 }  // namespace drowsy::util

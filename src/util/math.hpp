@@ -31,9 +31,6 @@ namespace drowsy::util {
   return acc;
 }
 
-/// Euclidean (L2) norm.
-[[nodiscard]] double l2_norm(std::span<const double> v);
-
 namespace detail {
 
 /// Sort four values descending with the optimal 5-comparator network.

@@ -30,11 +30,6 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -47,14 +42,8 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 

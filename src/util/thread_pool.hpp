@@ -34,9 +34,6 @@ class ThreadPool {
   /// (use parallel_for, which captures and rethrows, for throwing work).
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
  private:
@@ -46,8 +43,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

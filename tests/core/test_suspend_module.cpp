@@ -33,43 +33,46 @@ struct SuspendFixture : ::testing::Test {
 
 }  // namespace
 
-TEST_F(SuspendFixture, IdleHostDetected) {
-  auto module = make_module();
-  EXPECT_TRUE(module.host_idle());
-}
-
 TEST_F(SuspendFixture, RunningServiceBlocksIdle) {
   auto module = make_module();
   vm->set_service_active(true);
-  EXPECT_FALSE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().blocked_by_running, 1u);
   vm->set_service_active(false);
-  EXPECT_TRUE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().suspends, 1u);
 }
 
 TEST_F(SuspendFixture, BlacklistedProcessesIgnored) {
   auto module = make_module();
-  // The guest boots with running kworker/watchdog/monitoring processes —
-  // all blacklisted, so the host still counts as idle.
-  EXPECT_TRUE(module.host_idle());
-  // A non-blacklisted process flips the verdict.
+  // A non-blacklisted running process keeps the host up.
   const k::Pid extra = vm->guest().processes().spawn("cron-job", k::ProcState::Running);
-  EXPECT_FALSE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().blocked_by_running, 1u);
+  // The guest boots with running kworker/watchdog/monitoring processes —
+  // all blacklisted, so once the extra one sleeps the host suspends.
   vm->guest().processes().set_state(extra, k::ProcState::Sleeping);
-  EXPECT_TRUE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().suspends, 1u);
 }
 
 TEST_F(SuspendFixture, BlockedIoBlocksIdle) {
   auto module = make_module();
   vm->guest().processes().set_state(vm->service_pid(), k::ProcState::BlockedIo);
-  EXPECT_FALSE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().blocked_by_io, 1u);
+  EXPECT_EQ(module.stats().suspends, 0u);
 }
 
 TEST_F(SuspendFixture, OpenSessionBlocksIdle) {
   auto module = make_module();
   vm->guest().open_session(vm->service_pid());
-  EXPECT_FALSE(module.host_idle()) << "an open SSH/TCP session must keep the host up";
+  module.check();
+  EXPECT_EQ(module.stats().blocked_by_sessions, 1u)
+      << "an open SSH/TCP session must keep the host up";
   vm->guest().close_session(vm->service_pid());
-  EXPECT_TRUE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().suspends, 1u);
 }
 
 TEST_F(SuspendFixture, CheckSuspendsIdleHost) {
@@ -127,7 +130,8 @@ TEST_F(SuspendFixture, WakeDateIgnoresBlacklistedTimers) {
 TEST_F(SuspendFixture, RunningKernelThreadLeavesHostIdle) {
   auto module = make_module();
   vm->guest().processes().spawn("kworker/7:2", k::ProcState::Running, /*kernel=*/true);
-  EXPECT_TRUE(module.host_idle());
+  module.check();
+  EXPECT_EQ(module.stats().suspends, 1u);
 }
 
 TEST_F(SuspendFixture, WakeDateIsEarliestRelevantTimerAcrossVms) {
@@ -218,15 +222,4 @@ TEST_F(SuspendFixture, PeriodicChecksThroughEventQueue) {
   q.run_until(u::minutes(2));
   EXPECT_GE(module.stats().checks, 1u);
   EXPECT_EQ(host->state(), s::PowerState::S3) << "idle host suspended by periodic check";
-  module.stop();
-}
-
-TEST_F(SuspendFixture, StopCancelsChecks) {
-  c::SuspendConfig cfg;
-  cfg.check_interval = u::seconds(30);
-  auto module = make_module(cfg);
-  module.start();
-  module.stop();
-  q.run_until(u::minutes(5));
-  EXPECT_EQ(module.stats().suspends, 0u);
 }

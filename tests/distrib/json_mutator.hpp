@@ -3,13 +3,14 @@
 // mutate() damages one serialized document four ways: byte flips,
 // truncation, a dropped key anywhere in the object tree, and a type swap
 // of one value.  The parsers under test must turn each result into a
-// value or a typed error.
+// value or a typed error; round_trips() checks one input.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <random>
 #include <string>
 #include <utility>
@@ -80,6 +81,22 @@ inline std::string mutate(const std::string& text, std::mt19937_64& rng) {
     default:
       return mutate_tree(expctl::Json::parse(text), rng, /*drop=*/false).dump(0);
   }
+}
+
+/// Parse `text` with `parse` (Json -> value).  True when it yields a
+/// value, which `render` (value -> Json) must re-serialize to a document
+/// that parses back to the same bytes; false when it throws one of the
+/// typed `Errors`; any other exception escapes and fails the test.
+template <typename... Errors, typename Parse, typename Render>
+bool round_trips(const std::string& text, Parse parse, Render render) {
+  try {
+    const std::string once = render(parse(expctl::Json::parse(text))).dump(0);
+    EXPECT_EQ(render(parse(expctl::Json::parse(once))).dump(0), once);
+    return true;
+  } catch (const std::exception& e) {
+    if (!((dynamic_cast<const Errors*>(&e) != nullptr) || ...)) throw;
+  }
+  return false;
 }
 
 inline void write_file(const std::string& path, const std::string& text) {

@@ -31,7 +31,7 @@ sc::BatchJob make_job(const std::string& name, int hosts, int days, std::uint64_
 /// A journal row as a completed run of `job` would have written it.
 dt::JournalEntry measured_entry(const sc::BatchJob& job, double wall_ms) {
   dt::JournalEntry e;
-  e.key = dt::job_key(job);
+  e.key = dt::job_keys({job}).front();
   e.result.scenario = job.spec.name;
   e.result.policy = e.key.policy;
   e.result.seed = e.key.seed;

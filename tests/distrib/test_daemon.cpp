@@ -413,7 +413,7 @@ TEST_F(DaemonFixture, AReapedJournalThatDoesNotFitTheShardIsDiscarded) {
     dt::JournalWriter writer((root / "shard_0.journal.jsonl").string(), 0);
     dt::JournalEntry entry;
     entry.index = plan[1][0];
-    entry.key = dt::job_key(grid()[entry.index]);
+    entry.key = dt::job_keys(grid())[entry.index];
     entry.result = reference()[entry.index];
     entry.wall_ms = 1.0;
     writer.append(entry);

@@ -56,20 +56,12 @@ dt::Lease sample_lease(std::uint64_t seed) {
   return lease;
 }
 
-/// Parse `text` with `parse`, a function of a Json returning a value with
-/// a to_json overload.  True when it yields a value, which must
-/// round-trip; false on a typed error; any other exception escapes.
+/// dtest::round_trips for `parse`, a function of a Json returning a
+/// value with a dt::to_json overload.
 template <typename Parse>
 bool parses(const std::string& text, Parse parse) {
-  try {
-    const std::string once = dt::to_json(parse(ec::Json::parse(text))).dump(0);
-    EXPECT_EQ(dt::to_json(parse(ec::Json::parse(once))).dump(0), once);
-    return true;
-  } catch (const ec::JsonError&) {
-  } catch (const ec::SpecError&) {
-  } catch (const dt::DistribError&) {
-  }
-  return false;
+  return dtest::round_trips<ec::JsonError, ec::SpecError, dt::DistribError>(
+      text, parse, [](const auto& value) { return dt::to_json(value); });
 }
 
 /// Mutate `seed_text` `rounds` times and count how the parser answers.

@@ -129,7 +129,9 @@ TEST(Shard, JobKeysMatchPerJobHashing) {
   const auto keys = dt::job_keys(jobs);
   ASSERT_EQ(keys.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(keys[i] == dt::job_key(jobs[i])) << i;
+    EXPECT_EQ(keys[i].spec_hash, ec::spec_hash(jobs[i].spec)) << i;
+    EXPECT_EQ(keys[i].policy, sc::to_string(jobs[i].policy)) << i;
+    EXPECT_EQ(keys[i].seed, jobs[i].resolved_seed()) << i;
   }
   // Distinct (spec, policy, seed) triples get distinct encodings.
   std::vector<std::string> encoded;

@@ -38,22 +38,14 @@ struct Testbed {
     auto llmu2 = t::llmu_constant(o);
     add("V1", llmu1);
     add("V2", llmu2);
-    const auto week = t::nutanix_week();
-    add("V3", year_of(week[0]));
-    add("V4", year_of(week[0]));  // same workload as V3
-    add("V5", year_of(week[1]));
-    add("V6", year_of(week[2]));
-    add("V7", year_of(week[3]));
-    add("V8", year_of(week[4]));
+    // The five Fig. 1 reconstructions as V3..V8; V3 and V4 share one.
+    t::GenOptions llmi;
+    llmi.years = 1;
+    add("V3", t::nutanix_like(0, llmi));
+    add("V4", t::nutanix_like(0, llmi));
+    for (std::size_t v = 1; v < 5; ++v) add("V" + std::to_string(v + 4), t::nutanix_like(v, llmi));
     // Initial placement: interleaved so consolidation has work to do.
     for (s::VmId id = 0; id < 8; ++id) cluster.place(id, id % 4);
-  }
-
-  /// A week tiled over a year, as the paper extends its production traces.
-  static t::ActivityTrace year_of(const t::ActivityTrace& week) {
-    std::vector<double> hours(u::kHoursPerYear);
-    for (std::size_t h = 0; h < hours.size(); ++h) hours[h] = week.at_hour(h);
-    return t::ActivityTrace(std::move(hours), week.name());
   }
 
   void add(const std::string& name, const t::ActivityTrace& trace) {
@@ -240,7 +232,7 @@ TEST(EndToEnd, SlaHoldsUnderDrowsyDc) {
   // Paper: >99% of requests within 200 ms; wake-ups cost ≈0.8–1.5 s.
   EXPECT_GT(stats.sla_attainment(), 0.95);
   if (!stats.wake_latencies_ms.empty()) {
-    EXPECT_LT(stats.wake_latencies_ms.max(), 10'000.0);
+    EXPECT_LT(stats.wake_latencies_ms.quantile(1.0), 10'000.0);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 namespace n = drowsy::net;
+namespace obs = drowsy::obs;
 namespace u = drowsy::util;
 
 namespace {
@@ -13,8 +14,9 @@ namespace {
 /// Runs every callback inline at a fixed time.
 class ImmediateDispatcher final : public n::Dispatcher {
  public:
-  using Dispatcher::schedule_after;
-  void schedule_after(u::SimTime /*delay*/, u::InlineFn fn) override { fn(); }
+  void schedule_after(u::SimTime /*delay*/, u::InlineFn fn, obs::EventTag /*tag*/) override {
+    fn();
+  }
   [[nodiscard]] u::SimTime now() const override { return 0; }
 };
 
@@ -22,8 +24,7 @@ class ImmediateDispatcher final : public n::Dispatcher {
 /// inspect how it is stored and run it later.
 class RecordingDispatcher final : public n::Dispatcher {
  public:
-  using Dispatcher::schedule_after;
-  void schedule_after(u::SimTime /*delay*/, u::InlineFn fn) override {
+  void schedule_after(u::SimTime /*delay*/, u::InlineFn fn, obs::EventTag /*tag*/) override {
     queued.push_back(std::move(fn));
   }
   [[nodiscard]] u::SimTime now() const override { return 0; }
@@ -113,26 +114,9 @@ TEST_F(SwitchFixture, AnalyzersRunInInstallationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_F(SwitchFixture, DetachPortDropsFrames) {
-  sw.bind_ip(vm_ip, mac_a);
-  sw.detach_port(mac_a);
-  n::Packet p;
-  p.dst = vm_ip;
-  EXPECT_FALSE(sw.inject(p));
-}
-
-TEST_F(SwitchFixture, LookupIp) {
-  EXPECT_EQ(sw.lookup_ip(vm_ip), nullptr);
-  sw.bind_ip(vm_ip, mac_a);
-  ASSERT_NE(sw.lookup_ip(vm_ip), nullptr);
-  EXPECT_EQ(*sw.lookup_ip(vm_ip), mac_a);
-  sw.unbind_ip(vm_ip);
-  EXPECT_EQ(sw.lookup_ip(vm_ip), nullptr);
-}
-
-TEST(SwitchFrames, DeliveriesFitInlineAndSurviveADetach) {
+TEST(SwitchFrames, DeliveriesFitInline) {
   // Every forwarded frame becomes one queued delivery; none may need a
-  // heap allocation, and one queued before its port detaches still runs.
+  // heap allocation.
   RecordingDispatcher dispatcher;
   n::SdnSwitch sw{dispatcher};
   const n::MacAddress mac = n::MacAddress::for_host(0);
@@ -150,7 +134,6 @@ TEST(SwitchFrames, DeliveriesFitInlineAndSurviveADetach) {
   ASSERT_EQ(dispatcher.queued.size(), 2u);
   for (const u::InlineFn& fn : dispatcher.queued) EXPECT_TRUE(fn.is_inline());
 
-  sw.detach_port(mac);
   for (u::InlineFn& fn : dispatcher.queued) fn();
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received[0].id, 7u);

@@ -77,7 +77,6 @@ TEST(TraceWriter, IdenticalInputsDumpIdenticalBytes) {
     const std::uint32_t b = w.add_track("b");
     w.add_slice(a, "S0", 0, 100);
     w.add_instant(b, "wol", 50);
-    w.add_counter(a, "depth", 25, "pending", 3.0);
     return w.dump();
   };
   EXPECT_EQ(build(), build());

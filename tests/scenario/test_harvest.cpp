@@ -32,7 +32,7 @@ std::unique_ptr<sc::ScenarioRun> finished_run() {
   spec.duration_days = 1;
   spec.request_rate_per_hour = 30.0;
   spec.seed = 61;
-  auto run = sc::build(spec, sc::Policy::DrowsyDc);
+  auto run = sc::build(spec, sc::Policy::DrowsyDc, spec.seed);
   run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
                                    u::kHoursPerDay);
   run->controller->run_hours(static_cast<std::int64_t>(spec.duration_days) *

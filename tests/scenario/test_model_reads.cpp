@@ -44,7 +44,7 @@ TEST(ModelReads, OnlyDrowsyArmsPretrainModels) {
   const std::int64_t hours = static_cast<std::int64_t>(spec.pretrain_days) * u::kHoursPerDay;
   for (const sc::Policy policy : kAllPolicies) {
     SCOPED_TRACE(sc::to_string(policy));
-    auto run = sc::build(spec, policy);
+    auto run = sc::build(spec, policy, spec.seed);
     run->controller->pretrain_models(hours);
     const bool drowsy =
         policy == sc::Policy::DrowsyDc || policy == sc::Policy::DrowsyNetBatch;
@@ -72,7 +72,7 @@ TEST(SuspendAccounting, EveryCheckEndsInOneDecision) {
   const sc::ScenarioSpec& spec = sc::ScenarioRegistry::builtin().at("paper-testbed");
   for (const sc::Policy policy : {sc::Policy::DrowsyDc, sc::Policy::NeatS3}) {
     SCOPED_TRACE(sc::to_string(policy));
-    auto run = sc::build(spec, policy);
+    auto run = sc::build(spec, policy, spec.seed);
     run->controller->pretrain_models(static_cast<std::int64_t>(spec.pretrain_days) *
                                      u::kHoursPerDay);
     run->controller->run_hours(static_cast<std::int64_t>(spec.duration_days) *

@@ -24,8 +24,8 @@ namespace {
 TEST(ScenarioRegistry, BuiltinHasTheCatalogue) {
   const auto& reg = sc::ScenarioRegistry::builtin();
   EXPECT_GE(reg.size(), 8u);
-  const std::vector<std::string> names = reg.names();
-  std::set<std::string> unique(names.begin(), names.end());
+  std::set<std::string> unique;
+  for (const sc::ScenarioSpec& spec : reg.all()) unique.insert(spec.name);
   EXPECT_EQ(unique.size(), reg.size()) << "scenario names must be unique";
   // The paper's evaluation workloads are present by name.
   EXPECT_NE(reg.find("paper-testbed"), nullptr);

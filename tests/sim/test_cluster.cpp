@@ -33,6 +33,9 @@ TEST_F(ClusterFixture, TopologyAccessors) {
   EXPECT_EQ(cluster.vm(99), nullptr);
   EXPECT_EQ(cluster.vm_by_ip(v.ip()), &v);
   EXPECT_EQ(cluster.vm_by_ip(drowsy::net::Ipv4{12345}), nullptr);
+  // One past the last VM, and 10.0.0.1 just below the first.
+  EXPECT_EQ(cluster.vm_by_ip(drowsy::net::Ipv4::for_vm(v.id() + 1)), nullptr);
+  EXPECT_EQ(cluster.vm_by_ip(drowsy::net::Ipv4{(10u << 24) | 1u}), nullptr);
 }
 
 TEST_F(ClusterFixture, PlaceAndHostOf) {

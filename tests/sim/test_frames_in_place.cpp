@@ -42,9 +42,6 @@ namespace {
 class AlwaysQueue final : public n::Dispatcher {
  public:
   explicit AlwaysQueue(s::EventQueue& q) : q_(q) {}
-  void schedule_after(u::SimTime delay, u::InlineFn fn) override {
-    q_.schedule_after(delay, std::move(fn));
-  }
   void schedule_after(u::SimTime delay, u::InlineFn fn, obs::EventTag tag) override {
     q_.schedule_after(delay, std::move(fn), tag);
   }
@@ -285,12 +282,14 @@ class Rig {
   void schedule(const Suspend& s) {
     q_.schedule_at(s.at, [this, host = s.host] { cluster_.host(host)->begin_suspend(); });
   }
+  /// The frame's destination host; no VM migrates here, so a request's
+  /// is where its VM was placed.
   int host_of(const n::Packet& p) {
+    if (p.kind != n::PacketKind::WakeOnLan) {
+      return static_cast<int>(cluster_.host_of(cluster_.vm_by_ip(p.dst)->id())->id());
+    }
     for (const auto& host : cluster_.hosts()) {
-      if (p.kind == n::PacketKind::WakeOnLan ? host->mac() == p.dst_mac
-                                             : *sw_.lookup_ip(p.dst) == host->mac()) {
-        return static_cast<int>(host->id());
-      }
+      if (host->mac() == p.dst_mac) return static_cast<int>(host->id());
     }
     return -1;
   }
@@ -415,7 +414,7 @@ void expect_same_run(const Rig& got, const Rig& want) {
   ASSERT_EQ(x.wake_latencies_ms.count(), y.wake_latencies_ms.count());
   if (!y.wake_latencies_ms.empty()) {
     EXPECT_EQ(x.wake_latencies_ms.quantile(0.99), y.wake_latencies_ms.quantile(0.99));
-    EXPECT_EQ(x.wake_latencies_ms.max(), y.wake_latencies_ms.max());
+    EXPECT_EQ(x.wake_latencies_ms.quantile(1.0), y.wake_latencies_ms.quantile(1.0));
   }
 }
 

@@ -120,7 +120,7 @@ TEST_F(FabricFixture, RequestToSuspendedHostWaitsForWake) {
   ASSERT_EQ(fabric.stats().total, 1u);
   EXPECT_EQ(fabric.stats().woke_host, 1u);
   // Latency ≥ 1 s of WoL delay + 1.5 s resume.
-  EXPECT_GE(fabric.stats().wake_latencies_ms.max(), 2500.0);
+  EXPECT_GE(fabric.stats().wake_latencies_ms.quantile(1.0), 2500.0);
 }
 
 TEST_F(FabricFixture, WolPacketResumesHost) {

@@ -223,20 +223,21 @@ TEST(ReduceStudy, RejectsMismatchedResults) {
   const st::Study& study = st::StudyRegistry::builtin().at("fig3-grace-ablation");
   const st::StudyParams params = small_params(study);
   std::vector<sc::RunResult> results = outcome_of("fig3-grace-ablation").results;
+  const std::vector<sc::BatchJob> jobs = st::jobs_for(study, params);
 
   // The full, faithful vector reduces to the same CSV as run_study did.
-  EXPECT_EQ(st::reduce_study(study, params, results),
+  EXPECT_EQ(st::reduce_study(study, params, jobs, results),
             outcome_of("fig3-grace-ablation").csv);
 
   // Truncated results: wrong grid size.
   std::vector<sc::RunResult> truncated(results.begin(), results.end() - 1);
-  EXPECT_THROW(static_cast<void>(st::reduce_study(study, params, truncated)),
+  EXPECT_THROW(static_cast<void>(st::reduce_study(study, params, jobs, truncated)),
                st::StudyError);
 
   // Reordered rows: right size, wrong identities.
   std::vector<sc::RunResult> swapped = results;
   std::swap(swapped.front(), swapped.back());
-  EXPECT_THROW(static_cast<void>(st::reduce_study(study, params, swapped)),
+  EXPECT_THROW(static_cast<void>(st::reduce_study(study, params, jobs, swapped)),
                st::StudyError);
 }
 

@@ -61,11 +61,12 @@ TEST(StudyReduce, MergedJournalsReduceByteIdenticalToTheDirectPath) {
   // Journal the runs as two shards would, in scrambled completion order;
   // a JSON round-trip per entry proves RunResult (including the per-host
   // fractions) survives the hand-off with exact bits.
+  const std::vector<dt::JobKey> keys = dt::job_keys(jobs);
   std::vector<dt::JournalEntry> entries;
   for (std::size_t i = jobs.size(); i-- > 0;) {
     dt::JournalEntry entry;
     entry.index = i;
-    entry.key = dt::job_key(jobs[i]);
+    entry.key = keys[i];
     entry.result = ec::run_result_from_json(
         ec::Json::parse(ec::to_json(direct.results[i]).dump()));
     entry.wall_ms = 1.0;
@@ -73,7 +74,7 @@ TEST(StudyReduce, MergedJournalsReduceByteIdenticalToTheDirectPath) {
   }
 
   const std::vector<sc::RunResult> merged = dt::merge_journals(jobs, entries);
-  EXPECT_EQ(st::reduce_study(study, params, merged), direct.csv);
+  EXPECT_EQ(st::reduce_study(study, params, jobs, merged), direct.csv);
 }
 
 }  // namespace

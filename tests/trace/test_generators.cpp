@@ -78,14 +78,6 @@ TEST(Generators, NutanixVariantsDiffer) {
   EXPECT_NE(a.hours(), b.hours());
 }
 
-TEST(Generators, NutanixWeekIsOneWeekLong) {
-  const auto traces = t::nutanix_week();
-  ASSERT_EQ(traces.size(), 5u);
-  for (const auto& tr : traces) {
-    EXPECT_EQ(tr.size(), static_cast<std::size_t>(7 * 24));
-  }
-}
-
 TEST(Generators, DiplomaResultsSpikesOnJulyTwentieth) {
   const auto trace = t::diploma_results(one_year());
   // Day-of-year 200 = July 20 (non-leap); hours 14 and 15 spike.
@@ -125,13 +117,6 @@ TEST(Generators, GoogleLikeLlmuStaysBusy) {
   EXPECT_EQ(trace.classify(), t::VmClass::Llmu);
   EXPECT_GT(trace.mean_activity(), 0.3);
   EXPECT_LT(trace.idle_fraction(), 0.01);
-}
-
-TEST(Generators, SlmuBurstShortAndBusy) {
-  const auto trace = t::slmu_burst(6);
-  EXPECT_EQ(trace.size(), 6u);
-  EXPECT_EQ(trace.classify(), t::VmClass::Slmu);
-  for (double v : trace.hours()) EXPECT_GT(v, 0.8);
 }
 
 TEST(Generators, RandomLlmiDeterministicPerSeed) {

@@ -31,11 +31,10 @@ TEST(Math, LogisticDampingPaperValues) {
   }
 }
 
-TEST(Math, DotAndNorm) {
+TEST(Math, Dot) {
   const std::array<double, 3> a{1.0, 2.0, 3.0};
   const std::array<double, 3> b{4.0, -5.0, 6.0};
   EXPECT_DOUBLE_EQ(u::dot(a, b), 4.0 - 10.0 + 18.0);
-  EXPECT_DOUBLE_EQ(u::l2_norm(std::array<double, 2>{3.0, 4.0}), 5.0);
 }
 
 TEST(Math, SimplexProjectionAlreadyOnSimplex) {

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "util/rng.hpp"
-
 namespace u = drowsy::util;
 
 TEST(OnlineStats, EmptyIsZero) {
@@ -21,37 +17,9 @@ TEST(OnlineStats, MeanAndVarianceMatchDirectComputation) {
   for (double x : xs) s.add(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeEqualsSequential) {
-  u::Rng rng(3);
-  u::OnlineStats whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 3.0);
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  u::OnlineStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(SampleSet, QuantilesOnKnownData) {
@@ -75,32 +43,7 @@ TEST(SampleSet, AddAfterQuantileStillCorrect) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 3.0);
   s.add(5.0);  // invalidates the sorted cache
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  u::Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bucket 0
-  h.add(3.0);    // bucket 1
-  h.add(9.99);   // bucket 4
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(100.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 0u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-}
-
-TEST(Histogram, ToStringRendersOneLinePerBucket) {
-  u::Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  const std::string s = h.to_string();
-  int lines = 0;
-  for (char c : s) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 4);
+  s.add(0.0);  // lands below every sorted sample
+  EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), 2.0);
 }
