@@ -1,8 +1,8 @@
 #!/bin/sh
 # Rewrite goldens/*.csv (every sweeps/*.json and the six study figures)
-# and goldens/ci_smoke.traces.sha256 (the digests of ci_smoke's run
-# timelines, written to <build-dir>/goldens-traces) from the current
-# tree.  Every golden diff must be explained in the commit that makes it.
+# and goldens/{ci_smoke,netsim_storm}.traces.sha256 (the digests of those
+# sweeps' run timelines, written to <build-dir>/goldens-traces) from the
+# current tree.  Every golden diff must be explained in the commit that makes it.
 #
 #   goldens/update.sh [build-dir]     (default: build)
 set -e

@@ -12,8 +12,7 @@ WakingModule::WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, WakingConf
       switch_(sw),
       config_(config),
       name_(std::move(name)),
-      active_(active),
-      wol_(sw) {}
+      active_(active) {}
 
 void WakingModule::install_analyzer() {
   switch_.add_analyzer([this](const net::Packet& p) { analyze(p); });
@@ -37,7 +36,7 @@ void WakingModule::analyze(const net::Packet& packet) {
       ++stats_.packet_wakes;
       DROWSY_LOG_DEBUG("waking", "%s: inbound request for %s wakes %s", name_.c_str(),
                        packet.dst.to_string().c_str(), host->name().c_str());
-      send_wol(it->second);
+      switch_.send_wol(it->second);
     }
   }
 }
@@ -78,9 +77,7 @@ void WakingModule::fire_scheduled(util::SimTime due, net::MacAddress mac) {
   ++stats_.scheduled_wakes;
   DROWSY_LOG_DEBUG("waking", "%s: scheduled wake of %s (due %s)", name_.c_str(),
                    host->name().c_str(), util::format_duration(due).c_str());
-  send_wol(mac);
+  switch_.send_wol(mac);
 }
-
-void WakingModule::send_wol(net::MacAddress mac) { wol_.send(mac); }
 
 }  // namespace drowsy::core

@@ -22,7 +22,6 @@
 
 #include "core/config.hpp"
 #include "net/sdn_switch.hpp"
-#include "net/wol.hpp"
 #include "sim/cluster.hpp"
 
 namespace drowsy::core {
@@ -73,7 +72,6 @@ class WakingModule {
  private:
   void analyze(const net::Packet& packet);
   void fire_scheduled(util::SimTime due, net::MacAddress mac);
-  void send_wol(net::MacAddress mac);
   [[nodiscard]] sim::Host* host_by_mac(const net::MacAddress& mac);
 
   sim::Cluster& cluster_;
@@ -82,7 +80,6 @@ class WakingModule {
   std::string name_;
   bool active_;
   WakingModule* mirror_ = nullptr;
-  net::WolSender wol_;
   WakingStats stats_;
 
   /// VM IP → MAC of the drowsy server hosting it (paper §V-A).

@@ -277,17 +277,13 @@ Json to_json(const sc::ScenarioSpec& spec) {
   j.set("suspend_check_interval_ms", spec.suspend_check_interval);
   j.set("grace_min_ms", spec.grace_min);
   j.set("grace_max_ms", spec.grace_max);
-  // The wake-fabric object is emitted only when some knob is set — the
-  // TraceSpec replay-knob precedent: every pre-netsim spec keeps its exact
+  // The switch-timing object is emitted only when some knob is set — the
+  // TraceSpec replay-knob precedent: every netless spec keeps its exact
   // dump bytes, so spec_hash fingerprints survive this schema extension.
   if (!(spec.net == sc::NetSpec{})) {
     Json net = Json::object();
-    net.set("enabled", spec.net.enabled);
     net.set("port_latency_ms", spec.net.port_latency);
     net.set("serialization_ms", spec.net.serialization);
-    net.set("wake_max_in_flight", spec.net.wake_max_in_flight);
-    net.set("wake_stagger_ms", spec.net.wake_stagger);
-    net.set("wake_admission_window_ms", spec.net.wake_admission_window);
     j.set("net", std::move(net));
   }
   return j;
@@ -372,20 +368,11 @@ sc::ScenarioSpec scenario_spec_from_json(const Json& j) {
   if (const Json* net = j.find("net")) {
     const std::string net_path = where + ".net";
     require_object(*net, net_path);
-    check_keys(*net, net_path,
-               {"enabled", "port_latency_ms", "serialization_ms", "wake_max_in_flight",
-                "wake_stagger_ms", "wake_admission_window_ms"});
-    spec.net.enabled = get_bool(*net, "enabled", spec.net.enabled, net_path);
+    check_keys(*net, net_path, {"port_latency_ms", "serialization_ms"});
     spec.net.port_latency =
         get_duration_ms(*net, "port_latency_ms", spec.net.port_latency, net_path);
     spec.net.serialization =
         get_duration_ms(*net, "serialization_ms", spec.net.serialization, net_path);
-    spec.net.wake_max_in_flight =
-        get_int(*net, "wake_max_in_flight", spec.net.wake_max_in_flight, net_path);
-    spec.net.wake_stagger =
-        get_duration_ms(*net, "wake_stagger_ms", spec.net.wake_stagger, net_path);
-    spec.net.wake_admission_window = get_duration_ms(
-        *net, "wake_admission_window_ms", spec.net.wake_admission_window, net_path);
   }
 
   if (std::string problem = spec.validate(); !problem.empty()) {

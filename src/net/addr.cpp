@@ -27,13 +27,4 @@ std::string Ipv4::to_string() const {
   return buf;
 }
 
-const char* to_string(PacketKind k) {
-  switch (k) {
-    case PacketKind::Request: return "request";
-    case PacketKind::Response: return "response";
-    case PacketKind::WakeOnLan: return "wol";
-  }
-  return "?";
-}
-
 }  // namespace drowsy::net

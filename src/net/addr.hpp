@@ -43,19 +43,14 @@ struct Ipv4 {
 /// The kinds of frames the simulated fabric carries.
 enum class PacketKind {
   Request,    ///< client request destined to a VM
-  Response,   ///< VM reply to a client
   WakeOnLan,  ///< magic packet, wakes the destination host
 };
-
-[[nodiscard]] const char* to_string(PacketKind k);
 
 /// One simulated frame.
 struct Packet {
   PacketKind kind = PacketKind::Request;
-  Ipv4 src{};
   Ipv4 dst{};
   MacAddress dst_mac{};      ///< used by WoL frames (L2-addressed)
-  std::uint32_t size_bytes = 1500;
   std::uint64_t id = 0;      ///< monotonically assigned by the sender
   /// Simulated injection instant (ms), stamped by the switch on first
   /// inject; < 0 means unsent.  Receivers measure client-perceived

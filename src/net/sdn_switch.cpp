@@ -1,13 +1,17 @@
 #include "net/sdn_switch.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/log.hpp"
 
 namespace drowsy::net {
 
-SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency)
-    : dispatcher_(dispatcher), port_latency_(port_latency) {}
+SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency,
+                     util::SimTime serialization)
+    : dispatcher_(dispatcher), port_latency_(port_latency), serialization_(serialization) {
+  assert(port_latency >= 0 && serialization >= 0);
+}
 
 void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> deliver) {
   [[maybe_unused]] const bool added = ports_.emplace(mac, std::move(deliver)).second;
@@ -36,6 +40,14 @@ bool SdnSwitch::inject(const Packet& packet) {
   return deliver_to_mac(it->second, stamped);
 }
 
+bool SdnSwitch::send_wol(MacAddress mac) {
+  Packet p;
+  p.kind = PacketKind::WakeOnLan;
+  p.dst_mac = mac;
+  p.id = ++wol_frames_;
+  return inject(p);
+}
+
 bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
   auto it = ports_.find(mac);
   if (it == ports_.end()) {
@@ -47,14 +59,22 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
   // A request frame that would be the next event anyway is delivered
   // now, without one.  WoL frames stay events: the waking module's
   // analyzer injects them midway through another frame's inject.
-  if (packet.kind == PacketKind::Request && port_latency_ == 0 &&
+  if (packet.kind == PacketKind::Request && port_latency_ == 0 && serialization_ == 0 &&
       dispatcher_.would_run_next()) {
     it->second(packet);
     return true;
   }
+  // The frame waits for the egress pipe, occupies it for its
+  // serialization, then takes the port latency to reach its port.  Only
+  // frames that found the pipe busy are sampled: the zero delay of every
+  // uncontended frame would bury a storm's queueing.
+  const util::SimTime now = dispatcher_.now();
+  const util::SimTime start = std::max(now, busy_until_);
+  if (start > now) queue_delay_ms_.add(static_cast<double>(start - now));
+  busy_until_ = start + serialization_;
   // {pointer, Packet} fits util::InlineFn's buffer: no allocation per
   // frame.
-  dispatcher_.schedule_after(port_latency_,
+  dispatcher_.schedule_after(busy_until_ + port_latency_ - now,
                              [deliver = &it->second, packet] { (*deliver)(packet); },
                              obs::EventTag::NetsimFrame);
   return true;

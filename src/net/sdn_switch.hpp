@@ -5,7 +5,9 @@
 // "lightweight packet analyzer" can inspect it before forwarding.  This
 // model reproduces that interposition point: ports are registered by MAC,
 // a forwarding table maps VM IPs to host MACs, and analyzers see every
-// frame first.
+// frame first.  Frames leave through one serializing egress pipe, so a
+// burst of simultaneous WoL wakes (the wake-storm case) queues behind
+// itself and later frames pay a measurable queueing delay.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include "obs/event_tag.hpp"
 #include "util/inline_fn.hpp"
 #include "util/sim_time.hpp"
+#include "util/stats.hpp"
 
 namespace drowsy::net {
 
@@ -45,10 +48,15 @@ class Dispatcher {
 /// consume it (the waking module observes and lets through).
 using PacketAnalyzer = std::function<void(const Packet&)>;
 
-/// The SDN switch.
+/// The SDN switch.  Deterministic: the egress pipe's state is one
+/// `busy_until` watermark advanced in event order.
 class SdnSwitch {
  public:
-  explicit SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency = 0);
+  /// Each frame occupies the egress pipe for `serialization` once the
+  /// pipe is free, then takes `port_latency` to reach its port.  With
+  /// both 0 a frame is queued for now(), in the order it was injected.
+  explicit SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency = 0,
+                     util::SimTime serialization = 0);
 
   /// Attach a port; frames to `mac` are delivered there.  A MAC takes
   /// one port, for the switch's lifetime.
@@ -65,15 +73,29 @@ class SdnSwitch {
   /// Inject a frame into the switch.  IP-addressed frames resolve through
   /// the forwarding table; WoL frames are L2-addressed via dst_mac.
   /// Returns false if the frame could not be forwarded (unknown address).
-  /// A request frame through a zero-latency port is delivered before
-  /// inject returns when the dispatcher says it would run next
-  /// (Dispatcher::would_run_next), so an event handler that injects a
-  /// request must do it last.
+  /// With zero port latency and serialization, a request frame is
+  /// delivered before inject returns when the dispatcher says it would
+  /// run next (Dispatcher::would_run_next), so an event handler that
+  /// injects a request must do it last.
   bool inject(const Packet& packet);
+
+  /// Wake-on-LAN (paper §V-A): send a magic packet to `mac`.  The NIC
+  /// stays powered in S3 (the paper cites the Intel I350's ability to
+  /// keep the link up), so the frame reaches the sleeping host and
+  /// triggers its resume path.  Returns false if no port has `mac`.
+  bool send_wol(MacAddress mac);
 
   [[nodiscard]] std::uint64_t forwarded_count() const { return forwarded_; }
   /// Frames with no route (unbound IP) or no port (unknown MAC).
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
+  /// WoL magic packets sent through send_wol.
+  [[nodiscard]] std::uint64_t wol_frames() const { return wol_frames_; }
+  /// p99 of the time frames waited for the egress pipe, sampled only
+  /// over frames that found it busy (excludes the frame's own
+  /// serialization and port latency); 0 when the pipe never saturated.
+  [[nodiscard]] double queue_delay_p99_ms() const {
+    return queue_delay_ms_.empty() ? 0.0 : queue_delay_ms_.quantile(0.99);
+  }
 
  private:
   bool deliver_to_mac(const MacAddress& mac, const Packet& packet);
@@ -82,6 +104,8 @@ class SdnSwitch {
 
   Dispatcher& dispatcher_;
   util::SimTime port_latency_;
+  util::SimTime serialization_;
+  util::SimTime busy_until_ = 0;
   /// Ports never detach and map nodes never move, so a queued delivery
   /// captures a pointer to its port's callback, not a copy.
   std::unordered_map<MacAddress, const Deliver> ports_;
@@ -89,6 +113,8 @@ class SdnSwitch {
   std::vector<PacketAnalyzer> analyzers_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t wol_frames_ = 0;
+  util::SampleSet queue_delay_ms_;
 };
 
 }  // namespace drowsy::net

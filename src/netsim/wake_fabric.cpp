@@ -5,9 +5,8 @@
 
 namespace drowsy::netsim {
 
-WakeFabric::WakeFabric(sim::Cluster& cluster, net::SdnSwitch& sw, FabricConfig config,
-                       ActivityPredictor predictor)
-    : cluster_(cluster), config_(config), wol_(sw), predictor_(std::move(predictor)) {}
+WakeFabric::WakeFabric(sim::Cluster& cluster, net::SdnSwitch& sw, ActivityPredictor predictor)
+    : cluster_(cluster), switch_(sw), predictor_(std::move(predictor)) {}
 
 void WakeFabric::on_hour_end(std::int64_t hour) {
   // Called at the hour boundary, after consolidation for `hour + 1` ran.
@@ -25,7 +24,7 @@ void WakeFabric::on_hour_end(std::int64_t hour) {
     if (!predictor_(*host, next)) continue;
 
     util::SimTime release = slot;
-    // Admission: at most wake_max_in_flight overlapping resumes...
+    // Admission: at most kWakeMaxInFlight overlapping resumes...
     auto active_at = [&](util::SimTime t) {
       int active = 0;
       for (const util::SimTime end : in_flight) {
@@ -33,7 +32,7 @@ void WakeFabric::on_hour_end(std::int64_t hour) {
       }
       return active;
     };
-    while (active_at(release) >= config_.wake_max_in_flight) {
+    while (active_at(release) >= kWakeMaxInFlight) {
       util::SimTime soonest = util::kNever;
       for (const util::SimTime end : in_flight) {
         if (end > release) soonest = std::min(soonest, end);
@@ -41,16 +40,16 @@ void WakeFabric::on_hour_end(std::int64_t hour) {
       release = soonest;
     }
     // ...but never hold a wake past the admission window.
-    release = std::min(release, now + config_.wake_admission_window);
+    release = std::min(release, now + kWakeAdmissionWindow);
 
     in_flight.push_back(release + host->resume_remaining());
-    slot = release + config_.wake_stagger;
+    slot = release + kWakeStagger;
     cluster_.queue().schedule_at(
         release,
         [this, host] {
           // The hour's first request may have raced us awake already.
           if (host->state() == sim::PowerState::S0) return;
-          wol_.send(host->mac());
+          switch_.send_wol(host->mac());
         },
         obs::EventTag::Wake);
   }

@@ -366,9 +366,9 @@ ScenarioSpec wake_storm() {
   return s;
 }
 
-/// wake-storm with the wake fabric in the loop: same population, same
-/// seed — so the request schedules match row for row — but every wake is
-/// a WoL frame through the modeled switch.  The synchronized 09:00 burst
+/// wake-storm with switch timing in the loop: same population, same
+/// seed — so the request schedules match row for row — but every frame
+/// crosses the modeled switch with port latency and serialization.  The synchronized 09:00 burst
 /// now queues behind itself (5 ms serialization per frame), which is the
 /// contention the fiat-wake path could never show; DrowsyNetBatch's
 /// staggered pre-wakes are measured against exactly this.
@@ -376,7 +376,6 @@ ScenarioSpec wake_storm_net() {
   ScenarioSpec s = wake_storm();
   s.name = "wake-storm-net";
   s.description = "wake-storm with WoL wakes routed through the modeled switch";
-  s.net.enabled = true;
   s.net.port_latency = 2;
   s.net.serialization = 5;
   return s;

@@ -162,12 +162,6 @@ std::string ScenarioSpec::validate() const {
   if (grace_max < grace_min) return name + ": grace_max must be >= grace_min";
   if (net.port_latency < 0) return name + ": net.port_latency must be >= 0";
   if (net.serialization < 0) return name + ": net.serialization must be >= 0";
-  if (net.wake_max_in_flight < 1) {
-    return name + ": net.wake_max_in_flight must be >= 1";
-  }
-  if (net.wake_stagger < 0 || net.wake_admission_window < 0) {
-    return name + ": net wake stagger/admission window must be >= 0";
-  }
   for (const VmGroup& g : vms) {
     if (g.count <= 0) return name + ": VM group '" + g.name_prefix + "' has count <= 0";
     if (g.vcpus <= 0 || g.memory_mb <= 0) {
@@ -325,14 +319,10 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
   run->controller->install();
 
   if (policy == Policy::DrowsyNetBatch) {
-    netsim::FabricConfig fc;
-    fc.wake_max_in_flight = spec.net.wake_max_in_flight;
-    fc.wake_stagger = spec.net.wake_stagger;
-    fc.wake_admission_window = spec.net.wake_admission_window;
     // Pre-wake when any resident VM's idleness model leans active for
     // the coming hour (negative raw IP, the §III convention).
     run->net = std::make_unique<netsim::WakeFabric>(
-        run->cluster, run->sdn, fc,
+        run->cluster, run->sdn,
         [ctl = run->controller.get()](const sim::Host& host, std::int64_t hour) {
           const util::CalendarTime c = util::calendar_of(hour * util::kMsPerHour);
           for (const sim::Vm* vm : host.vms()) {
@@ -374,14 +364,11 @@ RunResult harvest(const std::string& scenario_name, ScenarioRun& run) {
                          static_cast<double>(run.queue.now());
   r.suspend_fraction = host_ms > 0.0 ? s3_ms / host_ms : 0.0;
 
-  // Wake-fabric metrics.  WoL frames count every magic packet injected:
-  // the waking modules' (packet- and schedule-triggered) plus the
-  // planner's pre-wakes.
-  r.switch_queue_delay_p99_ms = run.dispatcher.queue_delay_p99_ms();
-  const core::WakingStats& wp = run.controller->waking_primary().stats();
-  const core::WakingStats& ws = run.controller->waking_standby()->stats();
-  r.wol_frames = wp.packet_wakes + wp.scheduled_wakes + ws.packet_wakes + ws.scheduled_wakes;
-  if (run.net) r.wol_frames += run.net->wol_frames();
+  // Switch metrics.  WoL frames count every magic packet sent: the
+  // waking modules' (packet- and schedule-triggered) plus the planner's
+  // pre-wakes.
+  r.switch_queue_delay_p99_ms = run.sdn.queue_delay_p99_ms();
+  r.wol_frames = run.sdn.wol_frames();
   return r;
 }
 

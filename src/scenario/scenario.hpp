@@ -27,7 +27,6 @@
 #include "baselines/oasis.hpp"
 #include "core/drowsy.hpp"
 #include "net/sdn_switch.hpp"
-#include "netsim/dispatcher.hpp"
 #include "netsim/wake_fabric.hpp"
 #include "sim/cluster.hpp"
 #include "trace/generators.hpp"
@@ -98,19 +97,13 @@ struct VmGroup {
 
 // --- the scenario ------------------------------------------------------------
 
-/// Network-in-the-loop wake-fabric knobs (src/netsim).  Default-valued
-/// specs serialize *without* a "net" object, so every pre-existing sweep
-/// JSON and spec hash stays byte-identical (the PR 6 TraceSpec precedent).
+/// The modeled switch's frame timing (net::SdnSwitch).  The default, 0
+/// and 0, delivers every frame at its injection instant; default-valued
+/// specs serialize *without* a "net" object, so every netless sweep JSON
+/// and spec hash stays byte-identical (the PR 6 TraceSpec precedent).
 struct NetSpec {
-  /// Route wakes through the modeled switch (port latency + serialization)
-  /// instead of the fiat-constant path.
-  bool enabled = false;
-  util::SimTime port_latency = 1;   ///< per-frame propagation, ms
+  util::SimTime port_latency = 0;   ///< per-frame propagation, ms
   util::SimTime serialization = 0;  ///< switch egress occupancy per frame, ms
-  // DrowsyNetBatch staggered-wake admission knobs.
-  int wake_max_in_flight = 2;
-  util::SimTime wake_stagger = 200;
-  util::SimTime wake_admission_window = util::seconds(5);
 
   [[nodiscard]] bool operator==(const NetSpec&) const = default;
 };
@@ -163,7 +156,7 @@ struct ScenarioSpec {
   util::SimTime grace_min = util::seconds(5);
   util::SimTime grace_max = util::minutes(2);
 
-  /// Wake-fabric knobs; all-default = the historical fiat-wake behavior.
+  /// Switch frame timing; all-default = the historical fiat-wake behavior.
   NetSpec net{};
 
   [[nodiscard]] int total_vms() const;
@@ -179,9 +172,6 @@ struct ScenarioSpec {
 struct ScenarioRun {
   sim::EventQueue queue;
   sim::Cluster cluster;
-  /// Switch egress pipe; exact passthrough when the spec has no net knobs,
-  /// so fiat-wake runs keep their historical event ordering bit-for-bit.
-  netsim::EventQueueDispatcher dispatcher;
   net::SdnSwitch sdn;
   std::unique_ptr<netsim::WakeFabric> net;  ///< planner; null unless DrowsyNetBatch
   std::unique_ptr<core::ConsolidationPolicy> baseline;  ///< null = Drowsy-DC
@@ -191,8 +181,7 @@ struct ScenarioRun {
 
   explicit ScenarioRun(sim::ClusterConfig config, const NetSpec& net_spec = {})
       : cluster(queue, std::move(config)),
-        dispatcher(queue, net_spec.enabled ? net_spec.serialization : 0),
-        sdn(dispatcher, net_spec.enabled ? net_spec.port_latency : 0) {}
+        sdn(queue, net_spec.port_latency, net_spec.serialization) {}
 };
 
 class TraceCache;  // scenario/trace_cache.hpp

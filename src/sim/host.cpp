@@ -89,7 +89,7 @@ void Host::enter_state(PowerState next) {
   for (const auto& hook : on_transition_) hook(prev, next);
 }
 
-bool Host::begin_suspend(std::function<void()> on_suspended) {
+bool Host::begin_suspend() {
   if (state_ != PowerState::S0) return false;
   enter_state(PowerState::Suspending);
   ++suspend_count_;
@@ -98,10 +98,9 @@ bool Host::begin_suspend(std::function<void()> on_suspended) {
                    util::format_duration(queue_.now()).c_str());
   queue_.schedule_after(
       model_.suspend_latency,
-      [this, gen, cb = std::move(on_suspended)] {
+      [this, gen] {
         if (transition_gen_ != gen) return;  // superseded
         enter_state(PowerState::S3);
-        if (cb) cb();
         if (resume_pending_) {
           resume_pending_ = false;
           begin_resume();
@@ -111,21 +110,16 @@ bool Host::begin_suspend(std::function<void()> on_suspended) {
   return true;
 }
 
-bool Host::begin_resume(std::function<void()> on_resumed) {
+bool Host::begin_resume() {
   if (state_ == PowerState::S0) return false;
-  if (state_ == PowerState::Resuming) {
-    if (on_resumed) resume_waiters_.push_back(std::move(on_resumed));
-    return true;
-  }
   if (state_ == PowerState::Suspending) {
     // The wake raced with the suspend: finish suspending, then resume.
     resume_pending_ = true;
-    if (on_resumed) resume_waiters_.push_back(std::move(on_resumed));
     return true;
   }
+  if (state_ == PowerState::Resuming) return true;
   enter_state(PowerState::Resuming);
   ++resume_count_;
-  if (on_resumed) resume_waiters_.push_back(std::move(on_resumed));
   const util::SimTime latency =
       quick_resume_ ? model_.quick_resume_latency : model_.resume_latency;
   resume_done_at_ = queue_.now() + latency;
@@ -135,7 +129,6 @@ bool Host::begin_resume(std::function<void()> on_resumed) {
       [this, gen] {
         if (transition_gen_ != gen) return;
         enter_state(PowerState::S0);
-        last_resume_at_ = queue_.now();
         resume_done_at_ = 0;
         // Timers that expired while asleep fire now, on wake-up.
         for (Vm* vm : vms_) vm->guest().fire_due_timers(queue_.now());

@@ -82,14 +82,13 @@ class Host {
   [[nodiscard]] double suspended_fraction(util::SimTime window_start) const;
 
   // --- power transitions ----------------------------------------------------
-  /// Begin S0 → S3.  Returns false when not in S0.  `on_suspended` runs
-  /// once the host has fully entered S3.
-  bool begin_suspend(std::function<void()> on_suspended = {});
+  /// Begin S0 → S3.  Returns false when not in S0.
+  bool begin_suspend();
 
   /// Begin S3 → S0 (e.g. on WoL receipt).  If called while Suspending, the
   /// resume is queued to start as soon as S3 is reached.  Returns false if
-  /// already awake.  `on_resumed` runs once fully in S0.
-  bool begin_resume(std::function<void()> on_resumed = {});
+  /// already awake.
+  bool begin_resume();
 
   /// Run `fn` as soon as the host is awake: immediately when in S0,
   /// otherwise once the (separately triggered) resume completes.  Unlike
@@ -97,8 +96,6 @@ class Host {
   /// frame sitting in a retransmission queue until the server is up.
   void when_awake(std::function<void()> fn);
 
-  /// Instant the host last completed a resume (for grace-time logic).
-  [[nodiscard]] util::SimTime last_resume_at() const { return last_resume_at_; }
   /// Remaining time until the in-progress resume completes; 0 when awake.
   [[nodiscard]] util::SimTime resume_remaining() const;
 
@@ -112,7 +109,6 @@ class Host {
   void add_on_wake(std::function<void()> hook) {
     on_wake_.push_back(std::move(hook));
   }
-  [[nodiscard]] std::size_t on_wake_hook_count() const { return on_wake_.size(); }
 
   /// Append a hook invoked on every power-state change, with the old and
   /// new state, after accounting has been flushed to the transition
@@ -145,7 +141,6 @@ class Host {
   std::array<util::SimTime, 4> state_time_{};  // indexed by PowerState
   EnergyMeter meter_;
 
-  util::SimTime last_resume_at_ = 0;
   util::SimTime resume_done_at_ = 0;
   int suspend_count_ = 0;
   int resume_count_ = 0;

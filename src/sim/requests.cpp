@@ -92,7 +92,6 @@ void RequestFabric::deliver(HostId host_id, const net::Packet& packet) {
     host->begin_resume();
     return;
   }
-  if (packet.kind != net::PacketKind::Request) return;
   Vm* vm = cluster_.vm_by_ip(packet.dst);
   Host* host = cluster_.host(host_id);
   assert(host != nullptr);

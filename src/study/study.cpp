@@ -94,12 +94,6 @@ const Study* StudyRegistry::find(const std::string& name) const {
   return nullptr;
 }
 
-const Study& StudyRegistry::at(const std::string& name) const {
-  const Study* s = find(name);
-  if (s == nullptr) throw StudyError("no such study: " + name);
-  return *s;
-}
-
 // --- execution -----------------------------------------------------------------
 
 std::vector<scenario::BatchJob> jobs_for(const Study& study,

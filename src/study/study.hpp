@@ -103,7 +103,6 @@ class StudyRegistry {
  public:
   void add(Study study);
   [[nodiscard]] const Study* find(const std::string& name) const;
-  [[nodiscard]] const Study& at(const std::string& name) const;  ///< throws
   [[nodiscard]] const std::vector<Study>& all() const { return studies_; }
 
   /// The built-in paper-figure catalogue: fig1 workload profiles, the

@@ -28,10 +28,10 @@ namespace drowsy::util {
 class InlineFn {
  public:
   /// Inline capacity.  The hot scheduling sites fit: a switch frame
-  /// delivery's {shared_ptr, net::Packet} is 56 bytes (pinned by
-  /// tests/net/test_sdn_switch.cpp), Host::begin_suspend's {this, gen, cb}
-  /// 8 + 8 + sizeof(std::function) = 48.  Captures beyond it fall back to
-  /// one heap allocation, preserving correctness.
+  /// delivery's {pointer, net::Packet} is 40 bytes (pinned by
+  /// tests/net/test_sdn_switch.cpp), and a std::function capture fits
+  /// too.  Captures beyond it fall back to one heap allocation,
+  /// preserving correctness.
   static constexpr std::size_t kInlineBytes = 64;
 
   InlineFn() = default;

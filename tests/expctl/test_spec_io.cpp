@@ -140,10 +140,10 @@ TEST(SpecIo, NetSpecEmitsOnlyWhenSetAndRoundTrips) {
   // Non-default knobs round-trip through the conditional object.
   sc::ScenarioSpec net = plain;
   net.name = "netty";
-  net.net.enabled = true;
   net.net.port_latency = 2;
   net.net.serialization = 5;
-  net.net.wake_max_in_flight = 4;
+  EXPECT_EQ(ec::to_json(net).find("net")->dump(0),
+            R"({"port_latency_ms":2,"serialization_ms":5})");
   const sc::ScenarioSpec back = ec::scenario_spec_from_json(ec::to_json(net));
   EXPECT_TRUE(back.net == net.net);
 
@@ -173,6 +173,24 @@ TEST(SpecIo, NetSpecValidationErrors) {
     } catch (const ec::SpecError& e) {
       EXPECT_NE(std::string(e.what()).find("unknown key \"" + key + "\""),
                 std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SpecIo, NetSpecRejectsRemovedKnobsByName) {
+  // The fabric switch, the planner's knobs (now netsim constants) and the
+  // on/off flag (0 latency and 0 serialization are the fiat path) are no
+  // longer settable; a spec that still names one is refused, naming it.
+  for (const std::string key :
+       {"enabled", "wake_max_in_flight", "wake_stagger_ms", "wake_admission_window_ms"}) {
+    const std::string text = R"({"name": "x", "hosts": 2, "vms": [{"name_prefix": "v", )"
+                             R"("count": 2}], "net": {")" + key + R"(": 1}})";
+    try {
+      static_cast<void>(ec::scenario_spec_from_json(ec::Json::parse(text)));
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const ec::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"" + key + "\""), std::string::npos)
           << e.what();
     }
   }

@@ -40,9 +40,3 @@ TEST(Addr, ComparisonOperators) {
   EXPECT_NE(n::MacAddress::for_host(3), n::MacAddress::for_host(4));
   EXPECT_LT(n::Ipv4{1}, n::Ipv4{2});
 }
-
-TEST(Addr, PacketKindNames) {
-  EXPECT_STREQ(n::to_string(n::PacketKind::Request), "request");
-  EXPECT_STREQ(n::to_string(n::PacketKind::Response), "response");
-  EXPECT_STREQ(n::to_string(n::PacketKind::WakeOnLan), "wol");
-}

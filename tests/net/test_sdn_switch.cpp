@@ -5,8 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "sim/event_queue.hpp"
+
 namespace n = drowsy::net;
 namespace obs = drowsy::obs;
+namespace s = drowsy::sim;
 namespace u = drowsy::util;
 
 namespace {
@@ -112,6 +115,82 @@ TEST_F(SwitchFixture, AnalyzersRunInInstallationOrder) {
   p.dst = vm_ip;
   sw.inject(p);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(SwitchFrames, SendWolCountsItsFrames) {
+  ImmediateDispatcher dispatcher;
+  n::SdnSwitch sw{dispatcher};
+  const n::MacAddress mac = n::MacAddress::for_host(0);
+  std::vector<n::Packet> received;
+  sw.attach_port(mac, [&received](const n::Packet& p) { received.push_back(p); });
+  EXPECT_TRUE(sw.send_wol(mac));
+  EXPECT_FALSE(sw.send_wol(n::MacAddress::for_host(1)));  // no such port
+  EXPECT_EQ(sw.wol_frames(), 2u);
+  EXPECT_EQ(sw.dropped_count(), 1u);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].kind, n::PacketKind::WakeOnLan);
+  EXPECT_EQ(received[0].dst_mac, mac);
+}
+
+namespace {
+
+/// A switch port over a bare event queue that logs delivery instants.
+struct PipeFixture : ::testing::Test {
+  s::EventQueue q;
+  n::MacAddress mac = n::MacAddress::for_host(0);
+  std::vector<u::SimTime> delivered;
+
+  void wire(n::SdnSwitch& sw) {
+    sw.attach_port(mac, [this](const n::Packet&) { delivered.push_back(q.now()); });
+  }
+};
+
+}  // namespace
+
+TEST_F(PipeFixture, ZeroSerializationKeepsTheBareQueueOrder) {
+  // Frames through a pipe with serialization 0 take the same (time, seq)
+  // place among other events that scheduling them on the bare queue
+  // would give.
+  n::SdnSwitch five(q, /*port_latency=*/5);
+  n::SdnSwitch three(q, /*port_latency=*/3);
+  std::vector<int> order;
+  five.attach_port(mac, [&order](const n::Packet&) { order.push_back(1); });
+  three.attach_port(mac, [&order](const n::Packet&) { order.push_back(3); });
+  five.send_wol(mac);
+  q.schedule_after(5, [&order] { order.push_back(2); });  // same instant, later seq
+  three.send_wol(mac);
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(five.queue_delay_p99_ms(), 0.0);
+  EXPECT_EQ(three.queue_delay_p99_ms(), 0.0);
+}
+
+TEST_F(PipeFixture, SerializationQueuesConcurrentFrames) {
+  // Three frames injected in the same instant with port latency 2 and
+  // serialization 5: the pipe frees at 5, 10, 15, so deliveries land at
+  // 7, 12, 17 and the queue delays are 5 and 10 (the first frame never
+  // waits and is not sampled), whose p99 interpolates to 9.95.
+  n::SdnSwitch sw(q, /*port_latency=*/2, /*serialization=*/5);
+  wire(sw);
+  q.schedule_at(0, [&] {
+    for (int i = 0; i < 3; ++i) sw.send_wol(mac);
+  });
+  q.run_all();
+  EXPECT_EQ(delivered, (std::vector<u::SimTime>{7, 12, 17}));
+  EXPECT_DOUBLE_EQ(sw.queue_delay_p99_ms(), 9.95);
+}
+
+TEST_F(PipeFixture, IdlePipeAddsNoQueueDelay) {
+  // Frames spaced wider than the serialization time never wait: each
+  // arrives at an idle pipe and only pays serialization + port latency.
+  n::SdnSwitch sw(q, /*port_latency=*/2, /*serialization=*/5);
+  wire(sw);
+  for (u::SimTime t : {0, 100, 200}) {
+    q.schedule_at(t, [&] { sw.send_wol(mac); });
+  }
+  q.run_all();
+  EXPECT_EQ(delivered, (std::vector<u::SimTime>{7, 107, 207}));
+  EXPECT_EQ(sw.queue_delay_p99_ms(), 0.0);
 }
 
 TEST(SwitchFrames, DeliveriesFitInline) {

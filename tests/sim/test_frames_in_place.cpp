@@ -1,10 +1,11 @@
 // In-place delivery of request frames.
 //
-// net::SdnSwitch hands a request frame straight to its port when the
-// dispatcher says a frame queued now would be the next event to run
-// (net::Dispatcher::would_run_next).  The unit cases pin when that holds.
-// The differential runs one request schedule twice: through a dispatcher
-// that may run frames in place, and through AlwaysQueue, which never
+// net::SdnSwitch hands a request frame straight to its port when it has
+// no port latency or serialization and the dispatcher says a frame queued
+// now would be the next event to run (net::Dispatcher::would_run_next).
+// The unit cases pin when that holds.  The differential runs one request
+// schedule twice: over the event queue, which may run frames in place,
+// and over AlwaysQueue, which never
 // claims a frame would run next and so queues every frame.  Both runs
 // must make the same observations in the same order (frames entering the
 // switch, requests completing, power transitions) and end with the same
@@ -22,7 +23,6 @@
 
 #include "core/waking_module.hpp"
 #include "net/sdn_switch.hpp"
-#include "netsim/dispatcher.hpp"
 #include "obs/event_profile.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/requests.hpp"
@@ -30,7 +30,6 @@
 
 namespace c = drowsy::core;
 namespace n = drowsy::net;
-namespace ns = drowsy::netsim;
 namespace obs = drowsy::obs;
 namespace s = drowsy::sim;
 namespace t = drowsy::trace;
@@ -89,19 +88,15 @@ struct OnePort : ::testing::Test {
 }  // namespace
 
 TEST_F(OnePort, RequestThatWouldRunNextIsDeliveredBeforeInjectReturns) {
-  ns::EventQueueDispatcher pipe(q, /*serialization=*/0);
-  n::SdnSwitch bare(q);
-  n::SdnSwitch piped(pipe);
-  wire(bare);
-  wire(piped);
-  inject_at(bare, 10, 1);
-  inject_at(piped, 20, 2);
+  n::SdnSwitch sw(q, /*port_latency=*/0, /*serialization=*/0);
+  wire(sw);
+  inject_at(sw, 10, 1);
+  inject_at(sw, 20, 2);
   q.run_all();
   EXPECT_EQ(order, (std::vector<std::string>{"deliver 1 at 10", "after inject 1",
                                              "deliver 2 at 20", "after inject 2"}));
   EXPECT_EQ(profile.events(obs::EventTag::NetsimFrame), 0u);
-  EXPECT_EQ(pipe.frames(), 0u);
-  EXPECT_EQ(bare.forwarded_count() + piped.forwarded_count(), 2u);
+  EXPECT_EQ(sw.forwarded_count(), 2u);
 }
 
 TEST_F(OnePort, AnEventDueInTheSameMillisecondKeepsTheFrameQueued) {
@@ -156,8 +151,7 @@ TEST_F(OnePort, InjectionOutsideDispatchIsQueued) {
 
 TEST_F(OnePort, PortLatencyOrSerializationKeepsFramesQueued) {
   n::SdnSwitch slow_port(q, /*port_latency=*/2);
-  ns::EventQueueDispatcher pipe(q, /*serialization=*/3);
-  n::SdnSwitch serialized(pipe);
+  n::SdnSwitch serialized(q, /*port_latency=*/0, /*serialization=*/3);
   wire(slow_port);
   wire(serialized);
   inject_at(slow_port, 10, 1);
@@ -213,19 +207,17 @@ struct Suspend {
   bool before_stream;
 };
 
-enum class Via { Queue, Pipe, AlwaysQueue };
+enum class Via { Queue, AlwaysQueue };
 
 /// Two hosts (two VMs on host 0, one on host 1) with steady request
 /// traffic, a request fabric and a waking module on the switch.
 class Rig {
  public:
   explicit Rig(Via via, u::SimTime port_latency = 0, u::SimTime serialization = 0)
-      : pipe_(q_, serialization),
-        always_(q_),
-        sw_(via == Via::Queue  ? static_cast<n::Dispatcher&>(q_)
-            : via == Via::Pipe ? static_cast<n::Dispatcher&>(pipe_)
-                               : static_cast<n::Dispatcher&>(always_),
-            port_latency),
+      : always_(q_),
+        sw_(via == Via::Queue ? static_cast<n::Dispatcher&>(q_)
+                              : static_cast<n::Dispatcher&>(always_),
+            port_latency, serialization),
         fabric_(cluster_, sw_, request_config()),
         waking_(cluster_, sw_, c::WakingConfig{}, "waking") {
     q_.set_profile(&profile_);
@@ -296,7 +288,6 @@ class Rig {
 
   s::EventQueue q_;
   s::Cluster cluster_{q_};
-  ns::EventQueueDispatcher pipe_;
   AlwaysQueue always_;
   n::SdnSwitch sw_;
   s::RequestFabric fabric_;
@@ -435,15 +426,12 @@ TEST(FramesInPlaceDifferential, SameObservationsAsQueuingEveryFrame) {
   EXPECT_GT(reference.stats().woke_host, 0u);
   EXPECT_EQ(reference.frame_events(), reference.frames_forwarded());
 
-  for (const Via via : {Via::Queue, Via::Pipe}) {
-    SCOPED_TRACE(via == Via::Queue ? "bare queue" : "passthrough pipe");
-    Rig in_place(via);
-    in_place.run(script, kRunFor);
-    expect_same_run(in_place, reference);
-    // Most frames ran in place; WoL frames and collisions stayed events.
-    EXPECT_GT(in_place.frame_events(), 0u);
-    EXPECT_LT(in_place.frame_events() * 10, in_place.frames_forwarded());
-  }
+  Rig in_place(Via::Queue);
+  in_place.run(script, kRunFor);
+  expect_same_run(in_place, reference);
+  // Most frames ran in place; WoL frames and collisions stayed events.
+  EXPECT_GT(in_place.frame_events(), 0u);
+  EXPECT_LT(in_place.frame_events() * 10, in_place.frames_forwarded());
 }
 
 TEST(FramesInPlaceDifferential, LatencyOrSerializationQueuesEveryFrame) {
@@ -456,7 +444,7 @@ TEST(FramesInPlaceDifferential, LatencyOrSerializationQueuesEveryFrame) {
   expect_same_run(slow_port, reference);
   EXPECT_EQ(slow_port.frame_events(), slow_port.frames_forwarded());
 
-  Rig serialized(Via::Pipe, /*port_latency=*/0, /*serialization=*/1);
+  Rig serialized(Via::Queue, /*port_latency=*/0, /*serialization=*/1);
   serialized.run(script, kRunFor);
   EXPECT_GT(serialized.frames_forwarded(), 0u);
   EXPECT_EQ(serialized.frame_events(), serialized.frames_forwarded());

@@ -30,13 +30,16 @@ TEST_F(HostFixture, StartsAwake) {
 }
 
 TEST_F(HostFixture, SuspendTakesSuspendLatency) {
-  bool suspended = false;
-  EXPECT_TRUE(host.begin_suspend([&] { suspended = true; }));
+  u::SimTime suspended_at = -1;
+  host.add_on_transition([&](s::PowerState, s::PowerState to) {
+    if (to == s::PowerState::S3) suspended_at = q.now();
+  });
+  EXPECT_TRUE(host.begin_suspend());
   EXPECT_EQ(host.state(), s::PowerState::Suspending);
   q.run_until(model.suspend_latency - 1);
-  EXPECT_FALSE(suspended);
+  EXPECT_EQ(suspended_at, -1);
   q.run_until(model.suspend_latency);
-  EXPECT_TRUE(suspended);
+  EXPECT_EQ(suspended_at, model.suspend_latency);
   EXPECT_EQ(host.state(), s::PowerState::S3);
   EXPECT_EQ(host.suspend_count(), 1);
 }
@@ -52,15 +55,14 @@ TEST_F(HostFixture, ResumeTakesNaiveLatency) {
   host.begin_suspend();
   q.run_all();
   ASSERT_EQ(host.state(), s::PowerState::S3);
-  bool resumed = false;
-  EXPECT_TRUE(host.begin_resume([&] { resumed = true; }));
+  u::SimTime resumed_at = -1;
+  host.add_on_wake([&] { resumed_at = q.now(); });
+  EXPECT_TRUE(host.begin_resume());
   EXPECT_EQ(host.state(), s::PowerState::Resuming);
   q.run_all();
-  EXPECT_TRUE(resumed);
   EXPECT_EQ(host.state(), s::PowerState::S0);
   EXPECT_EQ(host.resume_count(), 1);
-  EXPECT_EQ(host.last_resume_at(),
-            model.suspend_latency + model.resume_latency);
+  EXPECT_EQ(resumed_at, model.suspend_latency + model.resume_latency);
 }
 
 TEST_F(HostFixture, QuickResumeIsFaster) {
@@ -79,7 +81,8 @@ TEST_F(HostFixture, ResumeWhileSuspendingQueues) {
   host.begin_suspend();
   EXPECT_EQ(host.state(), s::PowerState::Suspending);
   bool resumed = false;
-  EXPECT_TRUE(host.begin_resume([&] { resumed = true; }));
+  host.when_awake([&] { resumed = true; });
+  EXPECT_TRUE(host.begin_resume());
   q.run_all();
   EXPECT_TRUE(resumed);
   EXPECT_EQ(host.state(), s::PowerState::S0);
@@ -95,8 +98,10 @@ TEST_F(HostFixture, DoubleResumeSharesOneTransition) {
   host.begin_suspend();
   q.run_all();
   int callbacks = 0;
-  host.begin_resume([&] { ++callbacks; });
-  host.begin_resume([&] { ++callbacks; });
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(host.begin_resume());
+    host.when_awake([&] { ++callbacks; });
+  }
   q.run_all();
   EXPECT_EQ(callbacks, 2);
   EXPECT_EQ(host.resume_count(), 1);
@@ -138,7 +143,6 @@ TEST_F(HostFixture, OnWakeHooksChainInInstallOrder) {
   host.add_on_wake([&] { order.push_back(1); });
   host.add_on_wake([&] { order.push_back(2); });
   host.add_on_wake([&] { order.push_back(3); });
-  EXPECT_EQ(host.on_wake_hook_count(), 3u);
   host.begin_suspend();
   q.run_all();
   host.begin_resume();

@@ -64,7 +64,9 @@ std::string legacy_fig3_csv(int days, double rate) {
 }
 
 TEST(Fig3LegacyDiff, StudyPathReproducesTheLegacyBenchByteForByte) {
-  const st::Study& study = st::StudyRegistry::builtin().at("fig3-grace-ablation");
+  const st::Study* found = st::StudyRegistry::builtin().find("fig3-grace-ablation");
+  ASSERT_NE(found, nullptr);
+  const st::Study& study = *found;
   st::StudyParams params = study.params;
   params.set("days", 1);
 

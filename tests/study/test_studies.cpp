@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,20 @@ std::vector<std::string> cells_of(const std::string& line) {
   return cells;
 }
 
+/// The built-in study `name`; throws, failing the test, when there is none.
+const st::Study& builtin_study(const std::string& name) {
+  const st::Study* study = st::StudyRegistry::builtin().find(name);
+  if (study == nullptr) throw std::invalid_argument("no built-in study " + name);
+  return *study;
+}
+
 /// Run a study once per (study, shrunk-params) and memoize — several
 /// tests inspect the same figure.
 const st::StudyOutcome& outcome_of(const std::string& name) {
   static std::map<std::string, st::StudyOutcome> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
-    const st::Study& study = st::StudyRegistry::builtin().at(name);
+    const st::Study& study = builtin_study(name);
     it = cache.emplace(name, st::run_study(study, small_params(study), 2)).first;
   }
   return it->second;
@@ -74,7 +82,6 @@ TEST(StudyRegistry, BuiltinCatalogueIsSane) {
     EXPECT_FALSE(jobs.empty());
   }
   EXPECT_EQ(registry.find("no-such-study"), nullptr);
-  EXPECT_THROW(static_cast<void>(registry.at("no-such-study")), st::StudyError);
 }
 
 TEST(StudyRegistry, EveryStudyRoundTripsOnASmallGrid) {
@@ -184,7 +191,7 @@ TEST(Fig5Study, GainColumnsAreTheRowsOwnKwhRatios) {
 }
 
 TEST(Fig5Study, OpportunisticStepMovesOnlyTheDrowsyColumn) {
-  const st::Study& study = st::StudyRegistry::builtin().at("fig5-llmi-sweep");
+  const st::Study& study = builtin_study("fig5-llmi-sweep");
   st::StudyParams params = small_params(study);
   params.set("opportunistic_step", 0);
   const std::vector<std::string> with = lines_of(outcome_of("fig5-llmi-sweep").csv);
@@ -220,7 +227,7 @@ TEST(EnergyStudy, KwhOrderAndQuickResumeLatency) {
 }
 
 TEST(ReduceStudy, RejectsMismatchedResults) {
-  const st::Study& study = st::StudyRegistry::builtin().at("fig3-grace-ablation");
+  const st::Study& study = builtin_study("fig3-grace-ablation");
   const st::StudyParams params = small_params(study);
   std::vector<sc::RunResult> results = outcome_of("fig3-grace-ablation").results;
   const std::vector<sc::BatchJob> jobs = st::jobs_for(study, params);

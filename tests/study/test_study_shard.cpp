@@ -51,7 +51,9 @@ TEST(StudyDump, SweepJsonRoundTripsToTheIdenticalGrid) {
 }
 
 TEST(StudyReduce, MergedJournalsReduceByteIdenticalToTheDirectPath) {
-  const st::Study& study = st::StudyRegistry::builtin().at("fig3-grace-ablation");
+  const st::Study* found = st::StudyRegistry::builtin().find("fig3-grace-ablation");
+  ASSERT_NE(found, nullptr);
+  const st::Study& study = *found;
   const st::StudyParams params = small_params(study);
   const std::vector<sc::BatchJob> jobs = st::jobs_for(study, params);
 
