@@ -36,12 +36,10 @@ void Controller::install() {
 
   // Waking modules: primary plus a heartbeat-mirrored standby.
   waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_,
-                                                   options_.drowsy.waking,
-                                                   "waking-primary", /*active=*/true);
-  waking_primary_->install_analyzer();
+                                                   options_.drowsy.waking, "waking-primary");
+  waking_primary_->activate();
   waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_, options_.drowsy.waking,
-                                                   "waking-standby", /*active=*/false);
-  waking_standby_->install_analyzer();
+                                                   "waking-standby");
   waking_primary_->set_mirror(waking_standby_.get());
   waking_pair_ = std::make_unique<net::MirroredPair>(
       cluster_.queue(), net::HeartbeatConfig{},

@@ -2,8 +2,8 @@
 //
 // Lives on the (never-sleeping) SDN switch.  Two wake triggers:
 //  (a) inbound network request: a lightweight packet analyzer checks every
-//      frame against a hashmap of VM IPs → drowsy-host MACs and sends a
-//      Wake-on-LAN magic packet when the destination server is suspended;
+//      frame against a map of VM IPs → drowsy hosts (a vector by VM index)
+//      and sends a Wake-on-LAN magic packet when the host is suspended;
 //  (b) scheduled waking date: the suspending module registers the earliest
 //      relevant guest timer before suspending; the waking module sends the
 //      WoL *ahead of time* so the host is up when the timer fires.
@@ -11,14 +11,14 @@
 // Fault tolerance: modules are deployed in mirrored pairs.  Every
 // registration is forwarded to the standby; a heartbeat monitor promotes
 // the standby when the primary dies (net::MirroredPair provides the
-// detection machinery; the promote callback calls activate() here).
+// detection machinery; the promote callback calls activate() here, which
+// installs the standby's analyzer: until then it analyzes no frame).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "core/config.hpp"
 #include "net/sdn_switch.hpp"
@@ -36,17 +36,16 @@ struct WakingStats {
 /// One waking module instance (primary or standby).
 class WakingModule {
  public:
-  /// `name` identifies the instance in logs ("waking-rack0-primary").
+  /// `name` identifies the instance in logs ("waking-rack0-primary").  A
+  /// new instance is an inactive standby: it analyzes no frame.
   WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, WakingConfig config,
-               std::string name, bool active = true);
+               std::string name);
 
-  /// Install the packet analyzer on the switch.  Call once per instance;
-  /// inactive (standby) instances observe but do not send WoL.
-  void install_analyzer();
-
-  /// Promote a standby to active duty (heartbeat failover).
-  void activate() { active_ = true; }
-  /// Demote (crash simulation: a dead module sends nothing).
+  /// Put the module on duty (the primary at install, a standby at
+  /// heartbeat failover).  The first call installs its packet analyzer on
+  /// the switch, which therefore runs after those installed before.
+  void activate();
+  /// Demote (crash simulation: a dead module analyzes, but sends nothing).
   void deactivate() { active_ = false; }
   [[nodiscard]] bool active() const { return active_; }
 
@@ -67,29 +66,29 @@ class WakingModule {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Number of live entries in the VM→host map (observability).
-  [[nodiscard]] std::size_t vm_map_size() const { return vm_to_host_.size(); }
+  [[nodiscard]] std::size_t vm_map_size() const {
+    return vm_to_host_.size() - std::ranges::count(vm_to_host_, kNoHost);
+  }
 
  private:
+  static constexpr sim::HostId kNoHost = UINT32_MAX;
+
   void analyze(const net::Packet& packet);
-  void fire_scheduled(util::SimTime due, net::MacAddress mac);
-  [[nodiscard]] sim::Host* host_by_mac(const net::MacAddress& mac);
+  void fire_scheduled(util::SimTime due, sim::HostId host_id);
 
   sim::Cluster& cluster_;
   net::SdnSwitch& switch_;
   WakingConfig config_;
   std::string name_;
-  bool active_;
+  bool active_ = false;
+  bool analyzing_ = false;  ///< the analyzer is installed
   WakingModule* mirror_ = nullptr;
   WakingStats stats_;
 
-  /// VM IP → MAC of the drowsy server hosting it (paper §V-A).
-  std::unordered_map<net::Ipv4, net::MacAddress> vm_to_host_;
-  /// Scheduled waking dates → host MACs (paper §V-B).
-  std::multimap<util::SimTime, net::MacAddress> schedule_;
-  /// Hosts with a WoL already in flight (avoid one WoL per frame).
-  std::unordered_set<net::MacAddress> wol_pending_;
-  /// MAC → host id, learned as hosts suspend.
-  std::unordered_map<net::MacAddress, sim::HostId> mac_index_;
+  /// By VM index: the drowsy server hosting it, kNoHost if unknown (§V-A).
+  std::vector<sim::HostId> vm_to_host_;
+  /// By host id: a WoL is already in flight (avoid one WoL per frame).
+  std::vector<bool> wol_pending_;
 };
 
 }  // namespace drowsy::core

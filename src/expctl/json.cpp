@@ -455,6 +455,11 @@ void dump_string(std::string& out, const std::string& s) {
 
 void dump_double(std::string& out, double v) {
   if (!std::isfinite(v)) throw JsonError("NaN/infinity is not representable in JSON");
+  // "-0" would parse back as the integer 0 and lose the sign.
+  if (v == 0.0 && std::signbit(v)) {
+    out += "-0.0";
+    return;
+  }
   // Shortest round-trip form: "0.02" stays "0.02", which is what makes
   // serialize -> parse -> serialize byte-stable.
   char buf[32];

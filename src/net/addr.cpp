@@ -20,6 +20,12 @@ MacAddress MacAddress::for_host(std::uint32_t index) {
   return m;
 }
 
+std::optional<std::uint32_t> MacAddress::host_index() const {
+  if (octets[0] != 0x02 || octets[1] != 0x00) return std::nullopt;
+  return (std::uint32_t{octets[2]} << 24) | (std::uint32_t{octets[3]} << 16) |
+         (std::uint32_t{octets[4]} << 8) | octets[5];
+}
+
 std::string Ipv4::to_string() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value >> 24) & 0xff, (value >> 16) & 0xff,

@@ -1,14 +1,14 @@
 // Network addresses: 48-bit MACs for hosts, IPv4 for VMs.
 //
-// The waking module keys its two hashmaps on these types: VM-IP → host-MAC
-// for inbound-request wake-ups, and waking-date → host-MAC for scheduled
-// wake-ups (paper §V).
+// Both are functions of an index (MacAddress::for_host, Ipv4::for_vm),
+// which the switch and the waking module decode to keep their tables,
+// such as the VM-IP → drowsy-host map (paper §V), in vectors.
 #pragma once
 
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 
 namespace drowsy::net {
@@ -24,6 +24,9 @@ struct MacAddress {
 
   /// Deterministic MAC for host index i (locally administered prefix).
   [[nodiscard]] static MacAddress for_host(std::uint32_t index);
+
+  /// Inverse of for_host; nullopt without its 02:00 prefix.
+  [[nodiscard]] std::optional<std::uint32_t> host_index() const;
 };
 
 /// IPv4 address as a host-order 32-bit value.
@@ -34,9 +37,18 @@ struct Ipv4 {
 
   [[nodiscard]] std::string to_string() const;
 
+  /// Largest number of VM addresses: 10.0.0.2 up to 10.255.255.255.
+  static constexpr std::uint32_t kMaxVms = (1u << 24) - 2;
+
   /// Deterministic address in 10.0.0.0/8 for VM index i: 10.0.0.2 upward.
   [[nodiscard]] static constexpr Ipv4 for_vm(std::uint32_t index) {
     return Ipv4{(10u << 24) | (index + 2)};
+  }
+
+  /// Inverse of for_vm.  An address that is no VM's wraps to an index at
+  /// or past kMaxVms, so one bounds check rejects it.
+  [[nodiscard]] constexpr std::uint32_t vm_index() const {
+    return value - for_vm(0).value;
   }
 };
 
@@ -59,19 +71,3 @@ struct Packet {
 };
 
 }  // namespace drowsy::net
-
-template <>
-struct std::hash<drowsy::net::MacAddress> {
-  std::size_t operator()(const drowsy::net::MacAddress& m) const noexcept {
-    std::uint64_t v = 0;
-    for (auto o : m.octets) v = (v << 8) | o;
-    return std::hash<std::uint64_t>{}(v);
-  }
-};
-
-template <>
-struct std::hash<drowsy::net::Ipv4> {
-  std::size_t operator()(const drowsy::net::Ipv4& ip) const noexcept {
-    return std::hash<std::uint32_t>{}(ip.value);
-  }
-};

@@ -14,11 +14,23 @@ SdnSwitch::SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency,
 }
 
 void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> deliver) {
-  [[maybe_unused]] const bool added = ports_.emplace(mac, std::move(deliver)).second;
-  assert(added && "a MAC takes one port");
+  const std::optional<std::uint32_t> host = mac.host_index();
+  assert(host.has_value() && "a port takes a MacAddress::for_host");
+  if (!host) return;
+  if (*host >= ports_.size()) ports_.resize(std::size_t{*host} + 1);
+  auto& port = ports_[*host];
+  assert(port == nullptr && "a MAC takes one port");
+  if (port == nullptr) port = std::make_unique<const Deliver>(std::move(deliver));
 }
 
-void SdnSwitch::bind_ip(Ipv4 ip, MacAddress host_mac) { forwarding_[ip] = host_mac; }
+void SdnSwitch::bind_ip(Ipv4 ip, MacAddress host_mac) {
+  const std::uint32_t vm = ip.vm_index();
+  const std::optional<std::uint32_t> host = host_mac.host_index();
+  assert(vm < Ipv4::kMaxVms && host.has_value() && "bind an Ipv4::for_vm to a for_host");
+  if (vm >= Ipv4::kMaxVms) return;
+  if (vm >= forwarding_.size()) forwarding_.resize(vm + 1, kUnbound);
+  forwarding_[vm] = host.value_or(kUnbound);
+}
 
 void SdnSwitch::add_analyzer(PacketAnalyzer analyzer) {
   analyzers_.push_back(std::move(analyzer));
@@ -29,15 +41,15 @@ bool SdnSwitch::inject(const Packet& packet) {
   if (stamped.sent_at < 0) stamped.sent_at = dispatcher_.now();
   for (const auto& analyzer : analyzers_) analyzer(stamped);
   if (stamped.kind == PacketKind::WakeOnLan) {
-    return deliver_to_mac(stamped.dst_mac, stamped);
+    return deliver_to_port(stamped.dst_mac.host_index().value_or(kUnbound), stamped);
   }
-  auto it = forwarding_.find(stamped.dst);
-  if (it == forwarding_.end()) {
+  const std::uint32_t vm = stamped.dst.vm_index();
+  if (vm >= forwarding_.size() || forwarding_[vm] == kUnbound) {
     ++dropped_;
     DROWSY_LOG_DEBUG("sdn", "no route for %s", stamped.dst.to_string().c_str());
     return false;
   }
-  return deliver_to_mac(it->second, stamped);
+  return deliver_to_port(forwarding_[vm], stamped);
 }
 
 bool SdnSwitch::send_wol(MacAddress mac) {
@@ -48,11 +60,11 @@ bool SdnSwitch::send_wol(MacAddress mac) {
   return inject(p);
 }
 
-bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
-  auto it = ports_.find(mac);
-  if (it == ports_.end()) {
+bool SdnSwitch::deliver_to_port(std::uint32_t host, const Packet& packet) {
+  const Deliver* deliver = host < ports_.size() ? ports_[host].get() : nullptr;
+  if (deliver == nullptr) {
     ++dropped_;
-    DROWSY_LOG_DEBUG("sdn", "no port for %s", mac.to_string().c_str());
+    DROWSY_LOG_DEBUG("sdn", "no port for host %u", host);
     return false;
   }
   ++forwarded_;
@@ -61,7 +73,7 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
   // analyzer injects them midway through another frame's inject.
   if (packet.kind == PacketKind::Request && port_latency_ == 0 && serialization_ == 0 &&
       dispatcher_.would_run_next()) {
-    it->second(packet);
+    (*deliver)(packet);
     return true;
   }
   // The frame waits for the egress pipe, occupies it for its
@@ -75,7 +87,7 @@ bool SdnSwitch::deliver_to_mac(const MacAddress& mac, const Packet& packet) {
   // {pointer, Packet} fits util::InlineFn's buffer: no allocation per
   // frame.
   dispatcher_.schedule_after(busy_until_ + port_latency_ - now,
-                             [deliver = &it->second, packet] { (*deliver)(packet); },
+                             [deliver, packet] { (*deliver)(packet); },
                              obs::EventTag::NetsimFrame);
   return true;
 }

@@ -4,16 +4,16 @@
 // (SDN) switch" (§V): every frame traverses the switch, where a
 // "lightweight packet analyzer" can inspect it before forwarding.  This
 // model reproduces that interposition point: ports are registered by MAC,
-// a forwarding table maps VM IPs to host MACs, and analyzers see every
-// frame first.  Frames leave through one serializing egress pipe, so a
-// burst of simultaneous WoL wakes (the wake-storm case) queues behind
-// itself and later frames pay a measurable queueing delay.
+// a forwarding table maps VM IPs to hosts (vectors by the index each
+// address encodes), and analyzers see every frame first.  Frames leave
+// through one serializing egress pipe, so a burst of simultaneous WoL
+// wakes (the wake-storm case) queues behind itself and later frames pay a
+// measurable queueing delay.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "net/addr.hpp"
@@ -58,11 +58,11 @@ class SdnSwitch {
   explicit SdnSwitch(Dispatcher& dispatcher, util::SimTime port_latency = 0,
                      util::SimTime serialization = 0);
 
-  /// Attach a port; frames to `mac` are delivered there.  A MAC takes
-  /// one port, for the switch's lifetime.
+  /// Attach a port; frames to `mac` (a MacAddress::for_host) are
+  /// delivered there.  A MAC takes one port, for the switch's lifetime.
   void attach_port(MacAddress mac, std::function<void(const Packet&)> deliver);
 
-  /// Bind a VM IP to the MAC of its hosting server.  The paper updates
+  /// Bind a VM IP (Ipv4::for_vm) to its server's MAC.  The paper updates
   /// these mappings "only when a host is suspended" — callers decide when.
   void bind_ip(Ipv4 ip, MacAddress host_mac);
 
@@ -86,7 +86,7 @@ class SdnSwitch {
   bool send_wol(MacAddress mac);
 
   [[nodiscard]] std::uint64_t forwarded_count() const { return forwarded_; }
-  /// Frames with no route (unbound IP) or no port (unknown MAC).
+  /// Frames with no route (unbound IP) or no port (unattached MAC).
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
   /// WoL magic packets sent through send_wol.
   [[nodiscard]] std::uint64_t wol_frames() const { return wol_frames_; }
@@ -98,18 +98,21 @@ class SdnSwitch {
   }
 
  private:
-  bool deliver_to_mac(const MacAddress& mac, const Packet& packet);
+  bool deliver_to_port(std::uint32_t host, const Packet& packet);
 
   using Deliver = std::function<void(const Packet&)>;
+  static constexpr std::uint32_t kUnbound = UINT32_MAX;
 
   Dispatcher& dispatcher_;
   util::SimTime port_latency_;
   util::SimTime serialization_;
   util::SimTime busy_until_ = 0;
-  /// Ports never detach and map nodes never move, so a queued delivery
-  /// captures a pointer to its port's callback, not a copy.
-  std::unordered_map<MacAddress, const Deliver> ports_;
-  std::unordered_map<Ipv4, MacAddress> forwarding_;
+  /// Port callbacks by host index, null where none is attached.  Ports
+  /// never detach and each callback has its own allocation, so a queued
+  /// delivery captures a pointer to it, not a copy.
+  std::vector<std::unique_ptr<const Deliver>> ports_;
+  /// Host index by VM index, kUnbound where no IP is bound.
+  std::vector<std::uint32_t> forwarding_;
   std::vector<PacketAnalyzer> analyzers_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,12 +35,9 @@ class TimelineObserver final : public RunObserver {
         path_(std::move(path)),
         writer_(spec.name + " / " + to_string(policy) + " / seed " +
                 std::to_string(seed)) {
-    const auto& hosts = run.cluster.hosts();
-    for (const auto& host : hosts) {
-      const std::uint32_t track = writer_.add_track(host->name());
-      host_track_[host->id()] = track;
-      mac_track_[host->mac()] = track;
-      open_state_[host->id()] = {host->state(), run.queue.now()};
+    for (const auto& host : run.cluster.hosts()) {
+      host_track_.push_back(writer_.add_track(host->name()));
+      open_state_.emplace_back(host->state(), run.queue.now());
       sim::Host* h = host.get();
       host->add_on_transition(
           [this, h](sim::PowerState from, sim::PowerState to) {
@@ -53,8 +49,10 @@ class TimelineObserver final : public RunObserver {
     // WoL frames: observe at the switch, where every frame passes.
     run.sdn.add_analyzer([this](const net::Packet& p) {
       if (p.kind != net::PacketKind::WakeOnLan) return;
-      auto it = mac_track_.find(p.dst_mac);
-      if (it != mac_track_.end()) writer_.add_instant(it->second, "wol", run_.queue.now());
+      const std::uint32_t host = p.dst_mac.host_index().value_or(UINT32_MAX);
+      if (host < host_track_.size()) {
+        writer_.add_instant(host_track_[host], "wol", run_.queue.now());
+      }
     });
 
     // SLA violations, stamped at completion with the measured latency.
@@ -75,9 +73,9 @@ class TimelineObserver final : public RunObserver {
     // in host-id order (deterministic tail layout).
     const util::SimTime end = run_.queue.now();
     for (const auto& host : run_.cluster.hosts()) {
-      const auto& open = open_state_.at(host->id());
-      writer_.add_slice(host_track_.at(host->id()), sim::to_string(open.first),
-                        open.second, end);
+      const auto& open = open_state_[host->id()];
+      writer_.add_slice(host_track_[host->id()], sim::to_string(open.first), open.second,
+                        end);
     }
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write trace file " + path_);
@@ -90,17 +88,16 @@ class TimelineObserver final : public RunObserver {
     (void)from;
     auto& open = open_state_[host.id()];
     const util::SimTime now = run_.queue.now();
-    writer_.add_slice(host_track_.at(host.id()), sim::to_string(open.first),
-                      open.second, now);
+    writer_.add_slice(host_track_[host.id()], sim::to_string(open.first), open.second, now);
     open = {to, now};
   }
 
   ScenarioRun& run_;
   std::string path_;
   obs::TraceWriter writer_;
-  std::unordered_map<sim::HostId, std::uint32_t> host_track_;
-  std::unordered_map<net::MacAddress, std::uint32_t> mac_track_;
-  std::unordered_map<sim::HostId, std::pair<sim::PowerState, util::SimTime>> open_state_;
+  // By host id: the host's track, and its open power-state slice.
+  std::vector<std::uint32_t> host_track_;
+  std::vector<std::pair<sim::PowerState, util::SimTime>> open_state_;
   std::uint32_t requests_track_ = 0;
 };
 

@@ -19,6 +19,7 @@ Host& Cluster::add_host(HostSpec spec) {
 Vm& Cluster::add_vm(VmSpec spec, std::shared_ptr<const trace::ActivityTrace> workload) {
   const VmId id = static_cast<VmId>(vms_.size());
   vms_.push_back(std::make_unique<Vm>(id, std::move(spec), std::move(workload)));
+  placement_.push_back(kUnplaced);
   return *vms_.back();
 }
 
@@ -29,8 +30,7 @@ Host* Cluster::host(HostId id) {
 Vm* Cluster::vm(VmId id) { return id < vms_.size() ? vms_[id].get() : nullptr; }
 
 Vm* Cluster::vm_by_ip(net::Ipv4 ip) {
-  // VM i has Ipv4::for_vm(i), 10.0.0.2 + i.
-  const std::uint32_t index = ip.value - net::Ipv4::for_vm(0).value;
+  const std::uint32_t index = ip.vm_index();
   return index < vms_.size() ? vms_[index].get() : nullptr;
 }
 
@@ -38,7 +38,7 @@ bool Cluster::place(VmId vm_id, HostId host_id) {
   Vm* v = vm(vm_id);
   Host* h = host(host_id);
   assert(v != nullptr && h != nullptr);
-  assert(placement_.find(vm_id) == placement_.end() && "already placed; use migrate");
+  assert(placement_[vm_id] == kUnplaced && "already placed; use migrate");
   if (!h->can_host(v->spec())) return false;
   h->attach_vm(*v);
   placement_[vm_id] = host_id;
@@ -50,18 +50,18 @@ bool Cluster::migrate(VmId vm_id, HostId dst_id) {
   Vm* v = vm(vm_id);
   Host* dst = host(dst_id);
   assert(v != nullptr && dst != nullptr);
-  auto it = placement_.find(vm_id);
-  assert(it != placement_.end() && "migrate requires a current placement");
-  if (it->second == dst_id) return false;
+  HostId& at = placement_[vm_id];
+  assert(at != kUnplaced && "migrate requires a current placement");
+  if (at == dst_id) return false;
   if (!dst->can_host(v->spec())) return false;
 
-  Host* src = host(it->second);
+  Host* src = host(at);
   // Live migration needs both endpoints powered: wake a drowsy party.
   if (src->state() != PowerState::S0) src->begin_resume();
   if (dst->state() != PowerState::S0) dst->begin_resume();
   src->detach_vm(vm_id);
   dst->attach_vm(*v);
-  it->second = dst_id;
+  at = dst_id;
   v->note_migration();
   ++total_migrations_;
   migration_time_ += migration_duration(v->spec());
@@ -73,10 +73,10 @@ bool Cluster::migrate(VmId vm_id, HostId dst_id) {
 
 bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targets) {
   // Final residency: current placement overridden by the targets.
-  std::unordered_map<VmId, HostId> final_map = placement_;
+  std::vector<HostId> final_host = placement_;
   for (const auto& [vm_id, host_id] : targets) {
     assert(vm(vm_id) != nullptr && host(host_id) != nullptr);
-    final_map[vm_id] = host_id;
+    final_host[vm_id] = host_id;
   }
   // Validate capacity of the final state per host.
   struct Usage {
@@ -84,16 +84,18 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
     int mem = 0;
     int count = 0;
   };
-  std::unordered_map<HostId, Usage> usage;
-  for (const auto& [vm_id, host_id] : final_map) {
-    const VmSpec& spec = vm(vm_id)->spec();
-    Usage& u = usage[host_id];
+  std::vector<Usage> usage(hosts_.size());
+  for (VmId vm_id = 0; vm_id < final_host.size(); ++vm_id) {
+    if (final_host[vm_id] == kUnplaced) continue;
+    const VmSpec& spec = vms_[vm_id]->spec();
+    Usage& u = usage[final_host[vm_id]];
     u.vcpus += spec.vcpus;
     u.mem += spec.memory_mb;
     u.count += 1;
   }
-  for (const auto& [host_id, u] : usage) {
-    const HostSpec& hs = host(host_id)->spec();
+  for (HostId host_id = 0; host_id < usage.size(); ++host_id) {
+    const Usage& u = usage[host_id];
+    const HostSpec& hs = hosts_[host_id]->spec();
     if (u.vcpus > hs.cpu_capacity || u.mem > hs.memory_mb) return false;
     if (hs.max_vms > 0 && u.count > hs.max_vms) return false;
   }
@@ -101,21 +103,19 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
   // circular swaps never trip the incremental capacity check.
   std::vector<std::pair<VmId, HostId>> moves;
   for (const auto& [vm_id, host_id] : targets) {
-    auto it = placement_.find(vm_id);
-    if (it != placement_.end() && it->second == host_id) continue;
+    HostId& at = placement_[vm_id];
+    if (at == host_id) continue;
     moves.emplace_back(vm_id, host_id);
-    if (it != placement_.end()) {
+    if (at != kUnplaced) {
       Vm* v = vm(vm_id);
-      Host* src = host(it->second);
+      Host* src = host(at);
       if (src->state() != PowerState::S0) src->begin_resume();
       src->detach_vm(vm_id);
       v->note_migration();
       ++total_migrations_;
       migration_time_ += migration_duration(v->spec());
-      it->second = host_id;
-    } else {
-      placement_[vm_id] = host_id;
     }
+    at = host_id;
   }
   for (const auto& [vm_id, host_id] : moves) {
     Host* dst = host(host_id);
@@ -124,16 +124,6 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
     if (on_placement_) on_placement_(*vm(vm_id), *host(host_id));
   }
   return true;
-}
-
-Host* Cluster::host_of(VmId vm_id) {
-  auto it = placement_.find(vm_id);
-  return it == placement_.end() ? nullptr : host(it->second);
-}
-
-const Host* Cluster::host_of(VmId vm_id) const {
-  auto it = placement_.find(vm_id);
-  return it == placement_.end() ? nullptr : hosts_[it->second].get();
 }
 
 void Cluster::account_hour(std::int64_t h) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -67,8 +66,10 @@ class Cluster {
   bool apply_assignment(const std::vector<std::pair<VmId, HostId>>& targets);
 
   /// Host currently running `vm`, or nullptr when unplaced.
-  [[nodiscard]] Host* host_of(VmId vm);
-  [[nodiscard]] const Host* host_of(VmId vm) const;
+  [[nodiscard]] Host* host_of(VmId vm) const {
+    const HostId h = vm < placement_.size() ? placement_[vm] : kUnplaced;
+    return h == kUnplaced ? nullptr : hosts_[h].get();
+  }
 
   /// Hook observing every placement change (initial placements and
   /// migrations) — the SDN forwarding table is maintained through this.
@@ -104,7 +105,9 @@ class Cluster {
   ClusterConfig config_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Vm>> vms_;
-  std::unordered_map<VmId, HostId> placement_;
+  static constexpr HostId kUnplaced = UINT32_MAX;
+  /// Host of each VM by VmId, kUnplaced until placed.
+  std::vector<HostId> placement_;
   std::function<void(Vm&, Host&)> on_placement_;
   int total_migrations_ = 0;
   util::SimTime migration_time_ = 0;

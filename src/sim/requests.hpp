@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/sdn_switch.hpp"

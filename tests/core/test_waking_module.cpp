@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/requests.hpp"
 #include "trace/trace.hpp"
 
@@ -46,8 +49,8 @@ struct WakingFixture : ::testing::Test {
 }  // namespace
 
 TEST_F(WakingFixture, InboundRequestWakesSuspendedHost) {
-  c::WakingModule module(cluster, sw, {}, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
   suspend_host(module);
 
   sw.inject(request());
@@ -60,8 +63,8 @@ TEST_F(WakingFixture, InboundRequestWakesSuspendedHost) {
 }
 
 TEST_F(WakingFixture, AwakeHostGetsNoWol) {
-  c::WakingModule module(cluster, sw, {}, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
   module.on_host_suspending(*host, u::kNever);  // map is registered...
   // ...but the host never actually suspends.
   sw.inject(request());
@@ -71,8 +74,8 @@ TEST_F(WakingFixture, AwakeHostGetsNoWol) {
 }
 
 TEST_F(WakingFixture, WolDeduplicatedWhileResuming) {
-  c::WakingModule module(cluster, sw, {}, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
   suspend_host(module);
   // A burst of three frames: only the first sends a WoL.
   sw.inject(request());
@@ -85,8 +88,8 @@ TEST_F(WakingFixture, WolDeduplicatedWhileResuming) {
 }
 
 TEST_F(WakingFixture, PendingGuardClearsAfterResume) {
-  c::WakingModule module(cluster, sw, {}, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
   host->add_on_wake([&] { module.on_host_resumed(*host); });
   suspend_host(module);
   sw.inject(request());
@@ -102,22 +105,65 @@ TEST_F(WakingFixture, PendingGuardClearsAfterResume) {
   EXPECT_EQ(module.stats().packet_wakes, 2u);
 }
 
-TEST_F(WakingFixture, InactiveStandbyObservesButDoesNotWake) {
-  c::WakingModule standby(cluster, sw, {}, "standby", /*active=*/false);
-  standby.install_analyzer();
+TEST_F(WakingFixture, InactiveStandbyAnalyzesNothing) {
+  c::WakingModule standby(cluster, sw, {}, "standby");
   suspend_host(standby);
   sw.inject(request());
   q.run_all();
   EXPECT_EQ(standby.stats().packet_wakes, 0u);
   EXPECT_EQ(host->state(), s::PowerState::S3) << "standby must not act";
-  EXPECT_GT(standby.stats().analyzed_packets, 0u);
+  EXPECT_EQ(standby.stats().analyzed_packets, 0u);
+}
+
+TEST_F(WakingFixture, PromotedStandbyAnalyzesAfterThePrimary) {
+  c::WakingModule primary(cluster, sw, {}, "primary");
+  c::WakingModule standby(cluster, sw, {}, "standby");
+  primary.set_mirror(&standby);
+  primary.activate();
+  // An analyzer installed between the two records what each module had
+  // analyzed when it ran.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  sw.add_analyzer([&](const n::Packet& p) {
+    if (p.kind == n::PacketKind::Request) {
+      seen.emplace_back(primary.stats().analyzed_packets, standby.stats().analyzed_packets);
+    }
+  });
+  suspend_host(primary);
+  primary.deactivate();
+  standby.activate();
+  standby.activate();  // a second promotion installs nothing more
+
+  sw.inject(request());
+  q.run_all();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], (std::pair<std::uint64_t, std::uint64_t>{1, 0}))
+      << "the primary's analyzer runs first, the standby's last";
+  EXPECT_EQ(standby.stats().analyzed_packets, 2u) << "the request and its WoL, once each";
+  EXPECT_EQ(standby.stats().packet_wakes, 1u);
+  EXPECT_EQ(primary.stats().packet_wakes, 0u) << "a dead primary sends nothing";
+  EXPECT_EQ(host->state(), s::PowerState::S0);
+}
+
+TEST_F(WakingFixture, RequestPastTheVmTableWakesNothing) {
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
+  suspend_host(module);
+  for (const n::Ipv4 dst : {n::Ipv4::for_vm(1), n::Ipv4::for_vm(1000), n::Ipv4{0}}) {
+    n::Packet p = request();
+    p.dst = dst;
+    EXPECT_FALSE(sw.inject(p)) << dst.to_string();
+  }
+  q.run_all();
+  EXPECT_EQ(module.stats().analyzed_packets, 3u);
+  EXPECT_EQ(module.stats().packet_wakes, 0u);
+  EXPECT_EQ(host->state(), s::PowerState::S3);
 }
 
 TEST_F(WakingFixture, ScheduledWakeFiresAheadOfDeadline) {
   c::WakingConfig cfg;
   cfg.wake_lead = u::seconds(3);
-  c::WakingModule module(cluster, sw, cfg, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, cfg, "waking");
+  module.activate();
 
   const u::SimTime wake_date = u::minutes(10);
   u::SimTime resumed_at = -1;
@@ -137,8 +183,8 @@ TEST_F(WakingFixture, ScheduledWakeFiresAheadOfDeadline) {
 }
 
 TEST_F(WakingFixture, ScheduledWakeSkippedIfHostAlreadyAwake) {
-  c::WakingModule module(cluster, sw, {}, "waking", true);
-  module.install_analyzer();
+  c::WakingModule module(cluster, sw, {}, "waking");
+  module.activate();
   const u::SimTime wake_date = u::minutes(10);
   module.on_host_suspending(*host, wake_date);
   host->begin_suspend();
@@ -152,11 +198,10 @@ TEST_F(WakingFixture, ScheduledWakeSkippedIfHostAlreadyAwake) {
 }
 
 TEST_F(WakingFixture, MirrorReceivesRegistrations) {
-  c::WakingModule primary(cluster, sw, {}, "primary", true);
-  c::WakingModule standby(cluster, sw, {}, "standby", false);
+  c::WakingModule primary(cluster, sw, {}, "primary");
+  c::WakingModule standby(cluster, sw, {}, "standby");
   primary.set_mirror(&standby);
-  primary.install_analyzer();
-  standby.install_analyzer();
+  primary.activate();
 
   primary.on_host_suspending(*host, u::kNever);
   EXPECT_EQ(standby.vm_map_size(), primary.vm_map_size());
@@ -164,11 +209,10 @@ TEST_F(WakingFixture, MirrorReceivesRegistrations) {
 }
 
 TEST_F(WakingFixture, FailoverPromotedStandbyWakesHosts) {
-  c::WakingModule primary(cluster, sw, {}, "primary", true);
-  c::WakingModule standby(cluster, sw, {}, "standby", false);
+  c::WakingModule primary(cluster, sw, {}, "primary");
+  c::WakingModule standby(cluster, sw, {}, "standby");
   primary.set_mirror(&standby);
-  // Only the standby's analyzer stays: the primary is "dead".
-  standby.install_analyzer();
+  // The primary is "dead": never on duty, it only forwards registrations.
 
   primary.on_host_suspending(*host, u::kNever);  // mirrored into standby
   host->begin_suspend();
@@ -185,10 +229,10 @@ TEST_F(WakingFixture, FailoverPromotedStandbyWakesHosts) {
 TEST_F(WakingFixture, ScheduledWakeSurvivesFailover) {
   c::WakingConfig cfg;
   cfg.wake_lead = u::seconds(3);
-  c::WakingModule primary(cluster, sw, cfg, "primary", true);
-  c::WakingModule standby(cluster, sw, cfg, "standby", false);
+  c::WakingModule primary(cluster, sw, cfg, "primary");
+  c::WakingModule standby(cluster, sw, cfg, "standby");
   primary.set_mirror(&standby);
-  standby.install_analyzer();
+  primary.activate();
 
   const u::SimTime wake_date = u::minutes(10);
   primary.on_host_suspending(*host, wake_date);  // standby mirrors the schedule

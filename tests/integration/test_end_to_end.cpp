@@ -207,7 +207,9 @@ TEST(EndToEnd, WakingModuleFailoverKeepsWakesWorking) {
   const auto& standby = controller.waking_standby()->stats();
   EXPECT_EQ(standby.packet_wakes, 2u) << "the promoted standby must keep waking hosts";
   EXPECT_EQ(standby.scheduled_wakes, 0u);
-  EXPECT_EQ(standby.analyzed_packets, 184u);
+  // The standby analyzes no frame until its promotion installs its
+  // analyzer: only the frames after it.
+  EXPECT_EQ(standby.analyzed_packets, 89u);
   // Requests kept completing after the failover.
   const auto& requests = controller.fabric().stats();
   EXPECT_EQ(requests.total, 180u);

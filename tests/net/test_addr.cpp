@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <set>
 
 namespace n = drowsy::net;
 
@@ -13,7 +13,7 @@ TEST(Addr, MacFormatting) {
 }
 
 TEST(Addr, MacForHostDeterministicAndUnique) {
-  std::unordered_set<n::MacAddress> seen;
+  std::set<n::MacAddress> seen;
   for (std::uint32_t i = 0; i < 1000; ++i) {
     const auto mac = n::MacAddress::for_host(i);
     EXPECT_EQ(mac, n::MacAddress::for_host(i));
@@ -29,7 +29,7 @@ TEST(Addr, Ipv4Formatting) {
 }
 
 TEST(Addr, Ipv4ForVmUnique) {
-  std::unordered_set<n::Ipv4> seen;
+  std::set<n::Ipv4> seen;
   for (std::uint32_t i = 0; i < 1000; ++i) {
     EXPECT_TRUE(seen.insert(n::Ipv4::for_vm(i)).second);
   }
@@ -39,4 +39,26 @@ TEST(Addr, ComparisonOperators) {
   EXPECT_EQ(n::MacAddress::for_host(3), n::MacAddress::for_host(3));
   EXPECT_NE(n::MacAddress::for_host(3), n::MacAddress::for_host(4));
   EXPECT_LT(n::Ipv4{1}, n::Ipv4{2});
+}
+
+TEST(Addr, HostIndexInvertsForHost) {
+  for (const std::uint32_t i : {0u, 1u, 255u, 256u, 70'000u, 0xFFFFFFFFu}) {
+    EXPECT_EQ(n::MacAddress::for_host(i).host_index(), i);
+  }
+  n::MacAddress foreign = n::MacAddress::for_host(5);
+  foreign.octets[0] = 0x00;  // not the locally administered prefix
+  EXPECT_EQ(foreign.host_index(), std::nullopt);
+  foreign = n::MacAddress::for_host(5);
+  foreign.octets[1] = 0x01;
+  EXPECT_EQ(foreign.host_index(), std::nullopt);
+}
+
+TEST(Addr, VmIndexInvertsForVm) {
+  for (const std::uint32_t i : {0u, 1u, 253u, 254u, 70'000u, n::Ipv4::kMaxVms - 1}) {
+    EXPECT_EQ(n::Ipv4::for_vm(i).vm_index(), i);
+  }
+  // Addresses no VM has decode at or past kMaxVms.
+  for (const std::uint32_t value : {0u, (10u << 24), (10u << 24) | 1u, 11u << 24, 0xC0A80101u}) {
+    EXPECT_GE(n::Ipv4{value}.vm_index(), n::Ipv4::kMaxVms) << n::Ipv4{value}.to_string();
+  }
 }

@@ -92,6 +92,48 @@ TEST_F(SwitchFixture, WolToUnknownMacDropped) {
   p.kind = n::PacketKind::WakeOnLan;
   p.dst_mac = n::MacAddress::for_host(42);
   EXPECT_FALSE(sw.inject(p));
+  EXPECT_EQ(sw.dropped_count(), 1u);
+}
+
+TEST_F(SwitchFixture, MalformedAddressesAreCountedDrops) {
+  // Every destination below decodes to no binding or no port: each is
+  // dropped without a callback, and without reading past a table.
+  sw.bind_ip(vm_ip, mac_a);
+  sw.bind_ip(n::Ipv4::for_vm(3), n::MacAddress::for_host(7));  // a host with no port
+  std::vector<n::Packet> frames;
+  for (const n::Ipv4 dst : {n::Ipv4{0}, n::Ipv4{(10u << 24) | 1u}, n::Ipv4::for_vm(1),
+                            n::Ipv4::for_vm(3), n::Ipv4::for_vm(4), n::Ipv4{0xFFFFFFFF}}) {
+    n::Packet p;
+    p.dst = dst;
+    frames.push_back(p);
+  }
+  n::MacAddress foreign = mac_a;
+  foreign.octets[0] = 0x00;  // not the 02:00 prefix
+  for (const n::MacAddress mac :
+       {foreign, n::MacAddress::for_host(2), n::MacAddress::for_host(0xFFFFFFFF)}) {
+    n::Packet p;
+    p.kind = n::PacketKind::WakeOnLan;
+    p.dst_mac = mac;
+    frames.push_back(p);
+  }
+  for (const n::Packet& p : frames) EXPECT_FALSE(sw.inject(p));
+  EXPECT_EQ(sw.dropped_count(), frames.size());
+  EXPECT_EQ(sw.forwarded_count(), 0u);
+  EXPECT_TRUE(received_a.empty());
+  EXPECT_TRUE(received_b.empty());
+}
+
+TEST(SwitchFrames, PortsNeedNotBeContiguous) {
+  // Host 3's port alone: hosts 0-2 and 4 have none.
+  ImmediateDispatcher dispatcher;
+  n::SdnSwitch sw{dispatcher};
+  int delivered = 0;
+  sw.attach_port(n::MacAddress::for_host(3), [&delivered](const n::Packet&) { ++delivered; });
+  EXPECT_FALSE(sw.send_wol(n::MacAddress::for_host(1)));
+  EXPECT_FALSE(sw.send_wol(n::MacAddress::for_host(4)));
+  EXPECT_TRUE(sw.send_wol(n::MacAddress::for_host(3)));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(sw.dropped_count(), 2u);
 }
 
 TEST_F(SwitchFixture, AnalyzerSeesEveryFrame) {

@@ -230,7 +230,7 @@ class Rig {
       log_.push_back({Seen::Sent, q_.now(), host_of(p), p.id, static_cast<int>(p.kind), 0.0});
     });
     fabric_.wire_ports();
-    waking_.install_analyzer();
+    waking_.activate();
     fabric_.add_on_complete([this](u::SimTime at, double latency_ms, bool woke) {
       log_.push_back({Seen::Done, at, -1, 0, woke ? 1 : 0, latency_ms});
     });
