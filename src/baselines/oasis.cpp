@@ -11,6 +11,7 @@ OasisConsolidation::OasisConsolidation(sim::Cluster& cluster, OasisConfig config
     : cluster_(cluster), config_(config) {}
 
 void OasisConsolidation::record_hour(std::int64_t hour) {
+  idle_history_.resize(cluster_.vms().size());
   for (const auto& vm : cluster_.vms()) {
     if (cluster_.host_of(vm->id()) == nullptr) continue;
     auto& hist = idle_history_[vm->id()];
@@ -20,11 +21,9 @@ void OasisConsolidation::record_hour(std::int64_t hour) {
 }
 
 double OasisConsolidation::pair_score(sim::VmId a, sim::VmId b) const {
-  auto ia = idle_history_.find(a);
-  auto ib = idle_history_.find(b);
-  if (ia == idle_history_.end() || ib == idle_history_.end()) return 0.0;
-  const auto& ha = ia->second;
-  const auto& hb = ib->second;
+  if (a >= idle_history_.size() || b >= idle_history_.size()) return 0.0;
+  const auto& ha = idle_history_[a];
+  const auto& hb = idle_history_[b];
   const std::size_t n = std::min(ha.size(), hb.size());
   if (n == 0) return 0.0;
   std::size_t agree = 0;
@@ -60,7 +59,7 @@ void OasisConsolidation::repack() {
   std::sort(pairs.begin(), pairs.end(),
             [](const Pair& x, const Pair& y) { return x.score > y.score; });
 
-  std::unordered_map<sim::VmId, bool> matched;
+  std::vector<bool> matched(cluster_.vms().size());
   std::vector<std::vector<sim::Vm*>> groups;
   for (const Pair& p : pairs) {
     if (matched[p.a->id()] || matched[p.b->id()]) continue;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "core/consolidation.hpp"
@@ -47,7 +46,8 @@ class OasisConsolidation final : public core::ConsolidationPolicy {
 
   sim::Cluster& cluster_;
   OasisConfig config_;
-  std::unordered_map<sim::VmId, std::deque<bool>> idle_history_;
+  /// Idleness of each recent hour by VmId, empty for a VM never placed.
+  std::vector<std::deque<bool>> idle_history_;
   std::int64_t hours_seen_ = 0;
 };
 

@@ -29,11 +29,6 @@ void Controller::install() {
 
   fabric_.wire_ports();
 
-  // Keep the SDN forwarding table in sync with placements.
-  cluster_.set_on_placement([this](sim::Vm& vm, sim::Host& host) {
-    switch_.bind_ip(vm.ip(), host.mac());
-  });
-
   // Waking modules: primary plus a heartbeat-mirrored standby.
   waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_,
                                                    options_.drowsy.waking, "waking-primary");

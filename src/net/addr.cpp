@@ -11,21 +11,6 @@ std::string MacAddress::to_string() const {
   return buf;
 }
 
-MacAddress MacAddress::for_host(std::uint32_t index) {
-  // 0x02 prefix: locally administered, unicast.
-  MacAddress m;
-  m.octets = {0x02, 0x00, static_cast<std::uint8_t>(index >> 24),
-              static_cast<std::uint8_t>(index >> 16), static_cast<std::uint8_t>(index >> 8),
-              static_cast<std::uint8_t>(index)};
-  return m;
-}
-
-std::optional<std::uint32_t> MacAddress::host_index() const {
-  if (octets[0] != 0x02 || octets[1] != 0x00) return std::nullopt;
-  return (std::uint32_t{octets[2]} << 24) | (std::uint32_t{octets[3]} << 16) |
-         (std::uint32_t{octets[4]} << 8) | octets[5];
-}
-
 std::string Ipv4::to_string() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value >> 24) & 0xff, (value >> 16) & 0xff,

@@ -22,11 +22,21 @@ struct MacAddress {
   /// "aa:bb:cc:dd:ee:ff" rendering.
   [[nodiscard]] std::string to_string() const;
 
-  /// Deterministic MAC for host index i (locally administered prefix).
-  [[nodiscard]] static MacAddress for_host(std::uint32_t index);
+  /// Deterministic MAC for host index i: 02:00 (locally administered,
+  /// unicast), then the index big-endian.
+  [[nodiscard]] static constexpr MacAddress for_host(std::uint32_t index) {
+    return MacAddress{{0x02, 0x00, static_cast<std::uint8_t>(index >> 24),
+                       static_cast<std::uint8_t>(index >> 16),
+                       static_cast<std::uint8_t>(index >> 8),
+                       static_cast<std::uint8_t>(index)}};
+  }
 
   /// Inverse of for_host; nullopt without its 02:00 prefix.
-  [[nodiscard]] std::optional<std::uint32_t> host_index() const;
+  [[nodiscard]] constexpr std::optional<std::uint32_t> host_index() const {
+    if (octets[0] != 0x02 || octets[1] != 0x00) return std::nullopt;
+    return (std::uint32_t{octets[2]} << 24) | (std::uint32_t{octets[3]} << 16) |
+           (std::uint32_t{octets[4]} << 8) | octets[5];
+  }
 };
 
 /// IPv4 address as a host-order 32-bit value.
@@ -62,7 +72,7 @@ enum class PacketKind {
 struct Packet {
   PacketKind kind = PacketKind::Request;
   Ipv4 dst{};
-  MacAddress dst_mac{};      ///< used by WoL frames (L2-addressed)
+  MacAddress dst_mac{};      ///< destination host's port: every frame is L2-addressed
   std::uint64_t id = 0;      ///< monotonically assigned by the sender
   /// Simulated injection instant (ms), stamped by the switch on first
   /// inject; < 0 means unsent.  Receivers measure client-perceived

@@ -23,15 +23,6 @@ void SdnSwitch::attach_port(MacAddress mac, std::function<void(const Packet&)> d
   if (port == nullptr) port = std::make_unique<const Deliver>(std::move(deliver));
 }
 
-void SdnSwitch::bind_ip(Ipv4 ip, MacAddress host_mac) {
-  const std::uint32_t vm = ip.vm_index();
-  const std::optional<std::uint32_t> host = host_mac.host_index();
-  assert(vm < Ipv4::kMaxVms && host.has_value() && "bind an Ipv4::for_vm to a for_host");
-  if (vm >= Ipv4::kMaxVms) return;
-  if (vm >= forwarding_.size()) forwarding_.resize(vm + 1, kUnbound);
-  forwarding_[vm] = host.value_or(kUnbound);
-}
-
 void SdnSwitch::add_analyzer(PacketAnalyzer analyzer) {
   analyzers_.push_back(std::move(analyzer));
 }
@@ -40,40 +31,20 @@ bool SdnSwitch::inject(const Packet& packet) {
   Packet stamped = packet;
   if (stamped.sent_at < 0) stamped.sent_at = dispatcher_.now();
   for (const auto& analyzer : analyzers_) analyzer(stamped);
-  if (stamped.kind == PacketKind::WakeOnLan) {
-    return deliver_to_port(stamped.dst_mac.host_index().value_or(kUnbound), stamped);
-  }
-  const std::uint32_t vm = stamped.dst.vm_index();
-  if (vm >= forwarding_.size() || forwarding_[vm] == kUnbound) {
-    ++dropped_;
-    DROWSY_LOG_DEBUG("sdn", "no route for %s", stamped.dst.to_string().c_str());
-    return false;
-  }
-  return deliver_to_port(forwarding_[vm], stamped);
-}
-
-bool SdnSwitch::send_wol(MacAddress mac) {
-  Packet p;
-  p.kind = PacketKind::WakeOnLan;
-  p.dst_mac = mac;
-  p.id = ++wol_frames_;
-  return inject(p);
-}
-
-bool SdnSwitch::deliver_to_port(std::uint32_t host, const Packet& packet) {
+  const std::uint32_t host = stamped.dst_mac.host_index().value_or(UINT32_MAX);
   const Deliver* deliver = host < ports_.size() ? ports_[host].get() : nullptr;
   if (deliver == nullptr) {
     ++dropped_;
-    DROWSY_LOG_DEBUG("sdn", "no port for host %u", host);
+    DROWSY_LOG_DEBUG("sdn", "no port for %s", stamped.dst_mac.to_string().c_str());
     return false;
   }
   ++forwarded_;
   // A request frame that would be the next event anyway is delivered
   // now, without one.  WoL frames stay events: the waking module's
   // analyzer injects them midway through another frame's inject.
-  if (packet.kind == PacketKind::Request && port_latency_ == 0 && serialization_ == 0 &&
+  if (stamped.kind == PacketKind::Request && port_latency_ == 0 && serialization_ == 0 &&
       dispatcher_.would_run_next()) {
-    (*deliver)(packet);
+    (*deliver)(stamped);
     return true;
   }
   // The frame waits for the egress pipe, occupies it for its
@@ -87,9 +58,17 @@ bool SdnSwitch::deliver_to_port(std::uint32_t host, const Packet& packet) {
   // {pointer, Packet} fits util::InlineFn's buffer: no allocation per
   // frame.
   dispatcher_.schedule_after(busy_until_ + port_latency_ - now,
-                             [deliver, packet] { (*deliver)(packet); },
+                             [deliver, stamped] { (*deliver)(stamped); },
                              obs::EventTag::NetsimFrame);
   return true;
+}
+
+bool SdnSwitch::send_wol(MacAddress mac) {
+  Packet p;
+  p.kind = PacketKind::WakeOnLan;
+  p.dst_mac = mac;
+  p.id = ++wol_frames_;
+  return inject(p);
 }
 
 }  // namespace drowsy::net

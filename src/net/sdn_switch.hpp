@@ -3,9 +3,12 @@
 // The paper locates the waking module "on the software defined network
 // (SDN) switch" (§V): every frame traverses the switch, where a
 // "lightweight packet analyzer" can inspect it before forwarding.  This
-// model reproduces that interposition point: ports are registered by MAC,
-// a forwarding table maps VM IPs to hosts (vectors by the index each
-// address encodes), and analyzers see every frame first.  Frames leave
+// model reproduces that interposition point: ports are registered by MAC
+// (a vector by the host index each MAC encodes), analyzers see every frame
+// first, and each frame goes to the port of its dst_mac.  The sender
+// resolves a request's VM IP to its host's MAC (the VM→server mapping
+// lives in sim::Cluster alone); the IP stays on the frame for the
+// analyzers and the receiving host.  Frames leave
 // through one serializing egress pipe, so a burst of simultaneous WoL
 // wakes (the wake-storm case) queues behind itself and later frames pay a
 // measurable queueing delay.
@@ -62,17 +65,13 @@ class SdnSwitch {
   /// delivered there.  A MAC takes one port, for the switch's lifetime.
   void attach_port(MacAddress mac, std::function<void(const Packet&)> deliver);
 
-  /// Bind a VM IP (Ipv4::for_vm) to its server's MAC.  The paper updates
-  /// these mappings "only when a host is suspended" — callers decide when.
-  void bind_ip(Ipv4 ip, MacAddress host_mac);
-
   /// Install a packet analyzer (e.g. the waking module); analyzers run in
   /// installation order.
   void add_analyzer(PacketAnalyzer analyzer);
 
-  /// Inject a frame into the switch.  IP-addressed frames resolve through
-  /// the forwarding table; WoL frames are L2-addressed via dst_mac.
-  /// Returns false if the frame could not be forwarded (unknown address).
+  /// Inject a frame into the switch: the analyzers see it, then it goes
+  /// to the port of its dst_mac, whatever its kind.  Returns false if no
+  /// port has that MAC (the frame is a counted drop).
   /// With zero port latency and serialization, a request frame is
   /// delivered before inject returns when the dispatcher says it would
   /// run next (Dispatcher::would_run_next), so an event handler that
@@ -86,7 +85,7 @@ class SdnSwitch {
   bool send_wol(MacAddress mac);
 
   [[nodiscard]] std::uint64_t forwarded_count() const { return forwarded_; }
-  /// Frames with no route (unbound IP) or no port (unattached MAC).
+  /// Frames whose dst_mac is no attached port.
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
   /// WoL magic packets sent through send_wol.
   [[nodiscard]] std::uint64_t wol_frames() const { return wol_frames_; }
@@ -98,10 +97,7 @@ class SdnSwitch {
   }
 
  private:
-  bool deliver_to_port(std::uint32_t host, const Packet& packet);
-
   using Deliver = std::function<void(const Packet&)>;
-  static constexpr std::uint32_t kUnbound = UINT32_MAX;
 
   Dispatcher& dispatcher_;
   util::SimTime port_latency_;
@@ -111,8 +107,6 @@ class SdnSwitch {
   /// never detach and each callback has its own allocation, so a queued
   /// delivery captures a pointer to it, not a copy.
   std::vector<std::unique_ptr<const Deliver>> ports_;
-  /// Host index by VM index, kUnbound where no IP is bound.
-  std::vector<std::uint32_t> forwarding_;
   std::vector<PacketAnalyzer> analyzers_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;

@@ -30,6 +30,10 @@ DatasetFormat dataset_format_from_string(const std::string& name) {
 namespace {
 
 constexpr std::int64_t kSecondsPerHour = 3600;
+/// Latest accepted time: ten years of seconds bounds every VM's lifetime,
+/// so a corrupt timestamp cannot make the fold allocate or loop over
+/// billions of hours.
+constexpr std::int64_t kMaxSeconds = 10 * 365 * 24 * kSecondsPerHour;
 
 /// getline tolerant of real-world exports: strips a UTF-8 BOM on the
 /// first line, a trailing '\r' on every line (CRLF files).
@@ -61,11 +65,12 @@ std::vector<std::string> split_csv(const std::string& line) {
   throw std::runtime_error("row " + std::to_string(line_no) + ": " + what);
 }
 
+/// A finite decimal: std::stod alone also accepts "nan" and "inf".
 double parse_double(const std::string& cell, std::size_t line_no, const char* field) {
   try {
     std::size_t used = 0;
     const double v = std::stod(cell, &used);
-    if (used != cell.size()) throw std::invalid_argument(cell);
+    if (used != cell.size() || !std::isfinite(v)) throw std::invalid_argument(cell);
     return v;
   } catch (const std::exception&) {
     bad_row(line_no, std::string(field) + ": bad number '" + cell + "'");
@@ -81,6 +86,16 @@ std::int64_t parse_int(const std::string& cell, std::size_t line_no, const char*
   } catch (const std::exception&) {
     bad_row(line_no, std::string(field) + ": bad integer '" + cell + "'");
   }
+}
+
+/// Seconds in [0, kMaxSeconds].
+std::int64_t parse_time(const std::string& cell, std::size_t line_no, const char* field) {
+  const std::int64_t v = parse_int(cell, line_no, field);
+  if (v < 0 || v > kMaxSeconds) {
+    bad_row(line_no, std::string(field) + ": " + cell + " s is outside [0, " +
+                         std::to_string(kMaxSeconds) + "]");
+  }
+  return v;
 }
 
 void require_header(const std::string& got, const char* want) {
@@ -152,16 +167,17 @@ std::vector<trace::ActivityTrace> fold_azure(std::istream& in) {
     const auto cells = split_csv(line);
     if (cells.size() != 4) bad_row(line_no, "expected 4 columns, got " +
                                                 std::to_string(cells.size()));
-    const std::int64_t ts = parse_int(cells[0], line_no, "timestamp");
-    if (ts < 0) bad_row(line_no, "timestamp: negative");
+    const std::int64_t ts = parse_time(cells[0], line_no, "timestamp");
     if (cells[1].empty()) bad_row(line_no, "vm_id: empty");
     static_cast<void>(parse_int(cells[2], line_no, "core_count"));  // format check only
     const double avg_cpu = parse_double(cells[3], line_no, "avg_cpu");
 
     const std::int64_t hour = ts / kSecondsPerHour;
     VmAccum& vm = table.at(cells[1], hour);
-    vm.mass[hour] += avg_cpu / 100.0;  // percent -> utilization
-    vm.weight[hour] += 1.0;            // plain mean over the hour's readings
+    // Percent -> utilization, clamped per reading: readings of
+    // opposite-sign huge magnitudes could otherwise sum to inf - inf.
+    vm.mass[hour] += std::clamp(avg_cpu / 100.0, 0.0, 1.0);
+    vm.weight[hour] += 1.0;  // plain mean over the hour's readings
   }
   return table.finish();
 }
@@ -180,13 +196,12 @@ std::vector<trace::ActivityTrace> fold_google(std::istream& in) {
     const auto cells = split_csv(line);
     if (cells.size() != 5) bad_row(line_no, "expected 5 columns, got " +
                                                 std::to_string(cells.size()));
-    const std::int64_t start = parse_int(cells[0], line_no, "start_time");
-    const std::int64_t end = parse_int(cells[1], line_no, "end_time");
-    if (start < 0) bad_row(line_no, "start_time: negative");
+    const std::int64_t start = parse_time(cells[0], line_no, "start_time");
+    const std::int64_t end = parse_time(cells[1], line_no, "end_time");
     if (end <= start) bad_row(line_no, "end_time: must exceed start_time");
     const std::int64_t job = parse_int(cells[2], line_no, "job_id");
     const std::int64_t task = parse_int(cells[3], line_no, "task_index");
-    const double rate = parse_double(cells[4], line_no, "cpu_rate");
+    const double rate = std::clamp(parse_double(cells[4], line_no, "cpu_rate"), 0.0, 1.0);
 
     const std::string name = "j" + std::to_string(job) + "-t" + std::to_string(task);
     const std::int64_t first_hour = start / kSecondsPerHour;

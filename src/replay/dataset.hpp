@@ -10,7 +10,10 @@
 // in [0, 1] per hour, trace::ActivityTrace).  Folding handles the three
 // realities of exported data: sub-hourly readings (resampled by
 // time-weighted mean), missing readings (gaps inside a VM's lifetime
-// become idle hours), and out-of-range values (clamped to [0, 1]).
+// become idle hours), and out-of-range values (each reading clamped to
+// [0, 1], and each hour again, where overlapping segments sum past 1).
+// Non-finite readings ("nan", "inf") and times outside [0, 10 years] are
+// malformed rows.
 //
 // Each VM's trace spans that VM's own lifetime (first reading to last
 // reading), not the dataset's global window, so ActivityTrace::classify

@@ -42,7 +42,6 @@ bool Cluster::place(VmId vm_id, HostId host_id) {
   if (!h->can_host(v->spec())) return false;
   h->attach_vm(*v);
   placement_[vm_id] = host_id;
-  if (on_placement_) on_placement_(*v, *h);
   return true;
 }
 
@@ -67,7 +66,6 @@ bool Cluster::migrate(VmId vm_id, HostId dst_id) {
   migration_time_ += migration_duration(v->spec());
   DROWSY_LOG_DEBUG("cluster", "migrated %s: %s -> %s", v->name().c_str(),
                    src->name().c_str(), dst->name().c_str());
-  if (on_placement_) on_placement_(*v, *dst);
   return true;
 }
 
@@ -121,7 +119,6 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
     Host* dst = host(host_id);
     if (dst->state() != PowerState::S0) dst->begin_resume();
     dst->attach_vm(*vm(vm_id));
-    if (on_placement_) on_placement_(*vm(vm_id), *host(host_id));
   }
   return true;
 }

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -65,18 +65,14 @@ class Cluster {
   /// count every VM whose host changed.
   bool apply_assignment(const std::vector<std::pair<VmId, HostId>>& targets);
 
-  /// Host currently running `vm`, or nullptr when unplaced.
+  /// Host currently running `vm`, or nullptr when unplaced.  This is the
+  /// one VM→server mapping: the request fabric addresses each frame by it
+  /// when sending.  The waking module keeps its own copy, refreshed only
+  /// when a host suspends (WakingModule::on_host_suspending), as in the
+  /// paper.
   [[nodiscard]] Host* host_of(VmId vm) const {
     const HostId h = vm < placement_.size() ? placement_[vm] : kUnplaced;
     return h == kUnplaced ? nullptr : hosts_[h].get();
-  }
-
-  /// Hook observing every placement change (initial placements and
-  /// migrations) — the SDN forwarding table is maintained through this.
-  /// The waking module's VM map is not: it is refreshed only when a host
-  /// suspends (WakingModule::on_host_suspending), as in the paper.
-  void set_on_placement(std::function<void(Vm&, Host&)> hook) {
-    on_placement_ = std::move(hook);
   }
 
   // --- per-hour bookkeeping ----------------------------------------------------
@@ -108,7 +104,6 @@ class Cluster {
   static constexpr HostId kUnplaced = UINT32_MAX;
   /// Host of each VM by VmId, kUnplaced until placed.
   std::vector<HostId> placement_;
-  std::function<void(Vm&, Host&)> on_placement_;
   int total_migrations_ = 0;
   util::SimTime migration_time_ = 0;
 };

@@ -38,11 +38,6 @@ void RequestFabric::wire_ports() {
     switch_.attach_port(host->mac(),
                         [this, id](const net::Packet& p) { deliver(id, p); });
   }
-  for (const auto& vm : cluster_.vms()) {
-    if (const Host* h = cluster_.host_of(vm->id())) {
-      switch_.bind_ip(vm->ip(), h->mac());
-    }
-  }
 }
 
 void RequestFabric::schedule_hour(std::int64_t h) {
@@ -81,6 +76,9 @@ void RequestFabric::fire(std::uint32_t k) {
   net::Packet p;
   p.kind = net::PacketKind::Request;
   p.dst = arrival_dst_[k];
+  // Addressed to the VM's host as of now; an unplaced VM's frame keeps
+  // the null MAC and is dropped.
+  if (const Host* host = cluster_.host_of(p.dst.vm_index())) p.dst_mac = host->mac();
   p.id = arrival_id0_ + k;
   switch_.inject(p);
 }
@@ -96,7 +94,7 @@ void RequestFabric::deliver(HostId host_id, const net::Packet& packet) {
   Host* host = cluster_.host(host_id);
   assert(host != nullptr);
   if (vm == nullptr || cluster_.host_of(vm->id()) != host) {
-    ++stats_.lost;  // stale forwarding entry: VM migrated away
+    ++stats_.lost;  // the VM migrated away while the frame was in flight
     return;
   }
   // Latency clock: the client sent the frame at sent_at, so switch

@@ -42,7 +42,8 @@ struct RequestStats {
   std::uint64_t total = 0;            ///< completed requests
   std::uint64_t within_sla = 0;       ///< completed with latency <= RequestConfig::sla_ms
   std::uint64_t woke_host = 0;
-  std::uint64_t lost = 0;  ///< undeliverable (stale forwarding entry)
+  /// Frames that reached a host their VM left while they were in flight.
+  std::uint64_t lost = 0;
 
   /// Fraction of completed requests within the SLA; 1 with none.
   [[nodiscard]] double sla_attainment() const {
@@ -61,10 +62,9 @@ class RequestFabric final : private EventQueue::StreamHandler {
  public:
   RequestFabric(Cluster& cluster, net::SdnSwitch& sw, RequestConfig config = {});
 
-  /// Register every host's NIC port with the switch and every VM's IP in
-  /// the forwarding table.  Call once after topology setup (placements
-  /// keep the table fresh through Cluster::set_on_placement — this class
-  /// does not take that hook itself so the controller can compose it).
+  /// Register every host's NIC port with the switch.  Call once, after
+  /// the hosts are added.  Request frames need no further wiring: each is
+  /// addressed to its VM's current host (Cluster::host_of) when sent.
   void wire_ports();
 
   /// Schedule the Poisson arrivals of hour `h` for every placed VM.  The

@@ -43,19 +43,20 @@ std::string format(const char* fmt, Args&&... args) {
 }
 }  // namespace detail
 
-template <typename... Args>
-void log_at(LogLevel level, const char* component, const char* fmt, Args&&... args) {
-  if (level < log_level()) return;
-  log_message(level, component, detail::format(fmt, std::forward<Args>(args)...));
-}
-
 }  // namespace drowsy::util
 
-#define DROWSY_LOG_DEBUG(component, ...) \
-  ::drowsy::util::log_at(::drowsy::util::LogLevel::Debug, component, __VA_ARGS__)
-#define DROWSY_LOG_INFO(component, ...) \
-  ::drowsy::util::log_at(::drowsy::util::LogLevel::Info, component, __VA_ARGS__)
-#define DROWSY_LOG_WARN(component, ...) \
-  ::drowsy::util::log_at(::drowsy::util::LogLevel::Warn, component, __VA_ARGS__)
-#define DROWSY_LOG_ERROR(component, ...) \
-  ::drowsy::util::log_at(::drowsy::util::LogLevel::Error, component, __VA_ARGS__)
+/// Log at `level` (a LogLevel enumerator name).  The level is tested
+/// before the arguments are evaluated, so a disabled line builds no
+/// strings.  One statement, safe under an unbraced if.
+#define DROWSY_LOG_AT(level, component, ...)                                          \
+  do {                                                                                \
+    if (::drowsy::util::LogLevel::level >= ::drowsy::util::log_level()) {             \
+      ::drowsy::util::log_message(::drowsy::util::LogLevel::level, component,         \
+                                  ::drowsy::util::detail::format(__VA_ARGS__));       \
+    }                                                                                 \
+  } while (0)
+
+#define DROWSY_LOG_DEBUG(component, ...) DROWSY_LOG_AT(Debug, component, __VA_ARGS__)
+#define DROWSY_LOG_INFO(component, ...) DROWSY_LOG_AT(Info, component, __VA_ARGS__)
+#define DROWSY_LOG_WARN(component, ...) DROWSY_LOG_AT(Warn, component, __VA_ARGS__)
+#define DROWSY_LOG_ERROR(component, ...) DROWSY_LOG_AT(Error, component, __VA_ARGS__)

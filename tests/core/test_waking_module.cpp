@@ -42,6 +42,7 @@ struct WakingFixture : ::testing::Test {
     n::Packet p;
     p.kind = n::PacketKind::Request;
     p.dst = vm->ip();
+    p.dst_mac = host->mac();
     return p;
   }
 };
@@ -151,6 +152,7 @@ TEST_F(WakingFixture, RequestPastTheVmTableWakesNothing) {
   for (const n::Ipv4 dst : {n::Ipv4::for_vm(1), n::Ipv4::for_vm(1000), n::Ipv4{0}}) {
     n::Packet p = request();
     p.dst = dst;
+    p.dst_mac = {};  // no host runs these VMs, so the fabric addresses none
     EXPECT_FALSE(sw.inject(p)) << dst.to_string();
   }
   q.run_all();

@@ -51,31 +51,23 @@ struct SwitchFixture : ::testing::Test {
 
 }  // namespace
 
-TEST_F(SwitchFixture, ForwardsByIpBinding) {
-  sw.bind_ip(vm_ip, mac_a);
+TEST_F(SwitchFixture, RequestForwardedByMac) {
   n::Packet p;
   p.dst = vm_ip;
+  p.dst_mac = mac_a;
   EXPECT_TRUE(sw.inject(p));
-  EXPECT_EQ(received_a.size(), 1u);
+  ASSERT_EQ(received_a.size(), 1u);
+  EXPECT_EQ(received_a[0].dst, vm_ip) << "the VM IP rides along for the receiver";
   EXPECT_TRUE(received_b.empty());
   EXPECT_EQ(sw.forwarded_count(), 1u);
 }
 
-TEST_F(SwitchFixture, RebindMovesTraffic) {
-  sw.bind_ip(vm_ip, mac_a);
-  sw.bind_ip(vm_ip, mac_b);  // VM migrated
+TEST_F(SwitchFixture, UnaddressedRequestDropped) {
   n::Packet p;
-  p.dst = vm_ip;
-  EXPECT_TRUE(sw.inject(p));
-  EXPECT_TRUE(received_a.empty());
-  EXPECT_EQ(received_b.size(), 1u);
-}
-
-TEST_F(SwitchFixture, UnknownIpDropped) {
-  n::Packet p;
-  p.dst = n::Ipv4::for_vm(99);
+  p.dst = vm_ip;  // an IP alone routes nowhere: the sender sets dst_mac
   EXPECT_FALSE(sw.inject(p));
   EXPECT_EQ(sw.dropped_count(), 1u);
+  EXPECT_TRUE(received_a.empty());
 }
 
 TEST_F(SwitchFixture, WolDeliveredByMac) {
@@ -96,25 +88,21 @@ TEST_F(SwitchFixture, WolToUnknownMacDropped) {
 }
 
 TEST_F(SwitchFixture, MalformedAddressesAreCountedDrops) {
-  // Every destination below decodes to no binding or no port: each is
-  // dropped without a callback, and without reading past a table.
-  sw.bind_ip(vm_ip, mac_a);
-  sw.bind_ip(n::Ipv4::for_vm(3), n::MacAddress::for_host(7));  // a host with no port
-  std::vector<n::Packet> frames;
-  for (const n::Ipv4 dst : {n::Ipv4{0}, n::Ipv4{(10u << 24) | 1u}, n::Ipv4::for_vm(1),
-                            n::Ipv4::for_vm(3), n::Ipv4::for_vm(4), n::Ipv4{0xFFFFFFFF}}) {
-    n::Packet p;
-    p.dst = dst;
-    frames.push_back(p);
-  }
+  // Every destination MAC below decodes to no attached port, for either
+  // kind of frame: each is dropped without a callback, and without
+  // reading past a table.
   n::MacAddress foreign = mac_a;
   foreign.octets[0] = 0x00;  // not the 02:00 prefix
-  for (const n::MacAddress mac :
-       {foreign, n::MacAddress::for_host(2), n::MacAddress::for_host(0xFFFFFFFF)}) {
-    n::Packet p;
-    p.kind = n::PacketKind::WakeOnLan;
-    p.dst_mac = mac;
-    frames.push_back(p);
+  std::vector<n::Packet> frames;
+  for (const n::PacketKind kind : {n::PacketKind::Request, n::PacketKind::WakeOnLan}) {
+    for (const n::MacAddress mac : {foreign, n::MacAddress{}, n::MacAddress::for_host(2),
+                                    n::MacAddress::for_host(0xFFFFFFFF)}) {
+      n::Packet p;
+      p.kind = kind;
+      p.dst = vm_ip;
+      p.dst_mac = mac;
+      frames.push_back(p);
+    }
   }
   for (const n::Packet& p : frames) EXPECT_FALSE(sw.inject(p));
   EXPECT_EQ(sw.dropped_count(), frames.size());
@@ -137,11 +125,11 @@ TEST(SwitchFrames, PortsNeedNotBeContiguous) {
 }
 
 TEST_F(SwitchFixture, AnalyzerSeesEveryFrame) {
-  sw.bind_ip(vm_ip, mac_a);
   int seen = 0;
   sw.add_analyzer([&seen](const n::Packet&) { ++seen; });
   n::Packet p;
   p.dst = vm_ip;
+  p.dst_mac = mac_a;
   sw.inject(p);
   sw.inject(p);
   EXPECT_EQ(seen, 2);
@@ -149,12 +137,12 @@ TEST_F(SwitchFixture, AnalyzerSeesEveryFrame) {
 }
 
 TEST_F(SwitchFixture, AnalyzersRunInInstallationOrder) {
-  sw.bind_ip(vm_ip, mac_a);
   std::vector<int> order;
   sw.add_analyzer([&order](const n::Packet&) { order.push_back(1); });
   sw.add_analyzer([&order](const n::Packet&) { order.push_back(2); });
   n::Packet p;
   p.dst = vm_ip;
+  p.dst_mac = mac_a;
   sw.inject(p);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -243,9 +231,9 @@ TEST(SwitchFrames, DeliveriesFitInline) {
   const n::MacAddress mac = n::MacAddress::for_host(0);
   std::vector<n::Packet> received;
   sw.attach_port(mac, [&received](const n::Packet& p) { received.push_back(p); });
-  sw.bind_ip(n::Ipv4::for_vm(0), mac);
   n::Packet request;
   request.dst = n::Ipv4::for_vm(0);
+  request.dst_mac = mac;
   request.id = 7;
   ASSERT_TRUE(sw.inject(request));
   n::Packet wol;

@@ -208,3 +208,67 @@ TEST(Samples, ConvertedGoogleSliceCoversAllThreeClasses) {
   EXPECT_GE(counts.llmi, 1u);
   EXPECT_GE(counts.slmu, 1u);
 }
+
+TEST(FoldAzure, RejectsNonFiniteReadings) {
+  // std::stod reads "nan" and "inf"; either would reach a trace level.
+  for (const char* reading : {"nan", "inf", "-inf", "NAN"}) {
+    std::stringstream in(std::string("timestamp,vm_id,core_count,avg_cpu\n"
+                                     "0,vm1,2,50\n"
+                                     "0,vm1,2,") +
+                         reading + "\n");
+    try {
+      static_cast<void>(rp::fold_azure(in));
+      ADD_FAILURE() << reading << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 3"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(FoldGoogle, RejectsNonFiniteRates) {
+  for (const char* rate : {"nan", "inf", "-inf"}) {
+    std::stringstream in(std::string("start_time,end_time,job_id,task_index,cpu_rate\n"
+                                     "0,1800,10,0,") +
+                         rate + "\n");
+    EXPECT_THROW(static_cast<void>(rp::fold_google(in)), std::runtime_error) << rate;
+  }
+}
+
+TEST(FoldAzure, RejectsTimesPastTenYears) {
+  // A VM seen at 0 s and at 10^15 s would live ~2.8 * 10^11 hours.
+  std::stringstream in(
+      "timestamp,vm_id,core_count,avg_cpu\n"
+      "0,vm1,2,50\n"
+      "1000000000000000,vm1,2,50\n");
+  try {
+    static_cast<void>(rp::fold_azure(in));
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("row 3"), std::string::npos) << e.what();
+  }
+  // The last second of the tenth year is still a time.
+  std::stringstream edge(
+      "timestamp,vm_id,core_count,avg_cpu\n"
+      "315360000,vm1,2,50\n");
+  EXPECT_EQ(rp::fold_azure(edge).at(0).size(), 1u);
+}
+
+TEST(FoldGoogle, RejectsSegmentsPastTenYears) {
+  // One segment ending at 10^15 s would be folded one hour at a time.
+  std::stringstream in(
+      "start_time,end_time,job_id,task_index,cpu_rate\n"
+      "0,1000000000000000,1,0,0.5\n");
+  EXPECT_THROW(static_cast<void>(rp::fold_google(in)), std::runtime_error);
+}
+
+TEST(FoldGoogle, HugeRatesOfBothSignsStayInRange) {
+  // Finite rates whose weighted sums overflow to +inf and -inf in one
+  // hour must not fold to inf - inf.
+  std::stringstream in(
+      "start_time,end_time,job_id,task_index,cpu_rate\n"
+      "0,1800,1,0,1e308\n"
+      "0,1800,1,0,-1e308\n");
+  const auto traces = rp::fold_google(in);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_DOUBLE_EQ(traces[0].hours()[0], 0.5);  // 1.0 and 0.0, each for half an hour
+}

@@ -92,24 +92,6 @@ TEST_F(ClusterFixture, MigrationDurationFromBandwidth) {
   EXPECT_NEAR(static_cast<double>(d) / 1000.0, 4.9, 0.1);
 }
 
-TEST_F(ClusterFixture, OnPlacementHookFires) {
-  auto& h1 = add_host("P1");
-  auto& h2 = add_host("P2");
-  auto& v = add_vm("V1");
-  int calls = 0;
-  s::Host* last = nullptr;
-  cluster.set_on_placement([&](s::Vm&, s::Host& host) {
-    ++calls;
-    last = &host;
-  });
-  cluster.place(v.id(), h1.id());
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(last, &h1);
-  cluster.migrate(v.id(), h2.id());
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(last, &h2);
-}
-
 TEST_F(ClusterFixture, ApplyAssignmentSwapsOnFullHosts) {
   // Two full hosts (2 VMs each); swapping a pair across them is impossible
   // with incremental migrate() but must work atomically.

@@ -50,10 +50,11 @@ class AlwaysQueue final : public n::Dispatcher {
   s::EventQueue& q_;
 };
 
-n::Packet request_to(n::Ipv4 ip) {
+n::Packet request_to(n::Ipv4 ip, n::MacAddress mac) {
   n::Packet p;
   p.kind = n::PacketKind::Request;
   p.dst = ip;
+  p.dst_mac = mac;
   return p;
 }
 
@@ -72,12 +73,11 @@ struct OnePort : ::testing::Test {
     sw.attach_port(mac, [this](const n::Packet& p) {
       order.push_back("deliver " + std::to_string(p.id) + " at " + std::to_string(q.now()));
     });
-    sw.bind_ip(ip, mac);
   }
   /// Inject request `id` at `at` from an event handler, then log.
   void inject_at(n::SdnSwitch& sw, u::SimTime at, std::uint64_t id) {
     q.schedule_at(at, [this, &sw, id] {
-      n::Packet p = request_to(ip);
+      n::Packet p = request_to(ip, mac);
       p.id = id;
       sw.inject(p);
       order.push_back("after inject " + std::to_string(id));
@@ -120,7 +120,7 @@ TEST_F(OnePort, AStreamEntryDueInTheSameMillisecondKeepsTheFrameQueued) {
     n::SdnSwitch& sw;
     Injector(OnePort& f, n::SdnSwitch& w) : fx(f), sw(w) {}
     void fire(std::uint32_t k) override {
-      n::Packet p = request_to(fx.ip);
+      n::Packet p = request_to(fx.ip, fx.mac);
       p.id = k;
       sw.inject(p);
       fx.order.push_back("after inject " + std::to_string(k));
@@ -140,7 +140,7 @@ TEST_F(OnePort, AStreamEntryDueInTheSameMillisecondKeepsTheFrameQueued) {
 TEST_F(OnePort, InjectionOutsideDispatchIsQueued) {
   n::SdnSwitch sw(q);
   wire(sw);
-  n::Packet p = request_to(ip);
+  n::Packet p = request_to(ip, mac);
   p.id = 1;
   EXPECT_TRUE(sw.inject(p));
   EXPECT_TRUE(order.empty());
@@ -274,16 +274,9 @@ class Rig {
   void schedule(const Suspend& s) {
     q_.schedule_at(s.at, [this, host = s.host] { cluster_.host(host)->begin_suspend(); });
   }
-  /// The frame's destination host; no VM migrates here, so a request's
-  /// is where its VM was placed.
-  int host_of(const n::Packet& p) {
-    if (p.kind != n::PacketKind::WakeOnLan) {
-      return static_cast<int>(cluster_.host_of(cluster_.vm_by_ip(p.dst)->id())->id());
-    }
-    for (const auto& host : cluster_.hosts()) {
-      if (host->mac() == p.dst_mac) return static_cast<int>(host->id());
-    }
-    return -1;
+  /// The frame's destination host, or -1 for a MAC that is no host's.
+  static int host_of(const n::Packet& p) {
+    return static_cast<int>(p.dst_mac.host_index().value_or(UINT32_MAX));
   }
 
   s::EventQueue q_;

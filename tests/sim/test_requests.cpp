@@ -109,6 +109,7 @@ TEST_F(FabricFixture, RequestToSuspendedHostWaitsForWake) {
   n::Packet req;
   req.kind = n::PacketKind::Request;
   req.dst = vm.ip();
+  req.dst_mac = host.mac();
   q.schedule_at(u::minutes(1), [&] { sw.inject(req); });
   n::Packet wol;
   wol.kind = n::PacketKind::WakeOnLan;
@@ -138,23 +139,47 @@ TEST_F(FabricFixture, WolPacketResumesHost) {
   EXPECT_EQ(host.resume_count(), 1);
 }
 
-TEST_F(FabricFixture, StaleForwardingCountsAsLost) {
+TEST_F(FabricFixture, RequestsFollowAMigrationWithoutAnyHook) {
+  // No controller wires anything to the migration: each frame is
+  // addressed to its VM's host when it is sent.
   auto& h1 = cluster.add_host(s::HostSpec{"P1", 8, 16384, 2});
   auto& h2 = cluster.add_host(s::HostSpec{"P2", 8, 16384, 2});
   auto& vm = cluster.add_vm(s::VmSpec{"V1", 2, 6144}, t::ActivityTrace({0.5}));
   cluster.place(vm.id(), h1.id());
   s::RequestFabric fabric(cluster, sw, cfg);
   fabric.wire_ports();
-  // VM migrates, but with no on_placement hook installed the switch
-  // binding stays stale (the paper only refreshes mappings on suspension).
   ASSERT_TRUE(cluster.migrate(vm.id(), h2.id()));
-  n::Packet req;
-  req.kind = n::PacketKind::Request;
-  req.dst = vm.ip();
-  sw.inject(req);
-  q.run_all();
+  std::uint64_t to_h2 = 0;
+  sw.add_analyzer([&](const n::Packet& p) { to_h2 += p.dst_mac == h2.mac() ? 1 : 0; });
+  fabric.schedule_hour(0);
+  q.run_until(u::kMsPerHour);
+  EXPECT_GT(fabric.stats().total, 50u);
+  EXPECT_EQ(to_h2, fabric.stats().total);
+  EXPECT_EQ(fabric.stats().lost, 0u);
+}
+
+TEST_F(FabricFixture, FrameInFlightAcrossAMigrationIsLost) {
+  // The VM migrates as its first request is sent.  That frame is already
+  // addressed to P1 and lands 7 ms later, after the VM left: lost.  Every
+  // later frame is addressed to P2.
+  auto& h1 = cluster.add_host(s::HostSpec{"P1", 8, 16384, 2});
+  auto& h2 = cluster.add_host(s::HostSpec{"P2", 8, 16384, 2});
+  auto& vm = cluster.add_vm(s::VmSpec{"V1", 2, 6144}, t::ActivityTrace({0.5}));
+  cluster.place(vm.id(), h1.id());
+  n::SdnSwitch slow{q, /*port_latency=*/2, /*serialization=*/5};
+  s::RequestFabric fabric(cluster, slow, cfg);
+  fabric.wire_ports();
+  bool migrated = false;
+  slow.add_analyzer([&](const n::Packet& p) {
+    if (migrated) return;
+    EXPECT_EQ(p.dst_mac, h1.mac());
+    migrated = cluster.migrate(vm.id(), h2.id());
+  });
+  fabric.schedule_hour(0);
+  q.run_until(u::kMsPerHour);
+  ASSERT_TRUE(migrated);
   EXPECT_EQ(fabric.stats().lost, 1u);
-  EXPECT_EQ(fabric.stats().total, 0u);
+  EXPECT_GT(fabric.stats().total, 50u);
 }
 
 TEST_F(FabricFixture, RatesScaleWithActivity) {
