@@ -37,7 +37,7 @@ struct World {
       const auto when = util::calendar_of(h * util::kMsPerHour);
       for (const auto& vm : cluster.vms()) {
         const double a = vm->activity_at_hour(h);
-        models.model(vm->id()).observe_hour(when, a > 0.005 ? a : 0.0);
+        models.model(vm->id()).observe_hour(when, a > drowsy::kern::kNoiseFloor ? a : 0.0);
       }
     }
   }
@@ -71,9 +71,8 @@ void BM_OasisPairwiseRound(benchmark::State& state) {
   // The O(n^2) comparison point: Oasis recomputes all pairwise
   // co-idleness scores at each repack.
   World world(static_cast<int>(state.range(0)));
-  baselines::OasisConfig cfg;
-  cfg.repack_period_hours = 1;  // force the pairwise matcher every round
-  baselines::OasisConsolidation oasis(world.cluster, cfg);
+  // Repack every hour: the pairwise matcher runs every round.
+  baselines::OasisConsolidation oasis(world.cluster, 1);
   // Feed the window.
   for (std::int64_t h = 1; h <= 24; ++h) oasis.run_hour(h);
   std::int64_t hour = 25;

@@ -7,16 +7,16 @@
 
 namespace drowsy::baselines {
 
-OasisConsolidation::OasisConsolidation(sim::Cluster& cluster, OasisConfig config)
-    : cluster_(cluster), config_(config) {}
+OasisConsolidation::OasisConsolidation(sim::Cluster& cluster, int repack_period_hours)
+    : cluster_(cluster), repack_period_hours_(repack_period_hours) {}
 
 void OasisConsolidation::record_hour(std::int64_t hour) {
   idle_history_.resize(cluster_.vms().size());
   for (const auto& vm : cluster_.vms()) {
     if (cluster_.host_of(vm->id()) == nullptr) continue;
     auto& hist = idle_history_[vm->id()];
-    hist.push_back(vm->activity_at_hour(hour) < config_.idle_threshold);
-    while (hist.size() > config_.window_hours) hist.pop_front();
+    hist.push_back(vm->activity_at_hour(hour) < kern::kNoiseFloor);
+    while (hist.size() > kWindowHours) hist.pop_front();
   }
 }
 
@@ -53,7 +53,7 @@ void OasisConsolidation::repack() {
   for (std::size_t i = 0; i < vms.size(); ++i) {
     for (std::size_t j = i + 1; j < vms.size(); ++j) {
       const double s = pair_score(vms[i]->id(), vms[j]->id());
-      if (s >= config_.min_score) pairs.push_back({vms[i], vms[j], s});
+      if (s >= kMinScore) pairs.push_back({vms[i], vms[j], s});
     }
   }
   std::sort(pairs.begin(), pairs.end(),
@@ -111,7 +111,7 @@ void OasisConsolidation::repack() {
 void OasisConsolidation::run_hour(std::int64_t next_hour) {
   record_hour(next_hour - 1);
   ++hours_seen_;
-  if (hours_seen_ % config_.repack_period_hours == 0) repack();
+  if (hours_seen_ % repack_period_hours_ == 0) repack();
 }
 
 }  // namespace drowsy::baselines

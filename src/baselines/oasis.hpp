@@ -19,18 +19,19 @@
 
 namespace drowsy::baselines {
 
-/// Oasis tunables.
-struct OasisConfig {
-  std::size_t window_hours = 168;     ///< pairwise-compatibility window (1 week)
-  double idle_threshold = 0.005;      ///< page-dirtying-style idleness cutoff
-  int repack_period_hours = 24;       ///< how often the matcher re-runs
-  double min_score = 0.5;             ///< pairs below this are not matched
-};
-
-/// Oasis as a pluggable consolidation policy.
+/// Oasis as a pluggable consolidation policy.  An hour is idle when the
+/// VM's activity is below the noise floor (kern::kNoiseFloor, the
+/// page-dirtying-style cutoff).
 class OasisConsolidation final : public core::ConsolidationPolicy {
  public:
-  OasisConsolidation(sim::Cluster& cluster, OasisConfig config = {});
+  /// Pairwise-compatibility window: one week of hours.
+  static constexpr std::size_t kWindowHours = 168;
+  /// Pairs that agree on less than this fraction of the window are not
+  /// matched.
+  static constexpr double kMinScore = 0.5;
+
+  /// The matcher re-runs every `repack_period_hours` hours.
+  explicit OasisConsolidation(sim::Cluster& cluster, int repack_period_hours = 24);
 
   void run_hour(std::int64_t next_hour) override;
 
@@ -38,14 +39,12 @@ class OasisConsolidation final : public core::ConsolidationPolicy {
   /// idleness state (both idle or both active).  Exposed for tests.
   [[nodiscard]] double pair_score(sim::VmId a, sim::VmId b) const;
 
-  [[nodiscard]] const OasisConfig& config() const { return config_; }
-
  private:
   void record_hour(std::int64_t hour);
   void repack();
 
   sim::Cluster& cluster_;
-  OasisConfig config_;
+  int repack_period_hours_;
   /// Idleness of each recent hour by VmId, empty for a VM never placed.
   std::vector<std::deque<bool>> idle_history_;
   std::int64_t hours_seen_ = 0;

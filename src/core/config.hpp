@@ -1,8 +1,14 @@
 // All Drowsy-DC tunables, with the paper's published values as defaults, and
-// the fixed thresholds that no configuration varies.
+// the fixed thresholds that no configuration varies.  Constants of the
+// layers below live with their users: the noise floor and the quanta per
+// hour in kern/guest_os.hpp, the VM taxonomy's cutoffs in trace/trace.cpp, the
+// Oasis matcher's window and cutoff in baselines/oasis.hpp.  σ is
+// IdlenessModelConfig::sigma; everything that scales by it reads it from
+// the ModelBuilder (ModelBuilder::config()).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/sim_time.hpp"
 
@@ -27,6 +33,11 @@ inline constexpr double kDeterminedIpSigmas = 7.0;
 /// (paper's V3/V4) land in the same bucket anyway.
 inline constexpr double kIpDistanceToleranceSigmas = 0.01;
 
+/// How far ahead of a scheduled waking date the waking module sends the
+/// WoL ("this request is sent ahead of time in order to take into account
+/// the waking latency", §V-A).  Must cover resume latency.
+inline constexpr util::SimTime kWakeLead = util::seconds(3);
+
 /// Idleness-model parameters (paper §III-C).
 struct IdlenessModelConfig {
   /// Activity scaling factor σ = 1/(365×24) (eq. 3).
@@ -48,6 +59,22 @@ struct IdlenessModelConfig {
   bool learn_weights = true;
 };
 
+/// When a suspending module may suspend its host.  The policies use
+/// these four rules (scenario.cpp wires one per policy, §VI-A-1).
+enum class SuspendRule : std::uint8_t {
+  /// Never suspend (the neat-nosleep baseline).
+  Never,
+  /// Vanilla Neat: only hosts with no resident VMs (Neat switches *empty*
+  /// hosts to a low-power state; suspending non-empty hosts is
+  /// Drowsy-DC's contribution).
+  EmptyHostsOnly,
+  /// Any idle host, re-suspended right after a resume: Neat+S3 "is based
+  /// on the exact same algorithm as Drowsy-DC, the grace time excepted".
+  AnyIdleHost,
+  /// Drowsy-DC: any idle host, after the post-resume grace time (§IV).
+  IdleHostWithGrace,
+};
+
 /// Suspending-module parameters (paper §IV).
 struct SuspendConfig {
   /// How often the module re-evaluates its host.
@@ -56,24 +83,7 @@ struct SuspendConfig {
   /// exponentially increasing as the IP decreases".
   util::SimTime grace_min = util::seconds(5);
   util::SimTime grace_max = util::minutes(2);
-  /// Disable the grace time (the Neat+S3 baseline "is based on the exact
-  /// same algorithm as Drowsy-DC, the grace time excepted", §VI-A-1;
-  /// also the oscillation ablation).
-  bool use_grace_time = true;
-  /// Master switch: when false the host is never suspended.
-  bool enabled = true;
-  /// Vanilla-Neat behaviour: only suspend hosts with no resident VMs
-  /// (Neat switches *empty* hosts to a low-power state; suspending
-  /// non-empty hosts is Drowsy-DC's contribution).
-  bool only_empty_hosts = false;
-};
-
-/// Waking-module parameters (paper §V).
-struct WakingConfig {
-  /// How far ahead of a scheduled waking date the WoL is sent ("this
-  /// request is sent ahead of time in order to take into account the
-  /// waking latency").  Must cover resume latency.
-  util::SimTime wake_lead = util::seconds(3);
+  SuspendRule rule = SuspendRule::IdleHostWithGrace;
 };
 
 /// Idleness-aware placement / consolidation parameters (paper §III-D).
@@ -89,7 +99,6 @@ struct PlacementConfig {
 struct DrowsyConfig {
   IdlenessModelConfig model;
   SuspendConfig suspend;
-  WakingConfig waking;
   PlacementConfig placement;
 };
 

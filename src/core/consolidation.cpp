@@ -63,7 +63,7 @@ void IdlenessConsolidator::run_hour(std::int64_t next_hour) {
 
 void IdlenessConsolidator::handle_overloaded(std::int64_t next_hour,
                                              const util::CalendarTime& c) {
-  const double tol = kIpDistanceToleranceSigmas / (365.0 * 24.0);
+  const double tol = kIpDistanceToleranceSigmas * models_.config().sigma;
   for (const auto& host : cluster_.hosts()) {
     if (cluster_.host_utilization_at(*host, next_hour) <= kOverloadUtilization) {
       continue;
@@ -142,8 +142,7 @@ void IdlenessConsolidator::handle_underloaded(std::int64_t next_hour,
 }
 
 void IdlenessConsolidator::opportunistic_step(const util::CalendarTime& c) {
-  const double sigma = 1.0 / (365.0 * 24.0);
-  const double threshold = kDeterminedIpSigmas * sigma;
+  const double threshold = kDeterminedIpSigmas * models_.config().sigma;
   for (const auto& host : cluster_.hosts()) {
     // Shed extreme VMs until the IP range closes (bounded by the resident
     // count so an unplaceable VM cannot loop forever).
@@ -190,7 +189,7 @@ void IdlenessConsolidator::opportunistic_step(const util::CalendarTime& c) {
 
 void IdlenessConsolidator::relocate_all(std::int64_t next_hour) {
   const util::CalendarTime c = util::calendar_of(next_hour * util::kMsPerHour);
-  const double sigma = 1.0 / (365.0 * 24.0);
+  const double sigma = models_.config().sigma;
   const double threshold = kDeterminedIpSigmas * sigma;
 
   // Even in the §VI-A-1 "periodically relocate all VMs" mode, a global

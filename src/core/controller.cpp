@@ -30,11 +30,9 @@ void Controller::install() {
   fabric_.wire_ports();
 
   // Waking modules: primary plus a heartbeat-mirrored standby.
-  waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_,
-                                                   options_.drowsy.waking, "waking-primary");
+  waking_primary_ = std::make_unique<WakingModule>(cluster_, switch_, "waking-primary");
   waking_primary_->activate();
-  waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_, options_.drowsy.waking,
-                                                   "waking-standby");
+  waking_standby_ = std::make_unique<WakingModule>(cluster_, switch_, "waking-standby");
   waking_primary_->set_mirror(waking_standby_.get());
   waking_pair_ = std::make_unique<net::MirroredPair>(
       cluster_.queue(), net::HeartbeatConfig{},
@@ -73,7 +71,6 @@ void Controller::place_all_unplaced() {
 void Controller::pretrain_models(std::int64_t hours) {
   // Nothing to observe, or nobody to read it: create no models.
   if (hours <= 0 || !reads_models()) return;
-  const double floor = cluster_.config().noise_floor;
   std::vector<util::CalendarTime> calendar;
   calendar.reserve(static_cast<std::size_t>(hours));
   util::CalendarTime next = util::calendar_of(0);
@@ -88,17 +85,16 @@ void Controller::pretrain_models(std::int64_t hours) {
     std::size_t i = 0;
     for (const util::CalendarTime& c : calendar) {
       const double raw = trace[i];
-      model.observe_hour(c, raw > floor ? raw : 0.0);
+      model.observe_hour(c, raw > kern::kNoiseFloor ? raw : 0.0);
       if (++i == trace.size()) i = 0;
     }
   }
 }
 
 void Controller::refresh_runstates(std::int64_t hour) {
-  const double floor = cluster_.config().noise_floor;
   for (const auto& vm : cluster_.vms()) {
     if (cluster_.host_of(vm->id()) == nullptr) continue;
-    vm->set_service_active(vm->activity_at_hour(hour) > floor);
+    vm->set_service_active(vm->activity_at_hour(hour) > kern::kNoiseFloor);
   }
 }
 

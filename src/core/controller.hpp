@@ -73,12 +73,14 @@ class Controller {
   void place_all_unplaced();
 
   /// True when something reads the idleness models: Drowsy-DC's own
-  /// IdlenessConsolidator places by them and the grace time is sized by
-  /// them (drowsy-netbatch's pre-wake predictor rides on both).  The
-  /// baselines — Neat+S3 is Drowsy-DC "the grace time excepted" (§VI-A-1)
-  /// — read neither, so pretraining and hourly learning skip them.
+  /// IdlenessConsolidator places by them and the grace time of
+  /// SuspendRule::IdleHostWithGrace is sized by them (drowsy-netbatch's
+  /// pre-wake predictor rides on both).  The baselines — Neat+S3 is
+  /// Drowsy-DC "the grace time excepted" (§VI-A-1) — read neither, so
+  /// pretraining and hourly learning skip them.
   [[nodiscard]] bool reads_models() const {
-    return policy_ == drowsy_policy_.get() || options_.drowsy.suspend.use_grace_time;
+    return policy_ == drowsy_policy_.get() ||
+           options_.drowsy.suspend.rule == SuspendRule::IdleHostWithGrace;
   }
 
   /// Feed `hours` hours of every VM's trace into the models without

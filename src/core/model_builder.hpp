@@ -22,6 +22,10 @@ class ModelBuilder {
  public:
   explicit ModelBuilder(IdlenessModelConfig config = {});
 
+  /// The configuration every model is built with; its σ also scales the
+  /// grace time and the consolidator's thresholds.
+  [[nodiscard]] const IdlenessModelConfig& config() const { return config_; }
+
   /// The model of `vm`, created on first use.
   [[nodiscard]] IdlenessModel& model(sim::VmId vm);
   [[nodiscard]] const IdlenessModel* find(sim::VmId vm) const;

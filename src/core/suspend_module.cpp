@@ -17,19 +17,15 @@ constexpr util::SimTime kMinWorthwhileSleep = util::seconds(30);
 }  // namespace
 
 SuspendModule::SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
-                             SuspendConfig config, kern::Blacklist blacklist)
-    : host_(host),
-      cluster_(cluster),
-      models_(models),
-      config_(config),
-      blacklist_(std::move(blacklist)) {
+                             SuspendConfig config)
+    : host_(host), cluster_(cluster), models_(models), config_(config) {
   host_.set_on_guest_change([this] { on_guest_change(); });
 }
 
 SuspendModule::~SuspendModule() { host_.set_on_guest_change({}); }
 
 void SuspendModule::start() {
-  if (running_ || !config_.enabled) return;
+  if (running_ || config_.rule == SuspendRule::Never) return;
   running_ = true;
   origin_ = cluster_.queue().now();
   // A chain parked by our own suspend restarts from on_host_wake().
@@ -85,8 +81,7 @@ util::SimTime SuspendModule::grace_duration(const util::CalendarTime& c) const {
   // Raw IPs move at the σ scale, so "determined" is measured against 7σ;
   // without that scaling the normalized IP is pinned at 0.5 and the grace
   // band collapses to a point.
-  const double sigma = 1.0 / (365.0 * 24.0);
-  const double scale = kDeterminedIpSigmas * sigma;
+  const double scale = kDeterminedIpSigmas * models_.config().sigma;
   const double raw = models_.host_ip(host_, c).raw;
   const double ipn = (util::clamp(raw / scale, -1.0, 1.0) + 1.0) / 2.0;
   const double g_min = static_cast<double>(config_.grace_min);
@@ -97,7 +92,9 @@ util::SimTime SuspendModule::grace_duration(const util::CalendarTime& c) const {
 
 void SuspendModule::on_host_wake() {
   const util::SimTime now = cluster_.queue().now();
-  if (config_.use_grace_time) grace_until_ = now + grace_duration(util::calendar_of(now));
+  if (config_.rule == SuspendRule::IdleHostWithGrace) {
+    grace_until_ = now + grace_duration(util::calendar_of(now));
+  }
   if (park_ == Park::None) return;
   park_ = Park::None;
   if (!running_) return;
@@ -150,13 +147,13 @@ void SuspendModule::on_guest_change() {
 
 void SuspendModule::check() {
   ++stats_.checks;
-  if (!config_.enabled || host_.state() != sim::PowerState::S0) return;
-  if (config_.only_empty_hosts && !host_.vms().empty()) {
+  if (config_.rule == SuspendRule::Never || host_.state() != sim::PowerState::S0) return;
+  if (config_.rule == SuspendRule::EmptyHostsOnly && !host_.vms().empty()) {
     ++stats_.blocked_by_running;
     return;
   }
   const util::SimTime now = cluster_.queue().now();
-  if (config_.use_grace_time && now < grace_until_) {
+  if (config_.rule == SuspendRule::IdleHostWithGrace && now < grace_until_) {
     ++stats_.blocked_by_grace;
     return;
   }

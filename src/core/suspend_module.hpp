@@ -62,7 +62,7 @@ class SuspendModule {
  public:
   /// Registers with `host` for its guest-change reports (see above).
   SuspendModule(sim::Host& host, sim::Cluster& cluster, ModelBuilder& models,
-                SuspendConfig config, kern::Blacklist blacklist = kern::Blacklist::standard());
+                SuspendConfig config);
   ~SuspendModule();
   SuspendModule(const SuspendModule&) = delete;
   SuspendModule& operator=(const SuspendModule&) = delete;
@@ -91,12 +91,12 @@ class SuspendModule {
   /// busy host.
   void on_guest_change();
 
-  /// Run one idleness check right now (also used by benches).
+  /// Run one idleness check right now (the chain's event runs it; tests
+  /// call it by hand).
   void check();
 
   [[nodiscard]] const SuspendStats& stats() const { return stats_; }
   [[nodiscard]] util::SimTime grace_until() const { return grace_until_; }
-  [[nodiscard]] const kern::Blacklist& blacklist() const { return blacklist_; }
 
  private:
   enum class Park : std::uint8_t {
@@ -116,7 +116,7 @@ class SuspendModule {
   sim::Cluster& cluster_;
   ModelBuilder& models_;
   SuspendConfig config_;
-  kern::Blacklist blacklist_;
+  kern::Blacklist blacklist_ = kern::Blacklist::standard();
   WakingModule* waking_ = nullptr;
   bool running_ = false;
   std::uint64_t generation_ = 0;

@@ -6,9 +6,8 @@
 
 namespace drowsy::core {
 
-WakingModule::WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, WakingConfig config,
-                           std::string name)
-    : cluster_(cluster), switch_(sw), config_(config), name_(std::move(name)) {}
+WakingModule::WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, std::string name)
+    : cluster_(cluster), switch_(sw), name_(std::move(name)) {}
 
 void WakingModule::activate() {
   active_ = true;
@@ -45,7 +44,7 @@ void WakingModule::on_host_suspending(const sim::Host& host, util::SimTime wake_
   if (wake_date != util::kNever) {
     // Send the WoL ahead of the deadline to absorb the resume latency.
     const util::SimTime fire_at =
-        std::max(cluster_.queue().now(), wake_date - config_.wake_lead);
+        std::max(cluster_.queue().now(), wake_date - kWakeLead);
     cluster_.queue().schedule_at(
         fire_at, [this, wake_date, id = host.id()] { fire_scheduled(wake_date, id); },
         obs::EventTag::Wake);

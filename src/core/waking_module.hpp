@@ -38,8 +38,7 @@ class WakingModule {
  public:
   /// `name` identifies the instance in logs ("waking-rack0-primary").  A
   /// new instance is an inactive standby: it analyzes no frame.
-  WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, WakingConfig config,
-               std::string name);
+  WakingModule(sim::Cluster& cluster, net::SdnSwitch& sw, std::string name);
 
   /// Put the module on duty (the primary at install, a standby at
   /// heartbeat failover).  The first call installs its packet analyzer on
@@ -78,7 +77,6 @@ class WakingModule {
 
   sim::Cluster& cluster_;
   net::SdnSwitch& switch_;
-  WakingConfig config_;
   std::string name_;
   bool active_ = false;
   bool analyzing_ = false;  ///< the analyzer is installed

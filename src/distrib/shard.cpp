@@ -5,6 +5,7 @@
 
 #include "expctl/runs_io.hpp"
 #include "expctl/spec_io.hpp"
+#include "util/hash.hpp"
 
 namespace drowsy::distrib {
 
@@ -25,7 +26,7 @@ std::vector<JobKey> job_keys(const std::vector<sc::BatchJob>& jobs) {
   for (const sc::BatchJob& job : jobs) {
     std::string dump = ec::to_json(job.spec).dump(0);
     if (dump != prev_dump) {
-      prev_hash = ec::fnv1a64(dump);
+      prev_hash = util::fnv1a64(dump);
       prev_dump = std::move(dump);
     }
     JobKey key;
@@ -215,7 +216,7 @@ ShardManifest manifest_from_json(const ec::Json& j) {
 
 void validate_manifest(const ShardManifest& manifest, const std::string& sweep_bytes,
                        std::size_t grid_size) {
-  const std::uint64_t hash = ec::fnv1a64(sweep_bytes);
+  const std::uint64_t hash = util::fnv1a64(sweep_bytes);
   if (hash != manifest.sweep_hash) {
     throw DistribError("sweep file does not match the manifest (hash " + ec::hex64(hash) +
                        " != planned " + ec::hex64(manifest.sweep_hash) +

@@ -108,7 +108,7 @@ enum class ShardStrategy {
 struct ShardManifest {
   std::string sweep_name;
   std::string sweep_file;        ///< path as given to `shard plan`
-  std::uint64_t sweep_hash = 0;  ///< expctl::fnv1a64 of the sweep file bytes
+  std::uint64_t sweep_hash = 0;  ///< util::fnv1a64 of the sweep file bytes
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   ShardStrategy strategy = ShardStrategy::Balanced;

@@ -8,15 +8,6 @@
 
 namespace drowsy::expctl {
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 std::string hex64(std::uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
@@ -43,7 +34,7 @@ std::uint64_t parse_hex64(const std::string& text) {
 }
 
 std::uint64_t spec_hash(const scenario::ScenarioSpec& spec) {
-  return fnv1a64(to_json(spec).dump(0));
+  return util::fnv1a64(to_json(spec).dump(0));
 }
 
 Json to_json(const scenario::RunResult& result) {

@@ -21,14 +21,14 @@
 
 #include "expctl/json.hpp"
 #include "scenario/scenario.hpp"
+#include "util/hash.hpp"
 
 namespace drowsy::expctl {
 
 // --- content hashing -----------------------------------------------------------
 
-/// FNV-1a 64-bit over raw bytes.  Not cryptographic; used to detect
-/// accidental drift (edited sweep files, mismatched specs), not tampering.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
+/// util::fnv1a64, under the name expctl callers (perfbench included) use.
+using util::fnv1a64;
 
 /// Fixed-width lowercase hex rendering (16 digits) for manifests/journals.
 [[nodiscard]] std::string hex64(std::uint64_t value);
@@ -36,7 +36,7 @@ namespace drowsy::expctl {
 /// Parse hex64() output (throws SpecError on malformed input).
 [[nodiscard]] std::uint64_t parse_hex64(const std::string& text);
 
-/// Canonical fingerprint of a scenario: fnv1a64 of to_json(spec).dump(0).
+/// Canonical fingerprint of a scenario: util::fnv1a64 of to_json(spec).dump(0).
 /// Two specs hash equal iff their serialized forms are identical, which
 /// spec_io's fixed field order makes equivalent to field-wise equality.
 [[nodiscard]] std::uint64_t spec_hash(const scenario::ScenarioSpec& spec);

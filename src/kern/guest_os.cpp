@@ -56,15 +56,14 @@ Pid GuestOs::add_timer_service(std::string name, util::SimTime now,
   return pid;
 }
 
-void GuestOs::record_hour(double activity, double noise_floor,
-                          std::uint64_t quanta_per_hour) {
+void GuestOs::record_hour(double activity) {
   assert(activity >= 0.0 && activity <= 1.0);
   QuantumLedger ledger;
-  ledger.total_quanta = quanta_per_hour;
+  ledger.total_quanta = kQuantaPerHour;
   const auto gross =
-      static_cast<std::uint64_t>(std::llround(activity * static_cast<double>(quanta_per_hour)));
+      static_cast<std::uint64_t>(std::llround(activity * static_cast<double>(kQuantaPerHour)));
   const auto floor_quanta = static_cast<std::uint64_t>(
-      std::llround(noise_floor * static_cast<double>(quanta_per_hour)));
+      std::llround(kNoiseFloor * static_cast<double>(kQuantaPerHour)));
   if (gross <= floor_quanta) {
     ledger.noise_quanta = gross;  // all of it is scheduling noise
   } else {

@@ -18,6 +18,17 @@
 
 namespace drowsy::kern {
 
+/// The scheduler-noise floor on an hour's activity level ("very short
+/// scheduling quanta — noise — are filtered out", §III-C), defined once
+/// for every layer.  The quantum ledger, the request fabric, service run
+/// states and the idleness models' input treat activity at or below it as
+/// noise; the Oasis idleness cutoff and the VM taxonomy count hours
+/// strictly below it as idle.
+inline constexpr double kNoiseFloor = 0.005;
+
+/// Quanta in one hour of a guest's CPU (1 ms quanta).
+inline constexpr std::uint64_t kQuantaPerHour = 3'600'000;
+
 /// CPU-quantum accounting for one wall-clock hour.  The idleness model's
 /// activity level is "the ratio of CPU quanta scheduled for the VM, over
 /// the total possible quanta during an hour; very short scheduling quanta —
@@ -72,10 +83,10 @@ class GuestOs {
                         std::function<void(util::SimTime)> on_fire = {});
 
   /// Account one hour of CPU usage for the guest.  `activity` in [0, 1] is
-  /// the gross fraction of quanta used; quanta below `noise_floor` of the
-  /// hour are recorded as noise and filtered from the activity level.
-  void record_hour(double activity, double noise_floor = 0.005,
-                   std::uint64_t quanta_per_hour = 3'600'000);
+  /// the gross fraction of quanta used; an hour whose quanta do not exceed
+  /// kNoiseFloor of the hour is recorded as noise and filtered from the
+  /// activity level.
+  void record_hour(double activity);
 
   /// Activity level of the most recently recorded hour (noise filtered).
   [[nodiscard]] double last_hour_activity() const { return last_hour_.activity_level(); }

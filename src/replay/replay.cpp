@@ -9,17 +9,9 @@
 #include <unordered_map>
 
 #include "trace/csv.hpp"
+#include "util/hash.hpp"
 
 namespace drowsy::replay {
-
-std::uint64_t content_hash(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 const trace::ActivityTrace* ReplayFile::find(const std::string& name) const {
   for (const auto& c : columns) {
@@ -76,7 +68,7 @@ std::shared_ptr<const ReplayFile> load_replay_file(const std::string& path) {
 
   const std::string resolved = resolve_trace_path(path);
   const std::string bytes = read_all_bytes(resolved);
-  const std::uint64_t hash = content_hash(bytes);
+  const std::uint64_t hash = util::fnv1a64(bytes);
 
   {
     std::lock_guard<std::mutex> lock(mu);

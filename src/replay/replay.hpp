@@ -9,10 +9,11 @@
 //     process-wide so a 48-VM fleet costs one parse, not 48.  The memo is
 //     validated by content hash on every call — editing the file between
 //     builds is observed, never served stale.
-//   * content_hash() (FNV-1a 64) is the identity of a file-backed
-//     workload: scenario::TraceCache keys FileReplay specs by it, so a
-//     sweep stays bit-identical for as long as the bytes do, and a
-//     changed file is a cache miss rather than a silent reuse.
+//   * the FNV-1a 64 hash of the bytes (util::fnv1a64, ReplayFile::hash)
+//     is the identity of a file-backed workload: scenario::TraceCache
+//     keys FileReplay specs by it, so a sweep stays bit-identical for as
+//     long as the bytes do, and a changed file is a cache miss rather
+//     than a silent reuse.
 //   * select_column() resolves the TraceSpec knobs (`select` by column
 //     name, else `variant` as a wrapping column index; `downsample`
 //     mean-pools N-hour blocks) into the final ActivityTrace.
@@ -27,20 +28,16 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/trace.hpp"
 
 namespace drowsy::replay {
 
-/// FNV-1a 64-bit over raw bytes — the identity of file-backed workloads.
-[[nodiscard]] std::uint64_t content_hash(std::string_view bytes);
-
 /// A parsed trace CSV, shared by every VM replaying from it.
 struct ReplayFile {
   std::string path;           ///< the path the file was actually read from
-  std::uint64_t hash = 0;     ///< content_hash of the raw bytes
+  std::uint64_t hash = 0;     ///< util::fnv1a64 of the raw bytes
   std::vector<trace::ActivityTrace> columns;
 
   /// Column by exact name; nullptr when absent.

@@ -296,9 +296,10 @@ std::unique_ptr<ScenarioRun> build(const ScenarioSpec& spec, Policy policy,
   // Policy wiring mirrors the paper's §VI-A-1 ground rules: every baseline
   // that suspends uses "the exact same algorithm as Drowsy-DC, the grace
   // time excepted"; vanilla Neat only powers down *empty* hosts.
-  opts.drowsy.suspend.enabled = policy != Policy::NeatNoSuspend;
-  opts.drowsy.suspend.use_grace_time = drowsy_like;
-  opts.drowsy.suspend.only_empty_hosts = policy == Policy::NeatVanilla;
+  opts.drowsy.suspend.rule = drowsy_like ? core::SuspendRule::IdleHostWithGrace
+                             : policy == Policy::NeatVanilla ? core::SuspendRule::EmptyHostsOnly
+                             : policy == Policy::NeatNoSuspend ? core::SuspendRule::Never
+                                                                : core::SuspendRule::AnyIdleHost;
 
   switch (policy) {
     case Policy::DrowsyDc:

@@ -1,6 +1,7 @@
 #include "scenario/trace_cache.hpp"
 
 #include "replay/replay.hpp"
+#include "util/hash.hpp"
 
 namespace drowsy::scenario {
 
@@ -35,7 +36,7 @@ std::size_t TraceKeyHash::operator()(const TraceKey& key) const {
   h = mix_seed(h, static_cast<std::uint64_t>(key.spec.period_hours));
   h = mix_seed(h, key.spec.variant);
   h = mix_seed(h, key.content_hash);
-  h = mix_seed(h, replay::content_hash(key.spec.select));
+  h = mix_seed(h, util::fnv1a64(key.spec.select));
   h = mix_seed(h, static_cast<std::uint64_t>(key.spec.downsample));
   return static_cast<std::size_t>(h);
 }

@@ -63,7 +63,6 @@ bool Cluster::migrate(VmId vm_id, HostId dst_id) {
   at = dst_id;
   v->note_migration();
   ++total_migrations_;
-  migration_time_ += migration_duration(v->spec());
   DROWSY_LOG_DEBUG("cluster", "migrated %s: %s -> %s", v->name().c_str(),
                    src->name().c_str(), dst->name().c_str());
   return true;
@@ -111,7 +110,6 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
       src->detach_vm(vm_id);
       v->note_migration();
       ++total_migrations_;
-      migration_time_ += migration_duration(v->spec());
     }
     at = host_id;
   }
@@ -124,7 +122,7 @@ bool Cluster::apply_assignment(const std::vector<std::pair<VmId, HostId>>& targe
 }
 
 void Cluster::account_hour(std::int64_t h) {
-  for (auto& v : vms_) v->account_hour(h, config_.noise_floor);
+  for (auto& v : vms_) v->account_hour(h);
   for (auto& host_ptr : hosts_) {
     host_ptr->set_utilization(host_utilization_at(*host_ptr, h));
   }
@@ -136,13 +134,6 @@ double Cluster::host_utilization_at(const Host& h, std::int64_t hour) const {
     used += v->activity_at_hour(hour) * v->spec().vcpus;
   }
   return util::clamp(used / static_cast<double>(h.spec().cpu_capacity), 0.0, 1.0);
-}
-
-util::SimTime Cluster::migration_duration(const VmSpec& vm) const {
-  // Transfer the VM's memory over the migration link.
-  const double seconds = static_cast<double>(vm.memory_mb) * 8.0 /
-                         (config_.migration_bandwidth_gbps * 1000.0);
-  return util::seconds(seconds);
 }
 
 double Cluster::total_kwh() {

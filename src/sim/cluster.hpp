@@ -3,7 +3,7 @@
 // The cluster is deliberately policy-free — it is the substrate both
 // Drowsy-DC (src/core) and the baselines (src/baselines) drive.  It tracks
 // everything the evaluation reports: per-host energy and state residency,
-// per-VM migration counts, and aggregate migration cost.
+// and per-VM and total migration counts.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +19,9 @@
 
 namespace drowsy::sim {
 
-/// Substrate-wide tunables.
+/// Substrate-wide settings.
 struct ClusterConfig {
-  double migration_bandwidth_gbps = 10.0;  ///< the paper's 10 GbE fabric
-  double noise_floor = 0.005;  ///< quanta fraction filtered as scheduler noise
-  PowerModel power;            ///< applied to every host
+  PowerModel power;  ///< applied to every host
 };
 
 /// Hosts + VMs + who-runs-where.
@@ -85,10 +83,6 @@ class Cluster {
 
   // --- statistics ------------------------------------------------------------
   [[nodiscard]] int total_migrations() const { return total_migrations_; }
-  [[nodiscard]] util::SimTime total_migration_time() const { return migration_time_; }
-
-  /// One live migration's duration under the configured bandwidth.
-  [[nodiscard]] util::SimTime migration_duration(const VmSpec& vm) const;
 
   /// Sum of host energy, flushed to the current instant.
   [[nodiscard]] double total_kwh();
@@ -105,7 +99,6 @@ class Cluster {
   /// Host of each VM by VmId, kUnplaced until placed.
   std::vector<HostId> placement_;
   int total_migrations_ = 0;
-  util::SimTime migration_time_ = 0;
 };
 
 }  // namespace drowsy::sim

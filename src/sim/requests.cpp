@@ -50,7 +50,7 @@ void RequestFabric::schedule_hour(std::int64_t h) {
   for (const auto& vm : cluster_.vms()) {
     if (cluster_.host_of(vm->id()) == nullptr) continue;
     const double activity = vm->activity_at_hour(h);
-    if (activity <= cluster_.config().noise_floor) continue;
+    if (activity <= kern::kNoiseFloor) continue;
     const double expected = config_.base_rate_per_hour * activity;
     // Poisson arrivals realized as exponential inter-arrival gaps.
     double t_ms = 0.0;
@@ -97,11 +97,10 @@ void RequestFabric::deliver(HostId host_id, const net::Packet& packet) {
     ++stats_.lost;  // the VM migrated away while the frame was in flight
     return;
   }
-  // Latency clock: the client sent the frame at sent_at, so switch
-  // traversal (port latency, queueing) counts.  A zero-latency fabric
-  // delivers in the same millisecond, leaving legacy runs untouched.
-  const util::SimTime arrival =
-      packet.sent_at >= 0 ? packet.sent_at : cluster_.queue().now();
+  // Latency clock: the switch stamped sent_at when the client sent the
+  // frame, so switch traversal (port latency, queueing) counts.
+  assert(packet.sent_at >= 0);
+  const util::SimTime arrival = packet.sent_at;
   if (host->state() == PowerState::S0) {
     complete(arrival, false);
   } else {

@@ -53,8 +53,8 @@ double Vm::activity_at_hour(std::int64_t h) const {
   return trace_->at_hour(static_cast<std::size_t>(h));
 }
 
-void Vm::account_hour(std::int64_t h, double noise_floor) {
-  guest_->record_hour(activity_at_hour(h), noise_floor);
+void Vm::account_hour(std::int64_t h) {
+  guest_->record_hour(activity_at_hour(h));
 }
 
 }  // namespace drowsy::sim

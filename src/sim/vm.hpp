@@ -47,7 +47,7 @@ class Vm {
   /// Record hour `h` into the guest's quantum ledger (applies the noise
   /// filter).  Guest timers are fired by the cluster while the host is
   /// awake — a suspended host cannot fire timers until it resumes.
-  void account_hour(std::int64_t h, double noise_floor);
+  void account_hour(std::int64_t h);
 
   /// The guest OS the suspending module introspects.
   [[nodiscard]] kern::GuestOs& guest() { return *guest_; }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/idleness_model.hpp"
+#include "kern/guest_os.hpp"
 #include "metrics/prediction.hpp"
 #include "scenario/registry.hpp"
 #include "study/study.hpp"
@@ -247,7 +248,7 @@ std::vector<QuarterRow> fig4_evaluate(const trace::ActivityTrace& tr,
     const util::CalendarTime when =
         util::calendar_of(static_cast<util::SimTime>(h) * util::kMsPerHour);
     const bool predicted_idle = model.ip(when).predicts_idle();
-    const double activity = tr.at_hour(h) > 0.005 ? tr.at_hour(h) : 0.0;
+    const double activity = tr.at_hour(h) > kern::kNoiseFloor ? tr.at_hour(h) : 0.0;
     const bool actually_idle = activity == 0.0;
     window.add(predicted_idle, actually_idle);
     model.observe_hour(when, activity);

@@ -10,6 +10,18 @@ namespace drowsy::trace {
 
 void write_csv(std::ostream& out, const std::vector<ActivityTrace>& traces) {
   for (std::size_t i = 0; i < traces.size(); ++i) {
+    const std::vector<double>& levels = traces[i].hours();
+    for (std::size_t h = 0; h < levels.size(); ++h) {
+      // Negated so NaN is refused too.
+      if (!(levels[h] >= 0.0 && levels[h] <= 1.0)) {
+        throw std::runtime_error("CSV column " + std::to_string(i + 1) + " ('" +
+                                 traces[i].name() + "') hour " + std::to_string(h) +
+                                 ": activity level " + std::to_string(levels[h]) +
+                                 " is not a number in [0, 1]");
+      }
+    }
+  }
+  for (std::size_t i = 0; i < traces.size(); ++i) {
     if (i > 0) out << ',';
     out << traces[i].name();
   }
@@ -26,9 +38,11 @@ void write_csv(std::ostream& out, const std::vector<ActivityTrace>& traces) {
 }
 
 void save_csv(const std::string& path, const std::vector<ActivityTrace>& traces) {
+  std::ostringstream text;  // a refused level leaves no file
+  write_csv(text, traces);
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  write_csv(f, traces);
+  f << text.str();
   if (!f) throw std::runtime_error("write failed: " + path);
 }
 
@@ -45,7 +59,8 @@ void scrub_line(std::string& line, bool first) {
 
 /// One activity level: the whole cell must be a plain decimal number (no
 /// whitespace, sign prefix '+' or trailing junk) that is finite and in
-/// [0, 1].  write_csv's output always is.
+/// [0, 1].  write_csv refuses any other level, so its output always
+/// parses.
 double parse_level(const std::string& cell, std::size_t line_no, std::size_t col,
                    const std::string& name) {
   double v = 0.0;

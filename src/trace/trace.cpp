@@ -2,7 +2,17 @@
 
 #include <cassert>
 
+#include "kern/guest_os.hpp"
+
 namespace drowsy::trace {
+
+namespace {
+/// The taxonomy's cutoffs (after Zhang et al., §I): a VM that lives under
+/// a week is short-lived; a long-lived one idle at least half the time
+/// is mostly idle.
+constexpr std::size_t kShortLifetimeHours = 7 * 24;
+constexpr double kLlmiIdleFraction = 0.5;
+}  // namespace
 
 const char* to_string(VmClass c) {
   switch (c) {
@@ -23,11 +33,11 @@ double ActivityTrace::at_hour(std::size_t h) const {
   return hours_[h % hours_.size()];
 }
 
-double ActivityTrace::idle_fraction(double idle_threshold) const {
+double ActivityTrace::idle_fraction() const {
   if (hours_.empty()) return 1.0;
   std::size_t idle = 0;
   for (double v : hours_) {
-    if (v < idle_threshold) ++idle;
+    if (v < kern::kNoiseFloor) ++idle;
   }
   return static_cast<double>(idle) / static_cast<double>(hours_.size());
 }
@@ -39,10 +49,9 @@ double ActivityTrace::mean_activity() const {
   return acc / static_cast<double>(hours_.size());
 }
 
-VmClass ActivityTrace::classify(std::size_t short_lifetime_hours,
-                                double llmi_idle_fraction) const {
-  if (hours_.size() < short_lifetime_hours) return VmClass::Slmu;
-  return idle_fraction() >= llmi_idle_fraction ? VmClass::Llmi : VmClass::Llmu;
+VmClass ActivityTrace::classify() const {
+  if (hours_.size() < kShortLifetimeHours) return VmClass::Slmu;
+  return idle_fraction() >= kLlmiIdleFraction ? VmClass::Llmi : VmClass::Llmu;
 }
 
 }  // namespace drowsy::trace

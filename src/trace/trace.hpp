@@ -42,17 +42,16 @@ class ActivityTrace {
   [[nodiscard]] const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Fraction of hours with activity below `idle_threshold`.
-  [[nodiscard]] double idle_fraction(double idle_threshold = 0.005) const;
+  /// Fraction of hours with activity below the noise floor
+  /// (kern::kNoiseFloor).
+  [[nodiscard]] double idle_fraction() const;
 
   /// Mean activity over the whole trace.
   [[nodiscard]] double mean_activity() const;
 
-  /// Classify per the paper's taxonomy: short-lived if under
-  /// `short_lifetime_hours`; otherwise LLMI when the idle fraction exceeds
-  /// `llmi_idle_fraction`, else LLMU.
-  [[nodiscard]] VmClass classify(std::size_t short_lifetime_hours = 7 * 24,
-                                 double llmi_idle_fraction = 0.5) const;
+  /// Classify per the paper's taxonomy: short-lived if under a week;
+  /// otherwise LLMI when at least half the hours are idle, else LLMU.
+  [[nodiscard]] VmClass classify() const;
 
  private:
   std::vector<double> hours_;

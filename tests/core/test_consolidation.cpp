@@ -33,7 +33,7 @@ struct ConsolidationFixture : ::testing::Test {
     for (std::int64_t h = 0; h < hours; ++h) {
       for (const auto& vm : cluster.vms()) {
         const double a = vm->activity_at_hour(h);
-        builder.model(vm->id()).observe_hour(cal(h), a > 0.005 ? a : 0.0);
+        builder.model(vm->id()).observe_hour(cal(h), a > drowsy::kern::kNoiseFloor ? a : 0.0);
       }
     }
   }
@@ -61,7 +61,7 @@ TEST_F(ConsolidationFixture, InitialPlacementPicksClosestIp) {
   // Give the newcomer a couple of weeks of history too.
   for (std::int64_t h = 0; h < 14 * 24; ++h) {
     const double a = newcomer.activity_at_hour(h);
-    builder.model(newcomer.id()).observe_hour(cal(h), a > 0.005 ? a : 0.0);
+    builder.model(newcomer.id()).observe_hour(cal(h), a > drowsy::kern::kNoiseFloor ? a : 0.0);
   }
   const auto target = consolidator.initial_placement(newcomer, cal(14 * 24 + 5));
   ASSERT_TRUE(target.has_value());
@@ -172,7 +172,7 @@ TEST_F(ConsolidationFixture, OpportunisticStepClosesWideIpRange) {
   cluster.place(idle2.id(), h2.id());
   train(30 * 24);
 
-  const double sigma = 1.0 / (365.0 * 24.0);
+  const double sigma = builder.config().sigma;
   ASSERT_GT(builder.host_ip_range(h1, cal(30 * 24)), 7.0 * sigma);
 
   c::PlacementConfig cfg;
@@ -202,4 +202,33 @@ TEST_F(ConsolidationFixture, OpportunisticStepDisabledByConfig) {
   c::IdlenessConsolidator consolidator(cluster, builder, cfg);
   consolidator.run_hour(30 * 24);
   EXPECT_EQ(cluster.total_migrations(), 0);
+}
+
+TEST_F(ConsolidationFixture, OpportunisticThresholdScalesByTheModelBuildersSigma) {
+  // The too-wide VM-IP range is 7σ of the ModelBuilder's config: with
+  // σ' = σ/2, a range past 7σ' but under 7σ is too wide, and a VM moves.
+  c::IdlenessModelConfig model_cfg;
+  model_cfg.sigma /= 2.0;
+  c::ModelBuilder halved(model_cfg);
+  auto& h1 = add_host();
+  add_host();
+  auto& idle = add_vm(t::ActivityTrace(std::vector<double>(24, 0.0)));
+  auto& unknown = add_vm(t::ActivityTrace(std::vector<double>(24, 0.0)));  // raw IP 0
+  cluster.place(idle.id(), h1.id());
+  cluster.place(unknown.id(), h1.id());
+  c::IdlenessModel& model = halved.model(idle.id());
+  model.observe_hour(cal(1), 1.0);  // idle hours now count
+  const double too_wide = c::kDeterminedIpSigmas * model_cfg.sigma;
+  for (int i = 0; i < 100 && halved.host_ip_range(h1, cal(0)) <= too_wide; ++i) {
+    model.observe_hour(cal(0), 0.0);
+  }
+  const double range = halved.host_ip_range(h1, cal(0));
+  ASSERT_GT(range, too_wide);
+  ASSERT_LT(range, c::kDeterminedIpSigmas * c::IdlenessModelConfig{}.sigma);
+
+  c::PlacementConfig cfg;
+  cfg.underload_utilization = 0.0;  // isolate the opportunistic step
+  c::IdlenessConsolidator consolidator(cluster, halved, cfg);
+  consolidator.run_hour(0);
+  EXPECT_EQ(cluster.total_migrations(), 1);
 }

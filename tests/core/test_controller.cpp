@@ -178,7 +178,7 @@ TEST_F(ControllerFixture, NeverSuspendOptionKeepsHostsUp) {
   auto& vm = add_vm(t::ActivityTrace(std::vector<double>(100 * 24, 0.0)));
   cluster.place(vm.id(), h1.id());
   c::ControllerOptions opts;
-  opts.drowsy.suspend.enabled = false;
+  opts.drowsy.suspend.rule = c::SuspendRule::Never;
   c::Controller controller(cluster, sw, opts);
   controller.install();
   controller.run_hours(6);
@@ -210,7 +210,8 @@ TEST_F(ControllerFixture, EnergyOrderingSuspendVsNoSuspend) {
                          t::ActivityTrace(std::vector<double>(100 * 24, 0.0)));
     cl.place(vm.id(), 0);
     c::ControllerOptions opts;
-    opts.drowsy.suspend.enabled = pass == 1;
+    opts.drowsy.suspend.rule =
+        pass == 1 ? c::SuspendRule::IdleHostWithGrace : c::SuspendRule::Never;
     c::Controller controller(cl, swl, opts);
     controller.install();
     controller.run_hours(24);

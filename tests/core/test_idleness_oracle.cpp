@@ -142,7 +142,7 @@ struct Model {
 
 namespace {
 
-constexpr double kNoiseFloor = 0.005;
+constexpr double kNoiseFloor = drowsy::kern::kNoiseFloor;
 
 u::CalendarTime cal(std::int64_t hour) { return u::calendar_of(hour * u::kMsPerHour); }
 
@@ -425,7 +425,6 @@ struct PretrainFixture : ::testing::Test {
 
 TEST_F(PretrainFixture, VmMajorMatchesHourMajorOracle) {
   add_vms();
-  ASSERT_EQ(cluster.config().noise_floor, kNoiseFloor);
   const std::int64_t hours = 3 * 7 * 24;  // three weeks of one-week traces
   c::Controller controller(cluster, sw);
   controller.pretrain_models(hours);

@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -43,7 +44,7 @@ class AlwaysOnChain {
       : q_(q), module_(module), config_(config) {}
 
   void start() {
-    if (running_ || !config_.enabled) return;
+    if (running_ || config_.rule == c::SuspendRule::Never) return;
     running_ = true;
     schedule_next();
   }
@@ -217,16 +218,19 @@ class SuspendChainDifferential : public ::testing::TestWithParam<ChainParams> {
     return (interval() + u::seconds(5) + latency()) / interval() + 2;
   }
 
-  /// Runs the script under both chains, with and without grace time, and
-  /// compares everything the parked chain must preserve.
+  /// Runs the script under both chains, for each rule (by default with
+  /// and without grace time), and compares everything the parked chain
+  /// must preserve.
   void expect_same(std::size_t hosts, u::SimTime end, const Script& script,
-                   bool only_empty_hosts = false) {
-    for (const bool grace : {true, false}) {
-      SCOPED_TRACE(grace ? "grace on" : "grace off");
+                   std::initializer_list<c::SuspendRule> rules = {
+                       c::SuspendRule::IdleHostWithGrace, c::SuspendRule::AnyIdleHost}) {
+    for (const c::SuspendRule rule : rules) {
+      SCOPED_TRACE(rule == c::SuspendRule::IdleHostWithGrace ? "grace on"
+                   : rule == c::SuspendRule::AnyIdleHost     ? "grace off"
+                                                             : "only empty hosts");
       c::SuspendConfig cfg;
       cfg.check_interval = interval();
-      cfg.use_grace_time = grace;
-      cfg.only_empty_hosts = only_empty_hosts;
+      cfg.rule = rule;
       const Outcome oracle = run(hosts, cfg, GetParam().quick_resume, true, end, script);
       const Outcome parked = run(hosts, cfg, GetParam().quick_resume, false, end, script);
       EXPECT_EQ(parked.log, oracle.log);
@@ -485,32 +489,27 @@ TEST_P(SuspendChainDifferential, VmMigratesOffABusyHost) {
   // and off the grid, and outside it), so host 0 may sleep while host 1
   // takes the busy VM and parks in turn; then it comes back.
   const std::int64_t k = asleep_k();
-  for (const bool only_empty : {false, true}) {
-    SCOPED_TRACE(only_empty ? "only empty hosts" : "any idle host");
-    expect_same(
-        2, grid(12 * k),
-        [&, this](World& w) {
-          const s::VmId v = w.vm(0).id();
-          const auto move = [&w, v](s::HostId to) { return [&w, v, to] { w.cluster.migrate(v, to); }; };
-          busy_at(w, 0, 0);
-          w.start(0);
-          w.start(1);
-          w.q.schedule_at(grid(2), move(1));
-          wake_at(w, 0, grid(3 * k) + 3);
-          wake_at(w, 1, grid(3 * k) + 3);
-          w.q.schedule_at(grid(3 * k + 1) + 7, move(0));
-          wake_at(w, 1, grid(6 * k) + 3);
-          w.between(grid(6 * k + 2), move(1));
-          wake_at(w, 0, grid(9 * k) + 3);
-          wake_at(w, 1, grid(9 * k) + 3);
-          w.q.schedule_at(grid(9 * k + 2) - interval() + 1,
-                          [&w, v, at = grid(9 * k + 2)] {
-                            w.q.schedule_at(at, [&w, v] { w.cluster.migrate(v, 0); });
-                          });
-        },
-        only_empty);
-    if (::testing::Test::HasFailure()) return;
-  }
+  const Script script = [&, this](World& w) {
+    const s::VmId v = w.vm(0).id();
+    const auto move = [&w, v](s::HostId to) { return [&w, v, to] { w.cluster.migrate(v, to); }; };
+    busy_at(w, 0, 0);
+    w.start(0);
+    w.start(1);
+    w.q.schedule_at(grid(2), move(1));
+    wake_at(w, 0, grid(3 * k) + 3);
+    wake_at(w, 1, grid(3 * k) + 3);
+    w.q.schedule_at(grid(3 * k + 1) + 7, move(0));
+    wake_at(w, 1, grid(6 * k) + 3);
+    w.between(grid(6 * k + 2), move(1));
+    wake_at(w, 0, grid(9 * k) + 3);
+    wake_at(w, 1, grid(9 * k) + 3);
+    w.q.schedule_at(grid(9 * k + 2) - interval() + 1, [&w, v, at = grid(9 * k + 2)] {
+      w.q.schedule_at(at, [&w, v] { w.cluster.migrate(v, 0); });
+    });
+  };
+  expect_same(2, grid(12 * k), script);
+  if (::testing::Test::HasFailure()) return;
+  expect_same(2, grid(12 * k), script, {c::SuspendRule::EmptyHostsOnly});
 }
 
 TEST_P(SuspendChainDifferential, BlockerInAnEarlierGuestEndsARunningVerdict) {

@@ -95,9 +95,9 @@ TEST_F(SuspendFixture, CheckSkipsActiveHost) {
 
 TEST_F(SuspendFixture, DisabledModuleNeverSuspends) {
   c::SuspendConfig cfg;
-  cfg.enabled = false;
+  cfg.rule = c::SuspendRule::Never;
   auto module = make_module(cfg);
-  module.start();  // no-op when disabled
+  module.start();  // no-op under SuspendRule::Never
   module.check();
   EXPECT_EQ(host->state(), s::PowerState::S0);
   EXPECT_EQ(module.stats().suspends, 0u);
@@ -106,7 +106,7 @@ TEST_F(SuspendFixture, DisabledModuleNeverSuspends) {
 TEST_F(SuspendFixture, OnlyEmptyHostsModeSkipsOccupiedHost) {
   // Vanilla Neat only sleeps hosts with no VMs.
   c::SuspendConfig cfg;
-  cfg.only_empty_hosts = true;
+  cfg.rule = c::SuspendRule::EmptyHostsOnly;
   auto module = make_module(cfg);
   module.check();
   EXPECT_EQ(host->state(), s::PowerState::S0) << "occupied host must stay awake";
@@ -182,7 +182,7 @@ TEST_F(SuspendFixture, GraceTimeBlocksResuspend) {
 
 TEST_F(SuspendFixture, GraceDisabledAllowsImmediateResuspend) {
   c::SuspendConfig cfg;
-  cfg.use_grace_time = false;
+  cfg.rule = c::SuspendRule::AnyIdleHost;
   auto module = make_module(cfg);
   module.check();
   q.run_all();
@@ -212,6 +212,27 @@ TEST_F(SuspendFixture, GraceGrowsAsIpDrops) {
   }
   const u::SimTime active_grace = module.grace_duration(u::calendar_of(200 * u::kMsPerHour));
   EXPECT_GT(active_grace, undetermined);
+}
+
+TEST_F(SuspendFixture, GraceTimeScalesByTheModelBuildersSigma) {
+  // "Determined" is 7σ of the ModelBuilder's config: with σ' = σ/2, a
+  // host whose raw IP reaches 7σ' is determined idle and gets grace_min,
+  // though its IP is still under 7σ.
+  c::IdlenessModelConfig cfg;
+  cfg.sigma /= 2.0;
+  c::ModelBuilder halved(cfg);
+  const c::SuspendModule module(*host, cluster, halved, c::SuspendConfig{});
+  c::IdlenessModel& model = halved.model(vm->id());
+  model.observe_hour(u::calendar_of(u::kMsPerHour), 1.0);  // idle hours now count
+  const auto c0 = u::calendar_of(0);
+  const double determined = c::kDeterminedIpSigmas * cfg.sigma;
+  for (int i = 0; i < 100 && halved.host_ip(*host, c0).raw < determined; ++i) {
+    model.observe_hour(c0, 0.0);
+  }
+  const double raw = halved.host_ip(*host, c0).raw;
+  ASSERT_GE(raw, determined);
+  ASSERT_LT(raw, c::kDeterminedIpSigmas * c::IdlenessModelConfig{}.sigma);
+  EXPECT_EQ(module.grace_duration(c0), c::SuspendConfig{}.grace_min);
 }
 
 TEST_F(SuspendFixture, PeriodicChecksThroughEventQueue) {

@@ -50,7 +50,7 @@ struct WakingFixture : ::testing::Test {
 }  // namespace
 
 TEST_F(WakingFixture, InboundRequestWakesSuspendedHost) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   suspend_host(module);
 
@@ -64,7 +64,7 @@ TEST_F(WakingFixture, InboundRequestWakesSuspendedHost) {
 }
 
 TEST_F(WakingFixture, AwakeHostGetsNoWol) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   module.on_host_suspending(*host, u::kNever);  // map is registered...
   // ...but the host never actually suspends.
@@ -75,7 +75,7 @@ TEST_F(WakingFixture, AwakeHostGetsNoWol) {
 }
 
 TEST_F(WakingFixture, WolDeduplicatedWhileResuming) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   suspend_host(module);
   // A burst of three frames: only the first sends a WoL.
@@ -89,7 +89,7 @@ TEST_F(WakingFixture, WolDeduplicatedWhileResuming) {
 }
 
 TEST_F(WakingFixture, PendingGuardClearsAfterResume) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   host->add_on_wake([&] { module.on_host_resumed(*host); });
   suspend_host(module);
@@ -107,7 +107,7 @@ TEST_F(WakingFixture, PendingGuardClearsAfterResume) {
 }
 
 TEST_F(WakingFixture, InactiveStandbyAnalyzesNothing) {
-  c::WakingModule standby(cluster, sw, {}, "standby");
+  c::WakingModule standby(cluster, sw, "standby");
   suspend_host(standby);
   sw.inject(request());
   q.run_all();
@@ -117,8 +117,8 @@ TEST_F(WakingFixture, InactiveStandbyAnalyzesNothing) {
 }
 
 TEST_F(WakingFixture, PromotedStandbyAnalyzesAfterThePrimary) {
-  c::WakingModule primary(cluster, sw, {}, "primary");
-  c::WakingModule standby(cluster, sw, {}, "standby");
+  c::WakingModule primary(cluster, sw, "primary");
+  c::WakingModule standby(cluster, sw, "standby");
   primary.set_mirror(&standby);
   primary.activate();
   // An analyzer installed between the two records what each module had
@@ -146,7 +146,7 @@ TEST_F(WakingFixture, PromotedStandbyAnalyzesAfterThePrimary) {
 }
 
 TEST_F(WakingFixture, RequestPastTheVmTableWakesNothing) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   suspend_host(module);
   for (const n::Ipv4 dst : {n::Ipv4::for_vm(1), n::Ipv4::for_vm(1000), n::Ipv4{0}}) {
@@ -162,9 +162,7 @@ TEST_F(WakingFixture, RequestPastTheVmTableWakesNothing) {
 }
 
 TEST_F(WakingFixture, ScheduledWakeFiresAheadOfDeadline) {
-  c::WakingConfig cfg;
-  cfg.wake_lead = u::seconds(3);
-  c::WakingModule module(cluster, sw, cfg, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
 
   const u::SimTime wake_date = u::minutes(10);
@@ -181,11 +179,11 @@ TEST_F(WakingFixture, ScheduledWakeFiresAheadOfDeadline) {
   EXPECT_EQ(host->state(), s::PowerState::S0);
   EXPECT_EQ(module.stats().scheduled_wakes, 1u);
   // ...but not much earlier than needed.
-  EXPECT_GE(resumed_at, wake_date - cfg.wake_lead);
+  EXPECT_GE(resumed_at, wake_date - c::kWakeLead);
 }
 
 TEST_F(WakingFixture, ScheduledWakeSkippedIfHostAlreadyAwake) {
-  c::WakingModule module(cluster, sw, {}, "waking");
+  c::WakingModule module(cluster, sw, "waking");
   module.activate();
   const u::SimTime wake_date = u::minutes(10);
   module.on_host_suspending(*host, wake_date);
@@ -200,8 +198,8 @@ TEST_F(WakingFixture, ScheduledWakeSkippedIfHostAlreadyAwake) {
 }
 
 TEST_F(WakingFixture, MirrorReceivesRegistrations) {
-  c::WakingModule primary(cluster, sw, {}, "primary");
-  c::WakingModule standby(cluster, sw, {}, "standby");
+  c::WakingModule primary(cluster, sw, "primary");
+  c::WakingModule standby(cluster, sw, "standby");
   primary.set_mirror(&standby);
   primary.activate();
 
@@ -211,8 +209,8 @@ TEST_F(WakingFixture, MirrorReceivesRegistrations) {
 }
 
 TEST_F(WakingFixture, FailoverPromotedStandbyWakesHosts) {
-  c::WakingModule primary(cluster, sw, {}, "primary");
-  c::WakingModule standby(cluster, sw, {}, "standby");
+  c::WakingModule primary(cluster, sw, "primary");
+  c::WakingModule standby(cluster, sw, "standby");
   primary.set_mirror(&standby);
   // The primary is "dead": never on duty, it only forwards registrations.
 
@@ -229,10 +227,8 @@ TEST_F(WakingFixture, FailoverPromotedStandbyWakesHosts) {
 }
 
 TEST_F(WakingFixture, ScheduledWakeSurvivesFailover) {
-  c::WakingConfig cfg;
-  cfg.wake_lead = u::seconds(3);
-  c::WakingModule primary(cluster, sw, cfg, "primary");
-  c::WakingModule standby(cluster, sw, cfg, "standby");
+  c::WakingModule primary(cluster, sw, "primary");
+  c::WakingModule standby(cluster, sw, "standby");
   primary.set_mirror(&standby);
   primary.activate();
 

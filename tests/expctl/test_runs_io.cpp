@@ -36,13 +36,6 @@ sc::RunResult sample_result() {
 
 }  // namespace
 
-TEST(RunsIo, Fnv1a64KnownVectors) {
-  // Published FNV-1a test vectors.
-  EXPECT_EQ(ec::fnv1a64(""), 0xCBF29CE484222325ull);
-  EXPECT_EQ(ec::fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
-  EXPECT_EQ(ec::fnv1a64("foobar"), 0x85944171F73967E8ull);
-}
-
 TEST(RunsIo, Hex64RoundTrip) {
   for (const std::uint64_t v : {0ull, 1ull, 0xCBF29CE484222325ull, ~0ull}) {
     EXPECT_EQ(ec::parse_hex64(ec::hex64(v)), v);

@@ -62,7 +62,9 @@ TEST(EndToEnd, DrowsySuspendsMoreThanNeat) {
     c::ControllerOptions opts;
     opts.relocate_all = pass == 0;
     opts.requests.base_rate_per_hour = 40;
-    opts.drowsy.suspend.use_grace_time = pass == 0;  // Neat: no grace (§VI-A-1)
+    // Neat: no grace (§VI-A-1).
+    opts.drowsy.suspend.rule =
+        pass == 0 ? c::SuspendRule::IdleHostWithGrace : c::SuspendRule::AnyIdleHost;
     c::Controller controller(tb.cluster, tb.sw, opts);
     b::NeatConsolidation neat(tb.cluster);
     if (pass == 1) controller.set_policy(&neat);
@@ -125,8 +127,9 @@ TEST(EndToEnd, EnergyOrderingMatchesPaper) {
     c::ControllerOptions opts;
     opts.requests.base_rate_per_hour = 40;
     opts.relocate_all = pass == 0;
-    opts.drowsy.suspend.enabled = pass != 2;
-    opts.drowsy.suspend.use_grace_time = pass == 0;
+    opts.drowsy.suspend.rule = pass == 0   ? c::SuspendRule::IdleHostWithGrace
+                               : pass == 1 ? c::SuspendRule::AnyIdleHost
+                                           : c::SuspendRule::Never;
     c::Controller controller(tb.cluster, tb.sw, opts);
     b::NeatConsolidation neat(tb.cluster);
     if (pass != 0) controller.set_policy(&neat);
@@ -153,7 +156,8 @@ TEST(EndToEnd, GraceTimePreventsOscillation) {
     cluster.add_vm(s::VmSpec{"V1", 2, 6144}, t::ActivityTrace(std::move(flap)));
     cluster.place(0, 0);
     c::ControllerOptions opts;
-    opts.drowsy.suspend.use_grace_time = grace;
+    opts.drowsy.suspend.rule =
+        grace ? c::SuspendRule::IdleHostWithGrace : c::SuspendRule::AnyIdleHost;
     opts.drowsy.suspend.check_interval = u::seconds(10);
     opts.requests.base_rate_per_hour = 200;
     c::Controller controller(cluster, sw, opts);

@@ -52,10 +52,10 @@ TEST(GuestOs, RecordHourFiltersNoise) {
   k::GuestOs os;
   // Activity below the noise floor counts as idle (paper §III-C: "very
   // short scheduling quanta — noise — are filtered out").
-  os.record_hour(0.004, /*noise_floor=*/0.005);
+  os.record_hour(0.004);
   EXPECT_DOUBLE_EQ(os.last_hour_activity(), 0.0);
   EXPECT_GT(os.last_hour_ledger().noise_quanta, 0u);
-  os.record_hour(0.006, /*noise_floor=*/0.005);
+  os.record_hour(0.006);
   EXPECT_GT(os.last_hour_activity(), 0.0);
 }
 

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "scenario/scenario.hpp"
+#include "util/hash.hpp"
 
 namespace rp = drowsy::replay;
 namespace sc = drowsy::scenario;
@@ -31,14 +32,6 @@ constexpr const char* kTwoColumns =
 
 }  // namespace
 
-TEST(ContentHash, DistinguishesBytesAndIsStable) {
-  EXPECT_EQ(rp::content_hash("abc"), rp::content_hash("abc"));
-  EXPECT_NE(rp::content_hash("abc"), rp::content_hash("abd"));
-  EXPECT_NE(rp::content_hash(""), rp::content_hash(std::string_view("\0", 1)));
-  // FNV-1a 64 known value: the offset basis for empty input.
-  EXPECT_EQ(rp::content_hash(""), 0xcbf29ce484222325ULL);
-}
-
 TEST(LoadReplayFile, ParsesColumnsAndHashesBytes) {
   const std::string path = temp_path("replay_load.csv");
   write_file(path, kTwoColumns);
@@ -46,7 +39,7 @@ TEST(LoadReplayFile, ParsesColumnsAndHashesBytes) {
   ASSERT_EQ(file->columns.size(), 2u);
   EXPECT_EQ(file->columns[0].name(), "alpha");
   EXPECT_EQ(file->columns[1].name(), "beta");
-  EXPECT_EQ(file->hash, rp::content_hash(kTwoColumns));
+  EXPECT_EQ(file->hash, drowsy::util::fnv1a64(kTwoColumns));
   EXPECT_NE(file->find("beta"), nullptr);
   EXPECT_EQ(file->find("gamma"), nullptr);
 }

@@ -8,6 +8,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 
+namespace c = drowsy::core;
 namespace sc = drowsy::scenario;
 namespace u = drowsy::util;
 
@@ -35,11 +36,28 @@ sc::ScenarioSpec small_scenario() {
   return s;
 }
 
+/// §VI-A-1: Drowsy-DC suspends idle hosts after a grace time, every
+/// baseline that suspends does so "the grace time excepted", vanilla Neat
+/// only suspends empty hosts, and neat-nosleep never suspends.
+c::SuspendRule suspend_rule(sc::Policy policy) {
+  switch (policy) {
+    case sc::Policy::DrowsyDc:
+    case sc::Policy::DrowsyNetBatch: return c::SuspendRule::IdleHostWithGrace;
+    case sc::Policy::NeatS3:
+    case sc::Policy::Oasis: return c::SuspendRule::AnyIdleHost;
+    case sc::Policy::NeatVanilla: return c::SuspendRule::EmptyHostsOnly;
+    case sc::Policy::NeatNoSuspend: return c::SuspendRule::Never;
+  }
+  return c::SuspendRule::Never;
+}
+
 }  // namespace
 
 TEST(ModelReads, OnlyDrowsyArmsPretrainModels) {
   // Grace time and the IdlenessConsolidator are the only readers; the
   // netbatch pre-wake predictor rides on drowsy-netbatch, which has both.
+  // Each policy's suspend rule is pinned next to it: only the grace rule
+  // reads the models.
   const sc::ScenarioSpec spec = small_scenario();
   const std::int64_t hours = static_cast<std::int64_t>(spec.pretrain_days) * u::kHoursPerDay;
   for (const sc::Policy policy : kAllPolicies) {
@@ -48,6 +66,7 @@ TEST(ModelReads, OnlyDrowsyArmsPretrainModels) {
     run->controller->pretrain_models(hours);
     const bool drowsy =
         policy == sc::Policy::DrowsyDc || policy == sc::Policy::DrowsyNetBatch;
+    EXPECT_EQ(run->controller->options().drowsy.suspend.rule, suspend_rule(policy));
     EXPECT_EQ(run->controller->reads_models(), drowsy);
     for (const auto& vm : run->cluster.vms()) {
       const auto* model = run->controller->models().find(vm->id());

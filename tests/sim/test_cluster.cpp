@@ -65,7 +65,6 @@ TEST_F(ClusterFixture, MigrateMovesAndCounts) {
   EXPECT_TRUE(h1.vms().empty());
   EXPECT_EQ(v.migration_count(), 1);
   EXPECT_EQ(cluster.total_migrations(), 1);
-  EXPECT_GT(cluster.total_migration_time(), 0);
 }
 
 TEST_F(ClusterFixture, MigrateToSameHostIsNoop) {
@@ -84,12 +83,6 @@ TEST_F(ClusterFixture, MigrateRespectsCapacity) {
   cluster.place(v1.id(), h1.id());
   cluster.place(v2.id(), h2.id());
   EXPECT_FALSE(cluster.migrate(v1.id(), h2.id()));
-}
-
-TEST_F(ClusterFixture, MigrationDurationFromBandwidth) {
-  // 6144 MB over 10 Gb/s ≈ 4.9 s.
-  const auto d = cluster.migration_duration(s::VmSpec{"x", 2, 6144});
-  EXPECT_NEAR(static_cast<double>(d) / 1000.0, 4.9, 0.1);
 }
 
 TEST_F(ClusterFixture, ApplyAssignmentSwapsOnFullHosts) {
@@ -158,7 +151,7 @@ TEST_F(ClusterFixture, AccountHourUpdatesLedgersAndUtilization) {
 
 TEST_F(ClusterFixture, AccountHourAppliesNoiseFloor) {
   auto& h = add_host("P1");
-  auto& v = add_vm("V1", {0.004});  // below the default 0.005 floor
+  auto& v = add_vm("V1", {0.004});  // below the 0.005 noise floor
   cluster.place(v.id(), h.id());
   cluster.account_hour(0);
   EXPECT_DOUBLE_EQ(v.guest().last_hour_activity(), 0.0);

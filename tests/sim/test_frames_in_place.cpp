@@ -219,7 +219,7 @@ class Rig {
                               : static_cast<n::Dispatcher&>(always_),
             port_latency, serialization),
         fabric_(cluster_, sw_, request_config()),
-        waking_(cluster_, sw_, c::WakingConfig{}, "waking") {
+        waking_(cluster_, sw_, "waking") {
     q_.set_profile(&profile_);
     for (const char* name : {"A", "B"}) cluster_.add_host(s::HostSpec{name, 16, 65536, 4});
     for (const s::HostId host : {0, 0, 1}) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -119,4 +122,30 @@ TEST(TraceCsv, FileRoundTrip) {
 
 TEST(TraceCsv, MissingFileThrows) {
   EXPECT_THROW((void)t::load_csv("/nonexistent/nope.csv"), std::runtime_error);
+}
+
+TEST(TraceCsv, WriteAndSaveRefuseWhatReadRefusesBeforeAnyByte) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "ActivityTrace asserts its levels are in [0, 1] when assertions are on";
+#else
+  for (const double level : {std::nan(""), -std::nan(""), HUGE_VAL, 1.5, -0.25}) {
+    SCOPED_TRACE(level);
+    std::vector<t::ActivityTrace> traces;
+    traces.emplace_back(std::vector<double>{0.1, 0.2}, "ok");
+    traces.emplace_back(std::vector<double>{0.3, 0.4, level}, "bad");
+    std::stringstream ss;
+    try {
+      t::write_csv(ss, traces);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("column 2 ('bad') hour 2"), std::string::npos) << what;
+    }
+    EXPECT_EQ(ss.str(), "");
+    const std::string path = ::testing::TempDir() + "/drowsy_refused_level.csv";
+    std::filesystem::remove(path);
+    EXPECT_THROW(t::save_csv(path, traces), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+#endif
 }

@@ -24,10 +24,9 @@ TEST(ActivityTrace, IdleFraction) {
   EXPECT_DOUBLE_EQ(trace.mean_activity(), 0.125);
 }
 
-TEST(ActivityTrace, IdleFractionRespectsThreshold) {
-  t::ActivityTrace trace({0.004, 0.1});
-  EXPECT_DOUBLE_EQ(trace.idle_fraction(0.005), 0.5);
-  EXPECT_DOUBLE_EQ(trace.idle_fraction(0.2), 1.0);
+TEST(ActivityTrace, IdleFractionCountsHoursBelowTheNoiseFloor) {
+  t::ActivityTrace trace({0.004, 0.005, 0.1});
+  EXPECT_DOUBLE_EQ(trace.idle_fraction(), 1.0 / 3.0);
 }
 
 TEST(ActivityTrace, ClassifyShortLived) {

@@ -34,6 +34,7 @@
 #include "scenario/probes.hpp"
 #include "scenario/registry.hpp"
 #include "study/study.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace cli = drowsy::cli;
@@ -228,7 +229,7 @@ int cmd_shard_plan(const Options& opts, const std::string& sweep_path) {
     dt::ShardManifest manifest;
     manifest.sweep_name = loaded.sweep.name;
     manifest.sweep_file = sweep_path;
-    manifest.sweep_hash = ec::fnv1a64(loaded.bytes);
+    manifest.sweep_hash = drowsy::util::fnv1a64(loaded.bytes);
     manifest.shard_index = s;
     manifest.shard_count = opts.shards;
     manifest.total_jobs = jobs.size();

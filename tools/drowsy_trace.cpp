@@ -103,10 +103,19 @@ int cmd_convert(const Options& opts, const std::string& input) {
   std::ifstream in(input, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + input);
   const std::vector<tr::ActivityTrace> traces = rp::fold_dataset(opts.format, in);
-  tr::save_csv(opts.out_path, traces);
-
   const auto columns = rp::summarize_columns(traces);
-  write_file(manifest_path, manifest_json(input, opts.format, columns).dump() + "\n");
+
+  // Render the manifest before writing either file (save_csv refuses a
+  // bad level before it creates its own), and take the CSV back when the
+  // manifest cannot be written: a failed convert leaves no file.
+  const std::string manifest = manifest_json(input, opts.format, columns).dump() + "\n";
+  tr::save_csv(opts.out_path, traces);
+  try {
+    write_file(manifest_path, manifest);
+  } catch (...) {
+    std::remove(opts.out_path.c_str());
+    throw;
+  }
 
   const rp::ClassCounts counts = rp::count_classes(columns);
   std::printf("%s: %zu VM(s) -> %s (%zu SLMU, %zu LLMU, %zu LLMI; manifest %s)\n",
